@@ -21,13 +21,9 @@ from .biases import (
     selection,
 )
 from .bounds import (
-    BoundExpression,
     GridTable,
-    GTerm,
     ShiftedEstimate,
-    SingleTerm,
     adjust_estimate,
-    bound_expression,
     g,
     grid_table,
     multi_bound,
@@ -42,6 +38,7 @@ from .errors import (
     ParseError,
     RareOutcomeRequired,
     SelectedPopulationConflict,
+    SizeLimitExceeded,
     StructureMismatch,
     UnknownParameter,
 )
@@ -53,6 +50,8 @@ from .evalues import (
     evalue_curve,
     evalue_polynomial,
     multi_evalue,
+    odds_ratio,
+    risk_ratio,
     solve_polynomial,
     to_risk_ratio,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "BiasKind",
     "BiasSet",
     "BiasSpec",
-    "BoundExpression",
     "BoundReport",
     "CurvePoint",
     "DegenerateStratum",
@@ -83,7 +81,6 @@ __all__ = [
     "EffectEstimate",
     "EValuePolynomial",
     "EValueResult",
-    "GTerm",
     "GridTable",
     "InfeasibleConfig",
     "MissingParameter",
@@ -94,13 +91,12 @@ __all__ = [
     "Scale",
     "SelectedPopulationConflict",
     "ShiftedEstimate",
-    "SingleTerm",
+    "SizeLimitExceeded",
     "StructureMismatch",
     "UnknownParameter",
     "World",
     "WorldConfig",
     "adjust_estimate",
-    "bound_expression",
     "build_bias_set",
     "confounding",
     "evalue_curve",
@@ -113,7 +109,9 @@ __all__ = [
     "multi_bound",
     "multi_evalue",
     "observed_and_true_rr",
+    "odds_ratio",
     "parameter_summary",
+    "risk_ratio",
     "selection",
     "solve_polynomial",
     "to_risk_ratio",

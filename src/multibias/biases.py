@@ -167,7 +167,6 @@ class Parameter:
     scale: Scale
     degree: int  # power contributed to the E-value polynomial numerator
     bias: str  # label of the bias the parameter belongs to
-    group: str | None  # parameters sharing a group form one joint factor
 
     @property
     def evalue_name(self) -> str:
@@ -183,10 +182,18 @@ class Parameter:
 
 @dataclass(frozen=True)
 class BiasSet:
-    """An ordered, validated set of bias declarations with derived parameters."""
+    """An ordered, validated set of bias declarations with derived parameters.
+
+    The bound is the product over ``terms`` of one factor each: a lone
+    parameter's value, or g of a pair of parameters. Setting every parameter
+    to x turns that product into x**n / (2x - 1)**k with
+    ``(n, k) = polynomial``.
+    """
 
     biases: tuple[BiasSpec, ...]
     parameters: tuple[Parameter, ...]
+    terms: tuple[tuple[str, ...], ...]  # parameter names, one or two per factor
+    polynomial: tuple[int, int]
 
     @property
     def label(self) -> str:
@@ -237,54 +244,32 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
     selected = sel is not None and sel[1].population == "selected"
     sel_before_mis = sel is not None and mis is not None and sel[0] < mis[0]
     params: list[Parameter] = []
+    terms: list[tuple[str, ...]] = []
+
+    def factor(
+        bias: str, *entries: tuple[str, str, str], scale: Scale = Scale.RISK_RATIO
+    ) -> None:
+        """Add one bounding factor: a lone parameter, or a pair joined by g.
+
+        Each entry is (argument name, display symbol, latex).
+        """
+        degree = 2 if scale is Scale.ODDS_RATIO else 1
+        for name, display, latex in entries:
+            params.append(Parameter(name, display, latex, scale, degree, bias))
+        terms.append(tuple([entry[0] for entry in entries]))
 
     if selected:
-        label = "confounding and selection" if conf is not None else "selection"
-        params.append(
-            Parameter(
-                "RRAUscS",
-                "RR_AUsc|S",
-                r"\mathrm{RR}_{AU_{sc} \mid S = 1}",
-                Scale.RISK_RATIO,
-                1,
-                label,
-                "joint factor",
-            )
-        )
-        params.append(
-            Parameter(
-                "RRUscYS",
-                "RR_UscY|S",
-                r"\mathrm{RR}_{U_{sc}Y \mid S = 1}",
-                Scale.RISK_RATIO,
-                1,
-                label,
-                "joint factor",
-            )
+        factor(
+            "confounding and selection" if conf is not None else "selection",
+            ("RRAUscS", "RR_AUsc|S", r"\mathrm{RR}_{AU_{sc} \mid S = 1}"),
+            ("RRUscYS", "RR_UscY|S", r"\mathrm{RR}_{U_{sc}Y \mid S = 1}"),
         )
     else:
         if conf is not None:
-            params.append(
-                Parameter(
-                    "RRAUc",
-                    "RR_AUc",
-                    r"\mathrm{RR}_{AU_c}",
-                    Scale.RISK_RATIO,
-                    1,
-                    "confounding",
-                    "confounder",
-                )
-            )
-            params.append(
-                Parameter(
-                    "RRUcY",
-                    "RR_UcY",
-                    r"\mathrm{RR}_{U_cY}",
-                    Scale.RISK_RATIO,
-                    1,
-                    "confounding",
-                    "confounder",
-                )
+            factor(
+                "confounding",
+                ("RRAUc", "RR_AUc", r"\mathrm{RR}_{AU_c}"),
+                ("RRUcY", "RR_UcY", r"\mathrm{RR}_{U_cY}"),
             )
         if sel is not None:
             spec = sel[1]
@@ -308,39 +293,27 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
                 cond = f"{a_mark}={arm}"
                 cond_tex = f"{a_tex} = {arm}"
                 if spec.s_equals_u:
-                    params.append(
-                        Parameter(
+                    factor(
+                        "selection",
+                        (
                             f"RRSYA{arm}",
                             f"RR_S{y_mark}|{cond}",
                             rf"\mathrm{{RR}}_{{S{y_tex} \mid {cond_tex}}}",
-                            Scale.RISK_RATIO,
-                            1,
-                            "selection",
-                            None,
-                        )
+                        ),
                     )
                 else:
-                    params.append(
-                        Parameter(
+                    factor(
+                        "selection",
+                        (
                             f"RRUsYA{arm}",
                             f"RR_Us{y_mark}|{cond}",
                             rf"\mathrm{{RR}}_{{U_s{y_tex} \mid {cond_tex}}}",
-                            Scale.RISK_RATIO,
-                            1,
-                            "selection",
-                            f"selection arm {arm}",
-                        )
-                    )
-                    params.append(
-                        Parameter(
+                        ),
+                        (
                             f"RRSUsA{arm}",
                             f"RR_SUs|{cond}",
                             rf"\mathrm{{RR}}_{{SU_s \mid {cond_tex}}}",
-                            Scale.RISK_RATIO,
-                            1,
-                            "selection",
-                            f"selection arm {arm}",
-                        )
+                        ),
                     )
 
     if mis is not None:
@@ -350,43 +323,39 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
         cond = ",S" if conditioned else ""
         cond_tex = ", S = 1" if conditioned else ""
         if spec.variable == "outcome":
-            params.append(
-                Parameter(
+            factor(
+                "outcome misclassification",
+                (
                     f"RRAYy{suffix}",
                     f"RR_AY*|y{cond}",
                     rf"\mathrm{{RR}}_{{AY^* \mid y{cond_tex}}}",
-                    Scale.RISK_RATIO,
-                    1,
-                    "outcome misclassification",
-                    None,
-                )
+                ),
             )
         elif spec.rare_exposure:
-            params.append(
-                Parameter(
+            factor(
+                "exposure misclassification",
+                (
                     f"RRYAa{suffix}",
                     f"RR_YA*|a{cond}",
                     rf"\mathrm{{RR}}_{{YA^* \mid a{cond_tex}}}",
-                    Scale.RISK_RATIO,
-                    1,
-                    "exposure misclassification",
-                    None,
-                )
+                ),
             )
         else:
-            params.append(
-                Parameter(
+            factor(
+                "exposure misclassification",
+                (
                     f"ORYAa{suffix}",
                     f"OR_YA*|a{cond}",
                     rf"\mathrm{{OR}}_{{YA^* \mid a{cond_tex}}}",
-                    Scale.ODDS_RATIO,
-                    2,
-                    "exposure misclassification",
-                    None,
-                )
+                ),
+                scale=Scale.ODDS_RATIO,
             )
 
-    return BiasSet(specs, tuple(params))
+    # each joint factor g(x, x) = x**2 / (2x - 1) adds one to k, and each
+    # pair has one parameter more than its single term
+    n = sum([p.degree for p in params])
+    k = len(params) - len(terms)
+    return BiasSet(specs, tuple(params), tuple(terms), (n, k))
 
 
 def parameter_summary(

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .biases import BiasSet, Parameter
-from .errors import DomainError, MissingParameter, UnknownParameter
+from .biases import BiasSet
+from .errors import DomainError, MissingParameter, SizeLimitExceeded, UnknownParameter
+
+
+# Largest grid_table, in cells; an array of this many cells takes 8 MB.
+MAX_GRID_CELLS = 1_000_000
 
 
 def g(a: float, b: float) -> float:
@@ -21,81 +26,29 @@ def g(a: float, b: float) -> float:
     """
     if not (a >= 1.0 and b >= 1.0):
         raise DomainError(f"g is defined for arguments >= 1, got ({a}, {b})")
-    return a * b / (a + b - 1.0)
+    return _g(a, b)
 
 
-@dataclass(frozen=True)
-class GTerm:
-    """Two parameters combined through ``g`` into one bounding factor."""
-
-    first: Parameter
-    second: Parameter
-
-    @property
-    def parameters(self) -> tuple[Parameter, ...]:
-        return (self.first, self.second)
-
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        return g(values[self.first.name], values[self.second.name])
+def _g(a, b):
+    # a*b/(a+b-1) rearranged so that no intermediate overflows; in this
+    # form rounding keeps the result nondecreasing in a
+    return b / (1.0 + (b - 1.0) / a)
 
 
-@dataclass(frozen=True)
-class SingleTerm:
-    """A parameter that enters the bound directly."""
+def _product(terms: tuple[tuple[str, ...], ...], values: Mapping[str, Any]):
+    """The bound: the product of the terms' factors, taken in order.
 
-    parameter: Parameter
-
-    @property
-    def parameters(self) -> tuple[Parameter, ...]:
-        return (self.parameter,)
-
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        return values[self.parameter.name]
-
-
-BoundTerm = GTerm | SingleTerm
-
-
-@dataclass(frozen=True)
-class BoundExpression:
-    """Product of bounding factors for a bias set."""
-
-    bias_set: BiasSet
-    terms: tuple[BoundTerm, ...]
-
-    @property
-    def parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for term in self.terms for p in term.parameters)
-
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        out = 1.0
-        for term in self.terms:
-            out *= term.evaluate(values)
-        return out
-
-
-def bound_expression(bias_set: BiasSet) -> BoundExpression:
-    """Assemble the bounding factors of a bias set.
-
-    Adjacent parameters sharing a group become one joint factor; the rest
-    enter on their own.
+    Plain arithmetic, so float values give a float and broadcastable arrays
+    give the bound at every combination, each element computed exactly as
+    the float path would.
     """
-    terms: list[BoundTerm] = []
-    params = bias_set.parameters
-    i = 0
-    while i < len(params):
-        p = params[i]
-        if (
-            p.group is not None
-            and i + 1 < len(params)
-            and params[i + 1].group == p.group
-        ):
-            terms.append(GTerm(p, params[i + 1]))
-            i += 2
+    out = 1.0
+    for term in terms:
+        if len(term) == 2:
+            out = out * _g(values[term[0]], values[term[1]])
         else:
-            terms.append(SingleTerm(p))
-            i += 1
-    return BoundExpression(bias_set, tuple(terms))
+            out = out * values[term[0]]
+    return out
 
 
 def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]:
@@ -114,8 +67,11 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
     out: dict[str, float] = {}
     for name in names:
         value = float(values[name])
-        if not value >= 1.0:
-            raise DomainError(f"parameter {name} must be at least 1, got {values[name]}")
+        if not 1.0 <= value < math.inf:
+            raise DomainError(
+                f"parameter {name} must be a finite number at least 1, "
+                f"got {values[name]}"
+            )
         out[name] = value
     return out
 
@@ -123,9 +79,12 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
 def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
     """Largest possible ratio of observed to true risk ratio under the set.
 
-    ``values`` maps every parameter's argument name to a number >= 1.
+    ``values`` maps every parameter's argument name to a finite number >= 1.
     """
-    return bound_expression(bias_set).evaluate(_validated(bias_set, values))
+    bound = _product(bias_set.terms, _validated(bias_set, values))
+    if bound == math.inf:
+        raise DomainError("the bound overflows the floating-point range")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -177,37 +136,42 @@ def grid_table(
     (row_name, row_values), (col_name, col_values) = vary
     if row_name == col_name:
         raise ValueError("the two varying parameters must differ")
-    if not len(row_values) or not len(col_values):
-        raise ValueError("grid values must be non-empty")
+    rows = np.asarray(row_values, dtype=float)
+    cols = np.asarray(col_values, dtype=float)
+    if rows.ndim != 1 or cols.ndim != 1 or not rows.size or not cols.size:
+        raise ValueError("grid values must be non-empty sequences")
+    if rows.size * cols.size > MAX_GRID_CELLS:
+        raise SizeLimitExceeded(
+            f"a {rows.size} x {cols.size} grid exceeds {MAX_GRID_CELLS} cells"
+        )
     fixed = dict(fixed or {})
     overlap = sorted({row_name, col_name} & set(fixed))
     if overlap:
         raise ValueError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
 
     probe = dict(fixed)
-    probe[row_name] = row_values[0]
-    probe[col_name] = col_values[0]
+    probe[row_name] = rows[0]
+    probe[col_name] = cols[0]
     fixed = {k: v for k, v in _validated(bias_set, probe).items() if k in fixed}
-    for name, grid_values in ((row_name, row_values), (col_name, col_values)):
-        for v in grid_values:
-            if not float(v) >= 1.0:
-                raise DomainError(f"parameter {name} must be at least 1, got {v}")
+    for name, axis in ((row_name, rows), (col_name, cols)):
+        bad = ~((axis >= 1.0) & (axis < math.inf))
+        if bad.any():
+            raise DomainError(
+                f"parameter {name} must be a finite number at least 1, "
+                f"got {axis[bad][0]}"
+            )
 
-    expr = bound_expression(bias_set)
-    table = np.empty((len(row_values), len(col_values)))
-    cell = dict(fixed)
-    for i, rv in enumerate(row_values):
-        for j, cv in enumerate(col_values):
-            cell[row_name] = float(rv)
-            cell[col_name] = float(cv)
-            table[i, j] = expr.evaluate(cell)
+    cells = {**fixed, row_name: rows[:, None], col_name: cols[None, :]}
+    table = _product(bias_set.terms, cells)
+    if table.max() == math.inf:
+        raise DomainError("the bound overflows the floating-point range in the grid")
     table.setflags(write=False)
     return GridTable(
         bias_set,
         row_name,
         col_name,
-        tuple(float(v) for v in row_values),
-        tuple(float(v) for v in col_values),
+        tuple(rows.tolist()),
+        tuple(cols.tolist()),
         fixed,
         table,
     )
@@ -236,8 +200,8 @@ def adjust_estimate(
     estimate is at or above 1, multiplied when below.
     """
     for label, v in (("point", point), ("lo", lo), ("hi", hi)):
-        if not v > 0:
-            raise DomainError(f"{label} must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise DomainError(f"{label} must be positive and finite, got {v}")
     if not lo <= point <= hi:
         raise ValueError("interval must satisfy lo <= point <= hi")
     bound = multi_bound(bias_set, values)

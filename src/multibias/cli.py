@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -30,9 +31,9 @@ from .biases import (
     parameter_summary,
     selection,
 )
-from .bounds import adjust_estimate, grid_table, multi_bound
-from .errors import BiasAnalysisError, ParseError
-from .evalues import EffectEstimate, evalue_curve, multi_evalue
+from .bounds import MAX_GRID_CELLS, adjust_estimate, grid_table, multi_bound
+from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
+from .evalues import MAX_CURVE_POINTS, EffectEstimate, evalue_curve, multi_evalue
 from .oracle import STRUCTURES, generate_world, verify_bound
 
 _MEASURES = {"RR": Scale.RISK_RATIO, "OR": Scale.ODDS_RATIO}
@@ -162,6 +163,11 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     return values
 
 
+def _print_json(payload: dict) -> None:
+    """Print one JSON record; a non-finite number is an error, never NaN or Infinity."""
+    print(json.dumps(payload, allow_nan=False))
+
+
 def _parse_float(raw: str, label: str) -> float:
     try:
         return float(raw)
@@ -180,7 +186,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "parameters": values,
             "bound": bound,
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(_fmt(bound))
     return 0
@@ -201,7 +207,7 @@ def _cmd_evalue(args: argparse.Namespace) -> int:
     result = multi_evalue(bias_set, estimate, true_value=args.true)
 
     if args.format == "json":
-        print(json.dumps(result.to_json()))
+        _print_json(result.to_json())
         return 0
 
     if args.true != 1.0:
@@ -258,11 +264,17 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
             if len(pieces) != 3:
                 raise ParseError(f"{name}: expected START:STOP:STEP, got {raw!r}")
             start, stop, step = (_parse_float(p, name) for p in pieces)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ParseError(f"{name}: START, STOP and STEP must be finite")
             if step <= 0:
                 raise ParseError(f"{name}: step must be positive")
             if stop < start:
                 raise ParseError(f"{name}: stop must not be below start")
             count = int((stop - start) / step + 1e-9) + 1
+            if count > MAX_GRID_CELLS:
+                raise SizeLimitExceeded(
+                    f"{name}: {count} grid values exceed {MAX_GRID_CELLS}"
+                )
             values = start + step * np.arange(count)
         else:
             values = np.array(
@@ -282,7 +294,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
-        print(json.dumps(table.to_json()))
+        _print_json(table.to_json())
     else:
         rows = [[""] + [f"{v:g}" for v in table.col_values]]
         for value, row in zip(table.row_values, table.values):
@@ -295,8 +307,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     clauses = _split_outside_parens(args.bias_sets, ",")
     bias_sets = [parse_bias_string(c) for c in clauses]
-    if args.points < 2 or args.rr_max <= args.rr_min:
-        raise ParseError("need rr-max > rr-min and at least 2 points")
+    if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
+        raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
+    if args.points > MAX_CURVE_POINTS:
+        raise SizeLimitExceeded(f"{args.points} points exceed {MAX_CURVE_POINTS}")
     rr_values = np.linspace(args.rr_min, args.rr_max, args.points)
     points = evalue_curve(bias_sets, rr_values)
     if args.format == "json":
@@ -306,7 +320,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
                 {"rr": p.rr, "biases": p.biases, "evalue": p.evalue} for p in points
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     elif args.format == "csv":
         print("rr,biases,evalue")
         for p in points:
@@ -330,17 +344,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for i in range(args.worlds):
         seed = args.seed + i
         report = verify_bound(generate_world(config, seed), bias_set)
-        print(
-            json.dumps(
-                {
-                    "seed": seed,
-                    "structure": args.structure,
-                    "ratio": report.ratio,
-                    "bound": report.bound,
-                    "slack": report.slack,
-                    "prevalence": report.prevalence,
-                }
-            )
+        _print_json(
+            {
+                "seed": seed,
+                "structure": args.structure,
+                "ratio": report.ratio,
+                "bound": report.bound,
+                "slack": report.slack,
+                "prevalence": report.prevalence,
+            }
         )
     return 0
 

@@ -43,3 +43,7 @@ class StructureMismatch(BiasAnalysisError, ValueError):
 
 class DegenerateStratum(BiasAnalysisError, ValueError):
     """A stratum needed for a conditional probability has (almost) no mass."""
+
+
+class SizeLimitExceeded(BiasAnalysisError, ValueError):
+    """A grid or curve asks for more cells or points than are evaluated at once."""

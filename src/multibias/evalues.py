@@ -13,9 +13,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .biases import BiasSet, Scale
-from .bounds import GTerm, bound_expression
-from .errors import DomainError
+from .errors import DomainError, SizeLimitExceeded
+
+# Largest evalue_curve, in points over all bias sets; each point is a
+# CurvePoint object, so this also bounds the memory a curve holds.
+MAX_CURVE_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class EffectEstimate:
@@ -29,8 +35,8 @@ class EffectEstimate:
 
     def __post_init__(self) -> None:
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
-            if v is not None and not v > 0:
-                raise DomainError(f"{label} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise DomainError(f"{label} must be positive and finite, got {v}")
         if self.lo is not None and self.lo > self.point:
             raise ValueError("lo must not exceed the point estimate")
         if self.hi is not None and self.hi < self.point:
@@ -103,32 +109,39 @@ class EValuePolynomial:
 
 def evalue_polynomial(bias_set: BiasSet) -> EValuePolynomial:
     """Polynomial whose inverse at a bias ratio gives the E-value."""
-    expr = bound_expression(bias_set)
-    n = sum(p.degree for p in bias_set.parameters)
-    k = sum(1 for term in expr.terms if isinstance(term, GTerm))
-    return EValuePolynomial(n, k)
+    return EValuePolynomial(*bias_set.polynomial)
 
 
 def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
-    """The x >= 1 with polynomial.value(x) == target, for target >= 1.
+    """The x >= 1 with polynomial.value(x) == target, for finite target >= 1.
 
     The residual satisfies |f(x) - target| <= 1e-9 * target; closed forms
     are used for pure powers and for the single joint-factor case.
     """
-    if not target >= 1.0:
-        raise DomainError(f"target must be at least 1, got {target}")
+    if not 1.0 <= target < math.inf:
+        raise DomainError(f"target must be a finite number at least 1, got {target}")
     if target == 1.0:
         return 1.0
     if polynomial.k == 0:
-        return target ** (1.0 / polynomial.n)
-    if polynomial.n == 2 and polynomial.k == 1:
-        return target + math.sqrt(target * (target - 1.0))
-    return _bisect(polynomial, target)
+        x = target ** (1.0 / polynomial.n)
+    elif polynomial.n == 2 and polynomial.k == 1:
+        x = target + math.sqrt(target) * math.sqrt(target - 1.0)
+    else:
+        x = _bisect(polynomial, target)
+    if x == math.inf:
+        raise DomainError(f"the E-value for {target} exceeds the floating-point range")
+    return x
 
 
 def _bisect(polynomial: EValuePolynomial, target: float) -> float:
+    # compared in log space, n log x - k log(2x - 1) against log target,
+    # so that x**n is never formed and cannot overflow; base 2 because
+    # math.log2 costs a third of math.log, which also accepts integers
+    log = math.log2
+    n, k = float(polynomial.n), float(polynomial.k)
+    log_target = log(target)
     lo, hi = 1.0, 2.0
-    while polynomial.value(hi) < target:
+    while n * log(hi) - k * log(2.0 * hi - 1.0) < log_target:
         lo, hi = hi, hi * 2.0
     # run the bracket down to machine precision; the residual tolerance is
     # then met with orders of magnitude to spare even where f is flat
@@ -136,10 +149,42 @@ def _bisect(polynomial: EValuePolynomial, target: float) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if polynomial.value(mid) < target:
+        if n * log(mid) - k * log(2.0 * mid - 1.0) < log_target:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _solve_array(polynomial: EValuePolynomial, targets: np.ndarray) -> np.ndarray:
+    """solve_polynomial at every element of an array of finite targets > 1.
+
+    The same closed forms and the same bisection as the float path, applied
+    to whole arrays. Kept apart from solve_polynomial because a numpy loop
+    over a single value costs about twenty times the float loop.
+    """
+    n, k = polynomial.n, polynomial.k
+    if k == 0:
+        return targets ** (1.0 / n)
+    if n == 2 and k == 1:
+        return targets + np.sqrt(targets) * np.sqrt(targets - 1.0)
+    log_target = np.log2(targets)
+    lo = np.ones_like(targets)
+    hi = np.full_like(targets, 2.0)
+    while True:
+        below = n * np.log2(hi) - k * np.log2(2.0 * hi - 1.0) < log_target
+        if not below.any():
+            break
+        lo = np.where(below, hi, lo)
+        hi = np.where(below, hi * 2.0, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        below = n * np.log2(mid) - k * np.log2(2.0 * mid - 1.0) < log_target
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -183,8 +228,8 @@ def multi_evalue(
     null receives an E-value; the far side is reported as None. Targets at
     or below 1 need no bias at all and get an E-value of 1.
     """
-    if not true_value > 0:
-        raise DomainError(f"true_value must be positive, got {true_value}")
+    if not 0 < true_value < math.inf:
+        raise DomainError(f"true_value must be positive and finite, got {true_value}")
     rr = to_risk_ratio(estimate)
     polynomial = evalue_polynomial(bias_set)
     inverted = rr.point < 1.0
@@ -226,10 +271,36 @@ class CurvePoint:
 def evalue_curve(
     bias_sets: Sequence[BiasSet], rr_values: Sequence[float]
 ) -> list[CurvePoint]:
-    """Point E-values for each bias set across a range of risk ratios."""
+    """Point E-values for each bias set across a range of risk ratios.
+
+    Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point;
+    every bias set's points are solved together as one array.
+    """
+    rr = np.asarray(rr_values, dtype=float)
+    if rr.ndim != 1:
+        raise ValueError("risk ratios must be a one-dimensional sequence")
+    if len(bias_sets) * rr.size > MAX_CURVE_POINTS:
+        raise SizeLimitExceeded(
+            f"{len(bias_sets)} curves of {rr.size} points exceed "
+            f"{MAX_CURVE_POINTS} points"
+        )
+    bad = ~((rr > 0.0) & (rr < math.inf))
+    if bad.any():
+        raise DomainError(f"risk ratios must be positive and finite, got {rr[bad][0]}")
+    # protective ratios are inverted, as multi_evalue does
+    ratios = np.maximum(rr, 1.0 / rr)
+    if ratios.max(initial=1.0) == math.inf:
+        raise DomainError("a risk ratio's inverse exceeds the floating-point range")
+    need = ratios > 1.0
+    rr_list = rr.tolist()
     points: list[CurvePoint] = []
     for bias_set in bias_sets:
-        for rr in rr_values:
-            result = multi_evalue(bias_set, risk_ratio(float(rr)))
-            points.append(CurvePoint(float(rr), bias_set.label, result.evalue_point))
+        evalues = np.ones_like(rr)
+        evalues[need] = _solve_array(evalue_polynomial(bias_set), ratios[need])
+        if evalues.max(initial=1.0) == math.inf:
+            raise DomainError("a curve E-value exceeds the floating-point range")
+        label = bias_set.label
+        points.extend(
+            CurvePoint(r, label, e) for r, e in zip(rr_list, evalues.tolist())
+        )
     return points

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from declarations import DECLARATIONS
 from multibias import (
     DomainError,
-    GTerm,
     MissingParameter,
-    SingleTerm,
+    SizeLimitExceeded,
     UnknownParameter,
     adjust_estimate,
-    bound_expression,
     build_bias_set,
     confounding,
     g,
@@ -22,8 +21,10 @@ from multibias import (
     multi_bound,
     selection,
 )
+from multibias.bounds import MAX_GRID_CELLS
 
 ratios = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
+GRIDDABLE = [d for d in DECLARATIONS if len(build_bias_set(d).parameters) >= 2]
 
 
 class TestG:
@@ -52,6 +53,9 @@ class TestG:
     def test_monotone_in_first_argument(self, a, b, bump):
         assert g(a + bump, b) >= g(a, b) - 1e-12
 
+    def test_huge_arguments_do_not_overflow(self):
+        assert g(1e200, 1e200) == pytest.approx(5e199, rel=1e-12)
+
     @given(ratios)
     def test_one_absorbs(self, b):
         # b/(1+b-1) can wobble an ulp for b near 1
@@ -59,31 +63,34 @@ class TestG:
 
 
 class TestExpressionShape:
+    """``BiasSet.terms``: which parameters enter the bound jointly through g."""
+
     def test_all_three_biases_general(self):
         bs = build_bias_set([confounding(), selection(), misclassification("outcome")])
-        terms = bound_expression(bs).terms
-        assert [type(t) for t in terms] == [GTerm, GTerm, GTerm, SingleTerm]
+        assert bs.terms == (
+            ("RRAUc", "RRUcY"),
+            ("RRUsYA1", "RRSUsA1"),
+            ("RRUsYA0", "RRSUsA0"),
+            ("RRAYyS",),
+        )
 
     def test_selected_population(self):
         bs = build_bias_set(
             [confounding(), selection("selected"), misclassification("outcome")]
         )
-        terms = bound_expression(bs).terms
-        assert [type(t) for t in terms] == [GTerm, SingleTerm]
+        assert bs.terms == (("RRAUscS", "RRUscYS"), ("RRAYyS",))
 
     def test_confounding_alone(self):
-        terms = bound_expression(build_bias_set([confounding()])).terms
-        assert [type(t) for t in terms] == [GTerm]
+        assert build_bias_set([confounding()]).terms == (("RRAUc", "RRUcY"),)
 
     def test_s_equals_u_terms_are_single(self):
         bs = build_bias_set([selection(s_equals_u=True)])
-        terms = bound_expression(bs).terms
-        assert [type(t) for t in terms] == [SingleTerm, SingleTerm]
+        assert bs.terms == (("RRSYA1",), ("RRSYA0",))
 
     def test_expression_parameters_cover_the_set(self):
         bs = build_bias_set([confounding(), selection()])
-        expr = bound_expression(bs)
-        assert tuple(p.name for p in expr.parameters) == bs.parameter_names()
+        flat = tuple(name for term in bs.terms for name in term)
+        assert flat == bs.parameter_names()
 
 
 class TestMultiBound:
@@ -152,6 +159,17 @@ class TestMultiBound:
         with pytest.raises(DomainError):
             multi_bound(bs, {"RRAUc": 0.8, "RRUcY": 2})
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        bs = build_bias_set([confounding()])
+        with pytest.raises(DomainError):
+            multi_bound(bs, {"RRAUc": bad, "RRUcY": 2})
+
+    def test_overflowing_product_rejected(self):
+        bs = build_bias_set([confounding(), misclassification("outcome")])
+        with pytest.raises(DomainError):
+            multi_bound(bs, {"RRAUc": 1e200, "RRUcY": 1e200, "RRAYy": 1e200})
+
     @given(
         st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=7, max_size=7),
         st.integers(min_value=0, max_value=6),
@@ -177,6 +195,21 @@ class TestGrid:
             for j, cv in enumerate(cols):
                 expected = multi_bound(bs, {**fixed, "RRAUc": rv, "RRUcY": cv})
                 assert table.values[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @given(st.sampled_from(GRIDDABLE), st.data())
+    def test_every_cell_equals_multi_bound_exactly(self, declared, data):
+        bs = build_bias_set(declared)
+        names = bs.parameter_names()
+        pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        row, col = data.draw(pair)
+        rows = data.draw(st.lists(ratios, min_size=1, max_size=4))
+        cols = data.draw(st.lists(ratios, min_size=1, max_size=4))
+        fixed = {n: data.draw(ratios) for n in names if n not in (row, col)}
+        table = grid_table(bs, [(row, rows), (col, cols)], fixed)
+        for i, rv in enumerate(rows):
+            for j, cv in enumerate(cols):
+                cell = {**fixed, row: rv, col: cv}
+                assert table.values[i, j] == multi_bound(bs, cell)
 
     def test_csv_round_trip(self):
         bs = build_bias_set([confounding()])
@@ -218,6 +251,18 @@ class TestGrid:
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError):
             grid_table(bs, [("RRAUc", [0.5, 2.0]), ("RRUcY", [2.0])])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_grid_values(self, bad):
+        bs = build_bias_set([confounding()])
+        with pytest.raises(DomainError):
+            grid_table(bs, [("RRAUc", [2.0]), ("RRUcY", [2.0, bad])])
+
+    def test_rejects_grids_over_the_cell_cap(self):
+        bs = build_bias_set([confounding()])
+        rows = np.full(MAX_GRID_CELLS // 1000 + 1, 2.0)
+        with pytest.raises(SizeLimitExceeded):
+            grid_table(bs, [("RRAUc", rows), ("RRUcY", np.full(1000, 2.0))])
 
     def test_missing_fixed_parameter_detected(self):
         bs = build_bias_set([confounding(), misclassification("outcome")])

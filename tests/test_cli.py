@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from multibias.cli import main, parse_bias_string
@@ -9,6 +10,16 @@ from multibias.errors import ParseError
 
 HIV = "confounding + selection(general, increased_risk)"
 LEUK = "confounding + misclassification(exposure, rare_outcome)"
+EIGHT_THREE = "confounding + selection + misclassification(exposure, rare_outcome)"
+
+
+def _strict_json(text: str):
+    """Parse JSON, refusing the NaN and Infinity constants Python would accept."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _evalue_cells(out: str) -> list[str]:
@@ -506,6 +517,53 @@ class TestVerifyCommand:
     def test_unknown_structure_rejected(self, capsys):
         rc = main(["verify", "--structure", "result9"])
         assert rc == 2
+
+
+class TestRobustness:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--biases", "confounding", "--param", "RRAUc=inf"]
+            + ["--param", "RRUcY=2"],
+            ["evalue", "--biases", HIV, "--est", "inf"],
+            ["evalue", "--biases", HIV, "--est", "nan"],
+            ["curve", "--bias-sets", "confounding", "--rr-max", "inf"],
+            ["grid", "--biases", "confounding", "--vary", "RRAUc=1:inf:1"]
+            + ["--vary", "RRUcY=2"],
+        ],
+    )
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_bound_json_stays_finite_and_strict(self, capsys):
+        argv = ["bound", "--biases", "confounding", "--format", "json"]
+        rc = main(argv + ["--param", "RRAUc=1e200", "--param", "RRUcY=1e200"])
+        assert rc == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["bound"] == pytest.approx(5e199, rel=1e-12)
+
+    def test_huge_estimate_gets_a_finite_evalue(self, capsys):
+        argv = ["evalue", "--biases", EIGHT_THREE, "--est", "1e300", "--format", "json"]
+        assert main(argv) == 0
+        assert _strict_json(capsys.readouterr().out)["evalue_point"] > 1e59
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--bias-sets", "confounding", "--points", "2000000000"],
+            ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e12:1e-3"]
+            + ["--vary", "RRUcY=2"],
+        ],
+    )
+    def test_oversized_sweep_exits_2_before_allocating(self, argv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep values allocated before the size check")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        assert main(argv) == 2
+        assert "exceed" in capsys.readouterr().err
 
 
 class TestTopLevel:

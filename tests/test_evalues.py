@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from declarations import DECLARATIONS
 from multibias import (
     DomainError,
     EffectEstimate,
     EValuePolynomial,
     Scale,
+    SizeLimitExceeded,
     build_bias_set,
     confounding,
     evalue_curve,
@@ -21,7 +24,10 @@ from multibias import (
     solve_polynomial,
     to_risk_ratio,
 )
-from multibias.evalues import odds_ratio, risk_ratio
+from multibias.evalues import MAX_CURVE_POINTS, odds_ratio, risk_ratio
+
+# one bias set for each polynomial the grammar can reach
+SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATIONS)}
 
 
 class TestToRiskRatio:
@@ -58,6 +64,13 @@ class TestToRiskRatio:
             EffectEstimate(2.0, hi=1.5)
         with pytest.raises(ValueError):
             EffectEstimate(2.0, rare_outcome=True)  # only meaningful for ORs
+
+    @pytest.mark.parametrize(
+        "limits", [(math.inf,), (math.nan,), (2.0, math.nan), (2.0, 1.5, math.inf)]
+    )
+    def test_non_finite_estimate_rejected(self, limits):
+        with pytest.raises(DomainError):
+            EffectEstimate(*limits)
 
 
 class TestPolynomialAccounting:
@@ -131,6 +144,20 @@ class TestSolve:
     def test_target_below_one_rejected(self):
         with pytest.raises(DomainError):
             solve_polynomial(EValuePolynomial(2, 1), 0.5)
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(DomainError):
+            solve_polynomial(EValuePolynomial(7, 3), math.inf)
+
+    @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL))
+    @given(target=st.floats(min_value=1.0, max_value=1e300))
+    @settings(max_examples=50)
+    def test_finite_with_small_log_residual_up_to_1e300(self, nk, target):
+        n, k = nk
+        x = solve_polynomial(EValuePolynomial(n, k), target)
+        assert math.isfinite(x)
+        residual = n * math.log(x) - k * math.log(2.0 * x - 1.0) - math.log(target)
+        assert abs(residual) <= 1e-12 * max(1.0, math.log(target))
 
     @given(
         st.integers(min_value=0, max_value=6),
@@ -231,6 +258,15 @@ class TestMultiEvalue:
         result = multi_evalue(bs, risk_ratio(0.5), true_value=4.0)
         assert result.evalue_point == 1.0
 
+    def test_huge_ratio_is_solved_in_log_space(self):
+        exposure = misclassification("exposure", rare_outcome=True)
+        bs = build_bias_set([confounding(), selection(), exposure])
+        assert bs.polynomial == (8, 3)
+        x = multi_evalue(bs, risk_ratio(1e300)).evalue_point
+        assert math.isfinite(x)
+        residual = 8 * math.log(x) - 3 * math.log(2 * x - 1) - math.log(1e300)
+        assert abs(residual) <= 1e-12 * math.log(1e300)
+
     def test_true_value_must_be_positive(self):
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError):
@@ -286,3 +322,26 @@ class TestCurve:
             e_small = multi_evalue(small, risk_ratio(rr)).evalue_point
             e_large = multi_evalue(large, risk_ratio(rr)).evalue_point
             assert e_large <= e_small + 1e-9
+
+    @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL))
+    @given(rr=st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=20))
+    @settings(max_examples=30)
+    def test_each_point_is_the_multi_evalue(self, nk, rr):
+        bias_set = SET_BY_POLYNOMIAL[nk]
+        rr = [1.0, *rr]
+        points = evalue_curve([bias_set], rr)
+        assert [p.rr for p in points] == rr
+        for p in points:
+            expected = multi_evalue(bias_set, risk_ratio(p.rr)).evalue_point
+            assert isinstance(p.evalue, float)
+            assert p.evalue == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_ratios_that_are_not_positive_and_finite(self, bad):
+        with pytest.raises(DomainError):
+            evalue_curve([build_bias_set([confounding()])], [2.0, bad])
+
+    def test_rejects_curves_over_the_point_cap(self):
+        sets = [build_bias_set([confounding()])] * 2
+        with pytest.raises(SizeLimitExceeded):
+            evalue_curve(sets, np.full(MAX_CURVE_POINTS // 2 + 1, 2.0))
