@@ -6,6 +6,9 @@ misclassification act together, and converts those bounds into multi-bias
 E-values: the joint parameter magnitude needed to fully explain an estimate
 away. A companion oracle enumerates small exact worlds to stress-test the
 bounds against ground truth.
+
+Only the grid, the curve and the oracle need numpy, so it is loaded on first
+use: the oracle's names below are resolved by the module ``__getattr__``.
 """
 
 from .biases import (
@@ -55,16 +58,31 @@ from .evalues import (
     solve_polynomial,
     to_risk_ratio,
 )
-from .oracle import (
-    STRUCTURES,
-    BoundReport,
-    World,
-    WorldConfig,
-    extract_parameters,
-    generate_world,
-    observed_and_true_rr,
-    verify_bound,
+
+_ORACLE_NAMES = (
+    "STRUCTURES",
+    "BoundReport",
+    "World",
+    "WorldConfig",
+    "extract_parameters",
+    "generate_world",
+    "observed_and_true_rr",
+    "verify_bound",
 )
+
+
+def __getattr__(name: str):
+    """Import the oracle on first access to one of its names (PEP 562).
+
+    All eight are then bound here, so later accesses are plain lookups.
+    """
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    globals().update({n: getattr(oracle, n) for n in _ORACLE_NAMES})
+    return globals()[name]
+
 
 __version__ = "0.1.0"
 

@@ -6,12 +6,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .biases import BiasSet
 from .errors import DomainError, MissingParameter, SizeLimitExceeded, UnknownParameter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Largest grid_table, in cells; an array of this many cells takes 8 MB.
@@ -131,6 +132,8 @@ def grid_table(
     ``vary`` holds two (name, values) pairs giving the row and the column
     parameter; ``fixed`` holds values for every remaining parameter.
     """
+    import numpy as np
+
     if len(vary) != 2:
         raise ValueError("exactly two parameters must vary")
     (row_name, row_values), (col_name, col_values) = vary
@@ -162,7 +165,8 @@ def grid_table(
             )
 
     cells = {**fixed, row_name: rows[:, None], col_name: cols[None, :]}
-    table = _product(bias_set.terms, cells)
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+        table = _product(bias_set.terms, cells)
     if table.max() == math.inf:
         raise DomainError("the bound overflows the floating-point range in the grid")
     table.setflags(write=False)

@@ -19,8 +19,7 @@ import json
 import math
 import re
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .biases import (
     BiasSet,
@@ -34,9 +33,23 @@ from .biases import (
 from .bounds import MAX_GRID_CELLS, adjust_estimate, grid_table, multi_bound
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
 from .evalues import MAX_CURVE_POINTS, EffectEstimate, evalue_curve, multi_evalue
-from .oracle import STRUCTURES, generate_world, verify_bound
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MEASURES = {"RR": Scale.RISK_RATIO, "OR": Scale.ODDS_RATIO}
+
+# sorted(oracle.STRUCTURES), written out so that parsing arguments does not
+# load the oracle and numpy; a test keeps the two equal
+_STRUCTURE_NAMES = (
+    "confounding",
+    "outcome_misclassification",
+    "result1",
+    "result2",
+    "result3",
+    "selection",
+    "selection_selected",
+)
 
 
 def _split_outside_parens(text: str, sep: str) -> list[str]:
@@ -253,6 +266,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
+    import numpy as np
+
     vary: list[tuple[str, np.ndarray]] = []
     for pair in pairs:
         name, eq, raw = pair.partition("=")
@@ -270,12 +285,14 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
                 raise ParseError(f"{name}: step must be positive")
             if stop < start:
                 raise ParseError(f"{name}: stop must not be below start")
-            count = int((stop - start) / step + 1e-9) + 1
-            if count > MAX_GRID_CELLS:
+            # checked as a float: a tiny enough step makes it inf, which int() rejects
+            steps = (stop - start) / step + 1e-9
+            if steps >= MAX_GRID_CELLS:
+                count = int(steps) + 1 if steps < math.inf else steps
                 raise SizeLimitExceeded(
                     f"{name}: {count} grid values exceed {MAX_GRID_CELLS}"
                 )
-            values = start + step * np.arange(count)
+            values = start + step * np.arange(int(steps) + 1)
         else:
             values = np.array(
                 [_parse_float(p, name) for p in raw.split(",") if p.strip()]
@@ -305,6 +322,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    import numpy as np
+
     clauses = _split_outside_parens(args.bias_sets, ",")
     bias_sets = [parse_bias_string(c) for c in clauses]
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
@@ -334,6 +353,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import STRUCTURES, generate_world, verify_bound
+
     config, bias_set = STRUCTURES[args.structure]
     if args.rare_ceiling is not None:
         import dataclasses
@@ -422,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=_cmd_curve)
 
     p_verify = sub.add_parser("verify", help="stress-test the bound on random worlds")
-    p_verify.add_argument("--structure", choices=sorted(STRUCTURES), required=True)
+    p_verify.add_argument("--structure", choices=_STRUCTURE_NAMES, required=True)
     p_verify.add_argument("--worlds", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(

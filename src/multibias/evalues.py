@@ -10,17 +10,22 @@ x**n / (2x - 1)**k, so computing an E-value means inverting that function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .biases import BiasSet, Scale
 from .errors import DomainError, SizeLimitExceeded
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Largest evalue_curve, in points over all bias sets; each point is a
 # CurvePoint object, so this also bounds the memory a curve holds.
 MAX_CURVE_POINTS = 100_000
+
+# 1.0 / x overflows for every positive x at or below this, and for no other
+_UNINVERTIBLE = 1.0 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -163,11 +168,16 @@ def _solve_array(polynomial: EValuePolynomial, targets: np.ndarray) -> np.ndarra
     to whole arrays. Kept apart from solve_polynomial because a numpy loop
     over a single value costs about twenty times the float loop.
     """
+    import numpy as np
+
     n, k = polynomial.n, polynomial.k
     if k == 0:
         return targets ** (1.0 / n)
     if n == 2 and k == 1:
-        return targets + np.sqrt(targets) * np.sqrt(targets - 1.0)
+        # the root, about 2 * target, is the only value here that can
+        # overflow; it becomes inf, which evalue_curve rejects
+        with np.errstate(over="ignore"):
+            return targets + np.sqrt(targets) * np.sqrt(targets - 1.0)
     log_target = np.log2(targets)
     lo = np.ones_like(targets)
     hi = np.full_like(targets, 2.0)
@@ -276,6 +286,8 @@ def evalue_curve(
     Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point;
     every bias set's points are solved together as one array.
     """
+    import numpy as np
+
     rr = np.asarray(rr_values, dtype=float)
     if rr.ndim != 1:
         raise ValueError("risk ratios must be a one-dimensional sequence")
@@ -287,10 +299,11 @@ def evalue_curve(
     bad = ~((rr > 0.0) & (rr < math.inf))
     if bad.any():
         raise DomainError(f"risk ratios must be positive and finite, got {rr[bad][0]}")
-    # protective ratios are inverted, as multi_evalue does
-    ratios = np.maximum(rr, 1.0 / rr)
-    if ratios.max(initial=1.0) == math.inf:
+    # protective ratios are inverted, as multi_evalue does; checked first,
+    # so that an overflowing inverse raises no numpy warning
+    if rr.min(initial=1.0) <= _UNINVERTIBLE:
         raise DomainError("a risk ratio's inverse exceeds the floating-point range")
+    ratios = np.maximum(rr, 1.0 / rr)
     need = ratios > 1.0
     rr_list = rr.tolist()
     points: list[CurvePoint] = []

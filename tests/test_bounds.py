@@ -1,6 +1,7 @@
 """Bound construction, evaluation, grids, and estimate shifting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,13 @@ class TestGrid:
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError):
             grid_table(bs, [("RRAUc", [2.0]), ("RRUcY", [2.0, bad])])
+
+    def test_overflowing_cell_is_a_domain_error_not_a_warning(self):
+        bs = build_bias_set([confounding(), misclassification("outcome")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                grid_table(bs, [("RRAUc", [2.0, 1e200]), ("RRUcY", [1e200])], {"RRAYy": 1e200})
 
     def test_rejects_grids_over_the_cell_cap(self):
         bs = build_bias_set([confounding()])

@@ -1,6 +1,7 @@
 """Command line interface tests, driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -554,6 +555,9 @@ class TestRobustness:
             ["curve", "--bias-sets", "confounding", "--points", "2000000000"],
             ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e12:1e-3"]
             + ["--vary", "RRUcY=2"],
+            # a step count past the float range, not just over the cap
+            ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e300:1e-300"]
+            + ["--vary", "RRUcY=1:3:1"],
         ],
     )
     def test_oversized_sweep_exits_2_before_allocating(self, argv, capsys, monkeypatch):
@@ -564,6 +568,13 @@ class TestRobustness:
         monkeypatch.setattr(np, "arange", refuse)
         assert main(argv) == 2
         assert "exceed" in capsys.readouterr().err
+
+    def test_uninvertible_curve_ratio_exits_2_without_a_warning(self, capsys):
+        argv = ["curve", "--bias-sets", "confounding", "--rr-min", "1e-320"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--rr-max", "2", "--points", "2"]) == 2
+        assert "floating-point range" in capsys.readouterr().err
 
 
 class TestTopLevel:

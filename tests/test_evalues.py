@@ -1,6 +1,8 @@
 """E-value polynomials, solving, orientation, and curves."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from multibias.evalues import MAX_CURVE_POINTS, odds_ratio, risk_ratio
 
 # one bias set for each polynomial the grammar can reach
 SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATIONS)}
+# one bias set for each bound the grammar can reach: declarations with the
+# same terms have the same bound and the same E-values
+SET_BY_TERMS = {bs.terms: bs for bs in map(build_bias_set, DECLARATIONS)}
 
 
 class TestToRiskRatio:
@@ -341,7 +346,52 @@ class TestCurve:
         with pytest.raises(DomainError):
             evalue_curve([build_bias_set([confounding()])], [2.0, bad])
 
+    @pytest.mark.parametrize("rr", [[1e-320, 2.0], [1.0 / sys.float_info.max], [1e308]])
+    def test_overflow_is_a_domain_error_not_a_warning(self, rr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="floating-point range"):
+                evalue_curve([build_bias_set([confounding()])], rr)
+
+    def test_smallest_invertible_ratio_is_accepted(self):
+        rr = math.nextafter(1.0 / sys.float_info.max, 1.0)
+        bias_set = build_bias_set([misclassification("outcome")])  # E-value 1 / rr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (point,) = evalue_curve([bias_set], [rr])
+        assert point.evalue == 1.0 / rr < math.inf
+
     def test_rejects_curves_over_the_point_cap(self):
         sets = [build_bias_set([confounding()])] * 2
         with pytest.raises(SizeLimitExceeded):
             evalue_curve(sets, np.full(MAX_CURVE_POINTS // 2 + 1, 2.0))
+
+
+def _shared(bias_set, x: float) -> dict[str, float]:
+    """Every parameter at x; an odds ratio parameter, whose root enters, at x * x."""
+    return {p.name: x * x if p.degree == 2 else x for p in bias_set.parameters}
+
+
+class TestRoundTrip:
+    """Bound at a shared value x, its E-value, and the bound at that E-value."""
+
+    @pytest.mark.parametrize("terms", list(SET_BY_TERMS))
+    @given(st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=2, max_size=2))
+    @settings(max_examples=20)
+    def test_bound_to_evalue_and_back_up_to_1e300(self, terms, exponents):
+        bias_set = SET_BY_TERMS[terms]
+        trips = []
+        for x in sorted(10.0**e for e in exponents):  # log-uniform on [1, 1e300]
+            try:
+                bound = multi_bound(bias_set, _shared(bias_set, x))
+            except DomainError:  # the bound itself is past the float range
+                continue
+            evalue = multi_evalue(bias_set, risk_ratio(bound)).evalue_point
+            assert math.isfinite(evalue)
+            # checked in bound space: for n = 2k the bound is flat at 1, so
+            # the E-value itself is ill-conditioned there
+            back = multi_bound(bias_set, _shared(bias_set, evalue))
+            assert back == pytest.approx(bound, rel=1e-9)
+            trips.append((bound, evalue))
+        for (b1, e1), (b2, e2) in zip(trips, trips[1:]):
+            assert b1 <= b2 and e1 <= e2
