@@ -1,9 +1,11 @@
 """World generation, parameter extraction, and bound verification.
 
 Extraction results are cross-checked against independent re-derivations that
-enumerate the joint table with plain loops, so a shared bug in the vectorized
+enumerate the joint table with plain loops, so a shared bug in the library
 code cannot hide.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +175,8 @@ def brute_force_parameters(world):
                 sum(p_u[c, u] * w[c] * p_y[a, c, u] for c in range(nc)) / mass
             )
         out[f"RRUsYA{a}"] = max(risks) / min(risks)
+        if not world.config.selection:
+            continue  # everyone is selected, so there is no S=0 stratum
 
         dist = {}
         for s in (0, 1):
@@ -198,23 +202,45 @@ def brute_force_parameters(world):
         sel[1][c, u] / sel[0][c, u] for c in range(nc) for u in range(ns)
     )
     out["RRUscYS"] = max(p_y[a].max() / p_y[a].min() for a in (0, 1))
+
+    # classification error factors, from the rates indexed (true y, true a)
+    m = world.p_m
+    if world.config.misclassification == "outcome":
+        factor = max(m[1, 1] / m[1, 0], m[0, 1] / m[0, 0])
+        out["RRAYy"] = out["RRAYyS"] = factor
+    elif world.config.misclassification == "exposure":
+        s1, s0, f1, f0 = m[1, 1], m[0, 1], m[1, 0], m[0, 0]
+        factor = max(
+            (f1 / f0) / ((1 - f1) / (1 - f0)),
+            (s1 / s0) / ((1 - s1) / (1 - s0)),
+            (s1 / s0) / ((1 - f1) / (1 - f0)),
+            (f1 / f0) / ((1 - s1) / (1 - s0)),
+        )
+        out["ORYAa"] = out["ORYAaS"] = factor
     return out
 
 
-class TestExtraction:
-    def test_matches_brute_force_result1(self):
-        world, bias_set = world_of("result1", seed=17)
-        expected = brute_force_parameters(world)
-        got = extract_parameters(world, bias_set)
-        for name in ("RRAUc", "RRUcY", "RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"):
-            assert got[name] == pytest.approx(expected[name], rel=1e-10), name
+# every structure on 2-level supports, and again on 3-level supports
+WIDE = [(name, levels) for name in sorted(STRUCTURES) for levels in (2, 3)]
+WIDE_SEEDS = range(50)
 
-    def test_matches_brute_force_result3(self):
-        world, bias_set = world_of("result3", seed=21)
-        expected = brute_force_parameters(world)
-        got = extract_parameters(world, bias_set)
-        assert got["RRAUscS"] == pytest.approx(expected["RRAUscS"], rel=1e-10)
-        assert got["RRUscYS"] == pytest.approx(expected["RRUscYS"], rel=1e-10)
+
+def wide_worlds(structure, levels):
+    config, bias_set = STRUCTURES[structure]
+    config = replace(config, confounder_levels=levels, selection_levels=levels)
+    for seed in WIDE_SEEDS:
+        yield seed, generate_world(config, seed), bias_set
+
+
+class TestExtraction:
+    @pytest.mark.parametrize("structure, levels", WIDE)
+    def test_matches_brute_force(self, structure, levels):
+        for seed, world, bias_set in wide_worlds(structure, levels):
+            expected = brute_force_parameters(world)
+            got = extract_parameters(world, bias_set)
+            assert tuple(got) == bias_set.parameter_names()
+            for name, value in got.items():
+                assert value == pytest.approx(expected[name], rel=1e-12), (seed, name)
 
     def test_outcome_misclassification_factor(self):
         world, bias_set = world_of("result1", seed=4)
@@ -258,49 +284,32 @@ class TestExtraction:
 
 
 class TestObservedAndTrue:
-    def test_dual_route_no_misclassification(self):
-        world, bias_set = world_of("selection", seed=13)
-        rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+    @pytest.mark.parametrize("structure, levels", WIDE)
+    def test_dual_route(self, structure, levels):
+        """Both risk ratios against sums over slices of the enumerated joint."""
+        for seed, world, bias_set in wide_worlds(structure, levels):
+            rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+            j = world.joint()  # axes (uc, us, a, y, s, m)
+            risks = []
+            for arm in (0, 1):
+                if world.config.misclassification == "exposure":
+                    # the recorded exposure is axis 5
+                    num, den = j[..., 1, 1, arm].sum(), j[..., 1, arm].sum()
+                elif world.config.misclassification == "outcome":
+                    # the recorded outcome is axis 5
+                    num, den = j[:, :, arm, :, 1, 1].sum(), j[:, :, arm, :, 1, :].sum()
+                else:
+                    num, den = j[:, :, arm, 1, 1, :].sum(), j[:, :, arm, :, 1, :].sum()
+                risks.append(num / den)
+            assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12), seed
 
-        j = world.joint()
-        risks = []
-        for a in (0, 1):
-            num = j[:, :, a, 1, 1, :].sum()
-            den = j[:, :, a, :, 1, :].sum()
-            risks.append(num / den)
-        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
-
-        truth = [(world.p_u * world.p_y[a]).sum() for a in (0, 1)]
-        assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12)
-
-    def test_dual_route_outcome_misclassification(self):
-        world, bias_set = world_of("result1", seed=29)
-        rr_obs, _ = observed_and_true_rr(world, bias_set)
-        j = world.joint()
-        risks = []
-        for a in (0, 1):
-            # the recorded outcome is axis 5
-            risks.append(j[:, :, a, :, 1, 1].sum() / j[:, :, a, :, 1, :].sum())
-        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
-
-    def test_dual_route_exposure_misclassification(self):
-        world, bias_set = world_of("result2", seed=29)
-        rr_obs, _ = observed_and_true_rr(world, bias_set)
-        j = world.joint()
-        risks = []
-        for m in (0, 1):
-            # the recorded exposure is axis 5
-            risks.append(j[:, :, :, 1, 1, m].sum() / j[:, :, :, :, 1, m].sum())
-        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
-
-    def test_selected_population_truth_reweights(self):
-        world, bias_set = world_of("result3", seed=6)
-        _, rr_true = observed_and_true_rr(world, bias_set)
-        j = world.joint()
-        weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
-        weights = weights / weights.sum()
-        expected = (weights * world.p_y[1]).sum() / (weights * world.p_y[0]).sum()
-        assert rr_true == pytest.approx(expected, rel=1e-12)
+            if structure in ("selection_selected", "result3"):
+                weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
+                weights = weights / weights.sum()
+            else:
+                weights = world.p_u
+            truth = [(weights * world.p_y[arm]).sum() for arm in (0, 1)]
+            assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12), seed
 
     def test_everyone_selected_means_no_selection_bias(self):
         world = generate_world(WorldConfig(confounding=True), 31)
@@ -395,3 +404,14 @@ class TestVerify:
         report = verify_bound(generate_world(config, 0), bias_set)
         assert report.slack == pytest.approx(report.bound - report.ratio)
         assert 0.0 < report.prevalence <= 1.0
+
+    @pytest.mark.parametrize("structure, levels", WIDE)
+    def test_report_assembles_its_parts(self, structure, levels):
+        for seed, world, bias_set in wide_worlds(structure, levels):
+            report = verify_bound(world, bias_set)
+            rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+            bound = multi_bound(bias_set, extract_parameters(world, bias_set))
+            assert report.ratio == pytest.approx(rr_obs / rr_true, rel=1e-12), seed
+            assert report.bound == pytest.approx(bound, rel=1e-12), seed
+            assert report.slack == report.bound - report.ratio, seed
+            assert report.prevalence == world.p_y.max(), seed
