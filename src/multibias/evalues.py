@@ -244,11 +244,20 @@ def multi_evalue(
     polynomial = evalue_polynomial(bias_set)
     inverted = rr.point < 1.0
     if inverted:
+        # checked first, as evalue_curve does; hi >= point, so its inverse
+        # is finite whenever the point's is
+        if rr.point <= _UNINVERTIBLE:
+            raise DomainError("a risk ratio's inverse exceeds the floating-point range")
         point = 1.0 / rr.point
         near = None if rr.hi is None else 1.0 / rr.hi
     else:
         point = rr.point
         near = rr.lo
+    if point / true_value == math.inf:  # near <= point, so near / true_value is finite
+        raise DomainError(
+            f"the estimate's ratio to the true value, {point:g} / {true_value:g}, "
+            "exceeds the floating-point range"
+        )
     evalue_point = _evalue_for(polynomial, point / true_value)
     evalue_near = None if near is None else _evalue_for(polynomial, near / true_value)
     return EValueResult(

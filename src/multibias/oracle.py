@@ -4,33 +4,32 @@ A world is a small discrete joint distribution over a confounding factor, a
 selection factor, exposure, outcome, selection, and optionally a recorded
 (possibly misclassified) copy of the outcome or exposure. Its factorization
 makes the structural assumptions behind the bounds hold exactly, so observed
-and counterfactual risk ratios are computable by plain enumeration and the
-bounds become falsifiable: for exact structures the realized bias must never
-exceed the bound, while the exposure misclassification structure is only
-approximate and its violation should shrink as the outcome gets rarer.
+and counterfactual risk ratios are computable exactly and the bounds become
+falsifiable: for exact structures the realized bias must never exceed the
+bound, while the exposure misclassification structure is only approximate
+and its violation should shrink as the outcome gets rarer.
+
+Parameters and risk ratios come from the factor tables, on Python floats:
+with at most 18 cells a table, numpy calls cost more than their arithmetic.
+``World.joint()`` enumerates the full joint table as the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from operator import add, mul, truediv
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .biases import (
-    BiasKind,
-    BiasSet,
-    build_bias_set,
-    confounding,
-    misclassification,
-    selection,
-)
+from .biases import BiasKind, BiasSet, build_bias_set, confounding, misclassification, selection
 from .bounds import multi_bound
 from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
 _MAX_REDRAWS = 1000
+_ONE = 1.0  # map(_ONE.__sub__, xs) yields 1 - x for each x
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,8 @@ def _draw_rates(rng: np.random.Generator, kind: str | None) -> np.ndarray | None
 
 def _orient(world: World) -> World:
     """Relabel exposure so the selected outcome risk is higher under A=1."""
-    if _selected_risk(world, 1) >= _selected_risk(world, 0):
+    t = _Tables(world)
+    if t.cases[1] / t.total[1] >= t.cases[0] / t.total[0]:
         return world
     p_m = world.p_m
     if p_m is not None:
@@ -175,105 +175,104 @@ def _orient(world: World) -> World:
     )
 
 
-def _selected_risk(world: World, a: int) -> float:
-    mass = world.p_u * _exposure_weights(world, a)[:, None] * world.p_s[a]
-    return float((mass * world.p_y[a]).sum() / mass.sum())
-
-
 def _differential_factor(world: World) -> float:
     """The misclassification bounding factor implied by the error rates."""
-    rates = world.p_m
-    if rates is None:
+    if world.p_m is None:
         raise StructureMismatch("world has no misclassification")
+    rates = world.p_m.tolist()
     if world.config.misclassification == "outcome":
-        return float(max(rates[1, 1] / rates[1, 0], rates[0, 1] / rates[0, 0]))
-    s1, s0 = rates[1, 1], rates[0, 1]  # P(A*=1 | Y=y, A=1) for y = 1, 0
-    f1, f0 = rates[1, 0], rates[0, 0]  # P(A*=1 | Y=y, A=0) for y = 1, 0
+        return max(rates[1][1] / rates[1][0], rates[0][1] / rates[0][0])
+    s1, s0 = rates[1][1], rates[0][1]  # P(A*=1 | Y=y, A=1) for y = 1, 0
+    f1, f0 = rates[1][0], rates[0][0]  # P(A*=1 | Y=y, A=0) for y = 1, 0
     false_positive = (f1 / f0) / ((1.0 - f1) / (1.0 - f0))
     sensitivity = (s1 / s0) / ((1.0 - s1) / (1.0 - s0))
     correct = (s1 / s0) / ((1.0 - f1) / (1.0 - f0))
     incorrect = (f1 / f0) / ((1.0 - s1) / (1.0 - s0))
-    return float(max(false_positive, sensitivity, correct, incorrect))
+    return max(false_positive, sensitivity, correct, incorrect)
 
 
-def _exposure_weights(world: World, a: int) -> np.ndarray:
-    return world.p_a if a == 1 else 1.0 - world.p_a
+class _Tables:
+    """A world's tables as Python floats, with the masses all results share.
+
+    Tables are flat lists per exposure arm a, cells (c, u) in row order for
+    confounding level c and selection level u: ``mass[a]`` is P(A=a, Uc, Us),
+    ``sel[a]`` its selected part (S=1), ``total[a]`` is P(A=a, S=1) and
+    ``cases[a]`` is P(A=a, Y=1, S=1).
+    """
+
+    __slots__ = ("world", "ns", "p_u", "p_y", "p_s", "mass", "sel", "total", "cases")
+
+    def __init__(self, world: World) -> None:
+        nc, self.ns = world.p_u.shape
+        self.world = world
+        self.p_u = p_u = world.p_u.ravel().tolist()
+        self.p_y = p_y = world.p_y.reshape(2, -1).tolist()
+        self.p_s = p_s = world.p_s.tolist()
+        exposed = [x for x in world.p_a.tolist() for _ in range(self.ns)]  # P(A=1 | Uc)
+        unexposed = list(map(_ONE.__sub__, exposed))
+        self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
+        self.sel = sel = [list(map(mul, m, chance * nc)) for m, chance in zip(mass, p_s)]
+        self.total = list(map(sum, sel))
+        self.cases = list(map(_dot, sel, p_y))
 
 
-def _confounder_given_a(world: World, a: int) -> np.ndarray:
-    mass = world.p_u.sum(axis=1) * _exposure_weights(world, a)
-    return mass / mass.sum()
+def _dot(x: Iterable[float], y: Iterable[float]) -> float:
+    return sum(map(mul, x, y))
 
 
-def _rr_a_uc(world: World) -> float:
-    return float((_confounder_given_a(world, 1) / _confounder_given_a(world, 0)).max())
-
-
-def _rr_uc_y(world: World) -> float:
-    us_given_uc = world.p_u / world.p_u.sum(axis=1, keepdims=True)
-    out = 1.0
-    for a in (0, 1):
-        risk = (us_given_uc * world.p_y[a]).sum(axis=1)  # P(Y=1 | a, uc)
-        out = max(out, float(risk.max() / risk.min()))
-    return out
-
-
-def _rr_us_y(world: World, a: int) -> float:
-    mass = world.p_u * _exposure_weights(world, a)[:, None]
-    uc_given_us = mass / mass.sum(axis=0, keepdims=True)
-    risk = (uc_given_us * world.p_y[a]).sum(axis=0)  # P(Y=1 | a, us)
-    return float(risk.max() / risk.min())
-
-
-def _factor_given_a_s(world: World, a: int, s: int) -> np.ndarray:
-    chance = world.p_s[a] if s == 1 else 1.0 - world.p_s[a]
-    mass = (world.p_u * _exposure_weights(world, a)[:, None]).sum(axis=0) * chance
-    total = mass.sum()
+def _normalized(mass: list, a: int, s: int) -> list:
+    """P(factor level | A=a, S=s) from the stratum's masses."""
+    total = sum(mass)
     if total < _MIN_MASS:
         raise DegenerateStratum(f"stratum A={a}, S={s} has no mass")
-    return mass / total
+    return [m / total for m in mass]
 
 
-def _rr_s_us(world: World, a: int) -> float:
-    # the relevant reweighting runs toward S=1 for the exposed arm and
-    # toward S=0 for the unexposed arm
-    if a == 1:
-        return float((_factor_given_a_s(world, 1, 1) / _factor_given_a_s(world, 1, 0)).max())
-    return float((_factor_given_a_s(world, 0, 0) / _factor_given_a_s(world, 0, 1)).max())
+def _levels(arm: list, ys: list, cells: list[slice]) -> tuple[list, float]:
+    """Each level's mass in one arm, and the spread of the levels' outcome risks."""
+    mass = [sum(arm[c]) for c in cells]
+    risk = [_dot(arm[c], ys[c]) / n for c, n in zip(cells, mass)]
+    return mass, max(risk) / min(risk)
 
 
-def _joint_given_a_s1(world: World, a: int) -> np.ndarray:
-    mass = world.p_u * _exposure_weights(world, a)[:, None] * world.p_s[a]
-    total = mass.sum()
-    if total < _MIN_MASS:
-        raise DegenerateStratum(f"stratum A={a}, S=1 has no mass")
-    return mass / total
+def _confounding(t: _Tables) -> dict[str, float]:
+    rows = [slice(i, i + t.ns) for i in range(0, len(t.p_u), t.ns)]  # Uc levels
+    (level0, spread0), (level1, spread1) = (_levels(*arm, rows) for arm in zip(t.mass, t.p_y))
+    total0, total1 = sum(level0), sum(level1)
+    shift = max((n1 / total1) / (n0 / total0) for n0, n1 in zip(level0, level1))
+    return {"RRAUc": shift, "RRUcY": max(1.0, spread0, spread1)}
 
 
-def _rr_a_usc(world: World) -> float:
-    return float((_joint_given_a_s1(world, 1) / _joint_given_a_s1(world, 0)).max())
-
-
-def _rr_usc_y(world: World) -> float:
-    out = 1.0
-    for a in (0, 1):
-        out = max(out, float(world.p_y[a].max() / world.p_y[a].min()))
+def _selection(t: _Tables) -> dict[str, float]:
+    columns = [slice(u, None, t.ns) for u in range(t.ns)]  # Us levels
+    out = {}
+    for a in (1, 0):
+        by_level, out[f"RRUsYA{a}"] = _levels(t.mass[a], t.p_y[a], columns)
+        kept = _normalized(list(map(mul, by_level, t.p_s[a])), a, 1)
+        dropped = _normalized(list(map(mul, by_level, map(_ONE.__sub__, t.p_s[a]))), a, 0)
+        # the reweighting runs toward S=1 in the exposed arm, S=0 in the unexposed
+        num, den = (kept, dropped) if a == 1 else (dropped, kept)
+        out[f"RRSUsA{a}"] = max(map(truediv, num, den))
     return out
 
 
-_EXTRACTORS: dict[str, Callable[[World], float]] = {
-    "RRAUc": _rr_a_uc,
-    "RRUcY": _rr_uc_y,
-    "RRUsYA1": lambda w: _rr_us_y(w, 1),
-    "RRSUsA1": lambda w: _rr_s_us(w, 1),
-    "RRUsYA0": lambda w: _rr_us_y(w, 0),
-    "RRSUsA0": lambda w: _rr_s_us(w, 0),
-    "RRAUscS": _rr_a_usc,
-    "RRUscYS": _rr_usc_y,
-    "RRAYy": _differential_factor,
-    "RRAYyS": _differential_factor,
-    "ORYAa": _differential_factor,
-    "ORYAaS": _differential_factor,
+def _selected_population(t: _Tables) -> dict[str, float]:
+    shift = max(map(truediv, *(_normalized(t.sel[a], a, 1) for a in (1, 0))))
+    spread = max(max(ys) / min(ys) for ys in t.p_y)
+    return {"RRAUscS": shift, "RRUscYS": spread}
+
+
+def _misclassification(t: _Tables) -> dict[str, float]:
+    return dict.fromkeys(_MISCLASSIFIED, _differential_factor(t.world))
+
+
+_MISCLASSIFIED = ("RRAYy", "RRAYyS", "ORYAa", "ORYAaS")
+# each parameter's extractor, which also yields the parameters derived alongside it
+_EXTRACTORS: dict[str, Callable[[_Tables], dict[str, float]]] = {
+    **dict.fromkeys(("RRAUc", "RRUcY"), _confounding),
+    **dict.fromkeys(("RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"), _selection),
+    **dict.fromkeys(("RRAUscS", "RRUscYS"), _selected_population),
+    **dict.fromkeys(_MISCLASSIFIED, _misclassification),
 }
 
 
@@ -319,7 +318,14 @@ def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
     maxima and minima over the latent factor levels.
     """
     _check_structure(world, bias_set)
-    return {p.name: _EXTRACTORS[p.name](world) for p in bias_set.parameters}
+    return _parameters(_Tables(world), bias_set)
+
+
+def _parameters(t: _Tables, bias_set: BiasSet) -> dict[str, float]:
+    values: dict[str, float] = {}
+    for extractor in dict.fromkeys(_EXTRACTORS[p.name] for p in bias_set.parameters):
+        values.update(extractor(t))
+    return {p.name: values[p.name] for p in bias_set.parameters}
 
 
 def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]:
@@ -331,33 +337,30 @@ def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]
     whole population or among the selected, per the bias set's target.
     """
     _check_structure(world, bias_set)
-    joint = world.joint()  # axes (uc, us, a, y, s, m)
-    config = world.config
+    return _risk_ratios(_Tables(world), bias_set)
 
-    if config.misclassification == "exposure":
-        # the recorded copy is the analysis exposure
-        num = joint[:, :, :, 1, 1, :].sum(axis=(0, 1, 2))  # (m,)
-        den = joint[:, :, :, :, 1, :].sum(axis=(0, 1, 2, 3))
-    elif config.misclassification == "outcome":
-        num = joint[:, :, :, :, 1, 1].sum(axis=(0, 1, 3))  # (a,)
-        den = joint[:, :, :, :, 1, :].sum(axis=(0, 1, 3, 4))
-    else:
-        num = joint[:, :, :, 1, 1, :].sum(axis=(0, 1, 3))  # (a,)
-        den = joint[:, :, :, :, 1, :].sum(axis=(0, 1, 3, 4))
-    if den.min() < _MIN_MASS or num.min() <= 0.0:
+
+def _risk_ratios(t: _Tables, bias_set: BiasSet) -> tuple[float, float]:
+    mis = t.world.config.misclassification
+    num, den = t.cases, t.total
+    if mis is not None:
+        rates = t.world.p_m.tolist()  # P(copy=1 | y, a), indexed [y][a]
+        controls = [_dot(sel, map(_ONE.__sub__, ys)) for sel, ys in zip(t.sel, t.p_y)]
+        if mis == "outcome":
+            num = [num[a] * rates[1][a] + controls[a] * rates[0][a] for a in (0, 1)]
+        else:
+            # the recorded copy is the exposure; chance[m][y][a] is P(A*=m | y, a)
+            chance = ([[1.0 - r for r in row] for row in rates], rates)
+            num = [_dot(t.cases, chance[m][1]) for m in (0, 1)]
+            den = [n + _dot(controls, c[0]) for n, c in zip(num, chance)]
+    if min(den) < _MIN_MASS or min(num) <= 0.0:
         raise DegenerateStratum("an analysis cell has (almost) no mass")
-    risk = num / den
-    rr_obs = float(risk[1] / risk[0])
+    rr_obs = (num[1] / den[1]) / (num[0] / den[0])
 
-    sel = next((b for b in bias_set.biases if b.kind is BiasKind.SELECTION), None)
-    if sel is not None and sel.population == "selected":
-        weights = joint[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
-        weights = weights / weights.sum()
-    else:
-        weights = world.p_u
-    risk1 = float((weights * world.p_y[1]).sum())
-    risk0 = float((weights * world.p_y[0]).sum())
-    return rr_obs, risk1 / risk0
+    # P(Uc, Us), or P(Uc, Us, S=1) among the selected, whose total cancels
+    selected = any(b.population == "selected" for b in bias_set.biases)
+    weights = list(map(add, *t.sel)) if selected else t.p_u
+    return rr_obs, _dot(weights, t.p_y[1]) / _dot(weights, t.p_y[0])
 
 
 @dataclass(frozen=True)
@@ -373,17 +376,14 @@ class BoundReport:
 
 def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     """Compare the bias realized in a world against the bound's promise."""
-    params = extract_parameters(world, bias_set)
-    rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+    _check_structure(world, bias_set)
+    t = _Tables(world)
+    params = _parameters(t, bias_set)
+    rr_obs, rr_true = _risk_ratios(t, bias_set)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
-    return BoundReport(
-        ratio=ratio,
-        bound=bound,
-        holds=bool(ratio <= bound + _SLACK),
-        slack=float(bound - ratio),
-        prevalence=float(world.p_y.max()),
-    )
+    prevalence = max(map(max, t.p_y))
+    return BoundReport(ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence)
 
 
 STRUCTURES: dict[str, tuple[WorldConfig, BiasSet]] = {

@@ -569,6 +569,21 @@ class TestRobustness:
         assert main(argv) == 2
         assert "exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--est", "1e-320"], "inverse"),
+            (["--est", "1e-320", "--hi", "1e-310"], "inverse"),
+            (["--est", "1e300", "--true", "1e-300"], "1e+300 / 1e-300"),
+            (["--est", "1e-300", "--true", "1e-300"], "1e+300 / 1e-300"),
+        ],
+    )
+    def test_overflowing_evalue_target_is_named_not_inf(self, argv, named, capsys):
+        assert main(["evalue", "--biases", "confounding", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "floating-point range" in err and named in err
+        assert "inf" not in err
+
     def test_uninvertible_curve_ratio_exits_2_without_a_warning(self, capsys):
         argv = ["curve", "--bias-sets", "confounding", "--rr-min", "1e-320"]
         with warnings.catch_warnings():
