@@ -253,12 +253,13 @@ def multi_evalue(
     else:
         point = rr.point
         near = rr.lo
-    if point / true_value == math.inf:  # near <= point, so near / true_value is finite
+    target = point / true_value
+    if target == math.inf:  # near <= point, so near / true_value is finite
         raise DomainError(
             f"the estimate's ratio to the true value, {point:g} / {true_value:g}, "
             "exceeds the floating-point range"
         )
-    evalue_point = _evalue_for(polynomial, point / true_value)
+    evalue_point = _evalue_for(polynomial, target)
     evalue_near = None if near is None else _evalue_for(polynomial, near / true_value)
     return EValueResult(
         bias_set=bias_set,
