@@ -242,6 +242,20 @@ class TestExtraction:
             for name, value in got.items():
                 assert value == pytest.approx(expected[name], rel=1e-12), (seed, name)
 
+    def test_matches_brute_force_result1(self):
+        world, bias_set = world_of("result1", seed=17)
+        expected = brute_force_parameters(world)
+        got = extract_parameters(world, bias_set)
+        for name in ("RRAUc", "RRUcY", "RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"):
+            assert got[name] == pytest.approx(expected[name], rel=1e-10), name
+
+    def test_matches_brute_force_result3(self):
+        world, bias_set = world_of("result3", seed=21)
+        expected = brute_force_parameters(world)
+        got = extract_parameters(world, bias_set)
+        assert got["RRAUscS"] == pytest.approx(expected["RRAUscS"], rel=1e-10)
+        assert got["RRUscYS"] == pytest.approx(expected["RRUscYS"], rel=1e-10)
+
     def test_outcome_misclassification_factor(self):
         world, bias_set = world_of("result1", seed=4)
         m = world.p_m
@@ -310,6 +324,50 @@ class TestObservedAndTrue:
                 weights = world.p_u
             truth = [(weights * world.p_y[arm]).sum() for arm in (0, 1)]
             assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12), seed
+
+    def test_dual_route_no_misclassification(self):
+        world, bias_set = world_of("selection", seed=13)
+        rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+
+        j = world.joint()
+        risks = []
+        for a in (0, 1):
+            num = j[:, :, a, 1, 1, :].sum()
+            den = j[:, :, a, :, 1, :].sum()
+            risks.append(num / den)
+        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
+
+        truth = [(world.p_u * world.p_y[a]).sum() for a in (0, 1)]
+        assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12)
+
+    def test_dual_route_outcome_misclassification(self):
+        world, bias_set = world_of("result1", seed=29)
+        rr_obs, _ = observed_and_true_rr(world, bias_set)
+        j = world.joint()
+        risks = []
+        for a in (0, 1):
+            # the recorded outcome is axis 5
+            risks.append(j[:, :, a, :, 1, 1].sum() / j[:, :, a, :, 1, :].sum())
+        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
+
+    def test_dual_route_exposure_misclassification(self):
+        world, bias_set = world_of("result2", seed=29)
+        rr_obs, _ = observed_and_true_rr(world, bias_set)
+        j = world.joint()
+        risks = []
+        for m in (0, 1):
+            # the recorded exposure is axis 5
+            risks.append(j[:, :, :, 1, 1, m].sum() / j[:, :, :, :, 1, m].sum())
+        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
+
+    def test_selected_population_truth_reweights(self):
+        world, bias_set = world_of("result3", seed=6)
+        _, rr_true = observed_and_true_rr(world, bias_set)
+        j = world.joint()
+        weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
+        weights = weights / weights.sum()
+        expected = (weights * world.p_y[1]).sum() / (weights * world.p_y[0]).sum()
+        assert rr_true == pytest.approx(expected, rel=1e-12)
 
     def test_everyone_selected_means_no_selection_bias(self):
         world = generate_world(WorldConfig(confounding=True), 31)
