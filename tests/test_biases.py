@@ -1,6 +1,7 @@
 """Bias declaration and parameter derivation tests."""
 
 import pytest
+from declarations import DECLARATIONS
 
 from multibias import (
     BiasKind,
@@ -15,6 +16,37 @@ from multibias import (
     parameter_summary,
     selection,
 )
+
+
+# (name, display, latex, scale, degree) of every parameter the grammar reaches
+GOLDEN_SYMBOLS = {
+    ("ORYAa", "OR_YA*|a", r"\mathrm{OR}_{YA^* \mid a}", Scale.ODDS_RATIO, 2),
+    ("ORYAaS", "OR_YA*|a,S", r"\mathrm{OR}_{YA^* \mid a, S = 1}", Scale.ODDS_RATIO, 2),
+    ("RRAUc", "RR_AUc", r"\mathrm{RR}_{AU_c}", Scale.RISK_RATIO, 1),
+    ("RRAUscS", "RR_AUsc|S", r"\mathrm{RR}_{AU_{sc} \mid S = 1}", Scale.RISK_RATIO, 1),
+    ("RRAYy", "RR_AY*|y", r"\mathrm{RR}_{AY^* \mid y}", Scale.RISK_RATIO, 1),
+    ("RRAYyS", "RR_AY*|y,S", r"\mathrm{RR}_{AY^* \mid y, S = 1}", Scale.RISK_RATIO, 1),
+    ("RRSUsA0", "RR_SUs|A*=0", r"\mathrm{RR}_{SU_s \mid A^* = 0}", Scale.RISK_RATIO, 1),
+    ("RRSUsA0", "RR_SUs|A=0", r"\mathrm{RR}_{SU_s \mid A = 0}", Scale.RISK_RATIO, 1),
+    ("RRSUsA1", "RR_SUs|A*=1", r"\mathrm{RR}_{SU_s \mid A^* = 1}", Scale.RISK_RATIO, 1),
+    ("RRSUsA1", "RR_SUs|A=1", r"\mathrm{RR}_{SU_s \mid A = 1}", Scale.RISK_RATIO, 1),
+    ("RRSYA0", "RR_SY*|A=0", r"\mathrm{RR}_{SY^* \mid A = 0}", Scale.RISK_RATIO, 1),
+    ("RRSYA0", "RR_SY|A*=0", r"\mathrm{RR}_{SY \mid A^* = 0}", Scale.RISK_RATIO, 1),
+    ("RRSYA0", "RR_SY|A=0", r"\mathrm{RR}_{SY \mid A = 0}", Scale.RISK_RATIO, 1),
+    ("RRSYA1", "RR_SY*|A=1", r"\mathrm{RR}_{SY^* \mid A = 1}", Scale.RISK_RATIO, 1),
+    ("RRSYA1", "RR_SY|A*=1", r"\mathrm{RR}_{SY \mid A^* = 1}", Scale.RISK_RATIO, 1),
+    ("RRSYA1", "RR_SY|A=1", r"\mathrm{RR}_{SY \mid A = 1}", Scale.RISK_RATIO, 1),
+    ("RRUcY", "RR_UcY", r"\mathrm{RR}_{U_cY}", Scale.RISK_RATIO, 1),
+    ("RRUsYA0", "RR_UsY*|A=0", r"\mathrm{RR}_{U_sY^* \mid A = 0}", Scale.RISK_RATIO, 1),
+    ("RRUsYA0", "RR_UsY|A*=0", r"\mathrm{RR}_{U_sY \mid A^* = 0}", Scale.RISK_RATIO, 1),
+    ("RRUsYA0", "RR_UsY|A=0", r"\mathrm{RR}_{U_sY \mid A = 0}", Scale.RISK_RATIO, 1),
+    ("RRUsYA1", "RR_UsY*|A=1", r"\mathrm{RR}_{U_sY^* \mid A = 1}", Scale.RISK_RATIO, 1),
+    ("RRUsYA1", "RR_UsY|A*=1", r"\mathrm{RR}_{U_sY \mid A^* = 1}", Scale.RISK_RATIO, 1),
+    ("RRUsYA1", "RR_UsY|A=1", r"\mathrm{RR}_{U_sY \mid A = 1}", Scale.RISK_RATIO, 1),
+    ("RRUscYS", "RR_UscY|S", r"\mathrm{RR}_{U_{sc}Y \mid S = 1}", Scale.RISK_RATIO, 1),
+    ("RRYAa", "RR_YA*|a", r"\mathrm{RR}_{YA^* \mid a}", Scale.RISK_RATIO, 1),
+    ("RRYAaS", "RR_YA*|a,S", r"\mathrm{RR}_{YA^* \mid a, S = 1}", Scale.RISK_RATIO, 1),
+}
 
 
 def names(bias_set):
@@ -124,6 +156,14 @@ class TestParameterDerivation:
         forward = build_bias_set([confounding(), selection()])
         backward = build_bias_set([selection(), confounding()])
         assert names(forward) == names(backward)
+
+    def test_every_symbol_matches_the_golden_rows(self):
+        got = {
+            (p.name, p.display, p.latex, p.scale, p.degree)
+            for declared in DECLARATIONS
+            for p in build_bias_set(declared).parameters
+        }
+        assert got == GOLDEN_SYMBOLS
 
     def test_deterministic(self):
         specs = [confounding(), selection(), misclassification("outcome")]
