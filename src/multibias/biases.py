@@ -2,8 +2,13 @@
 
 A bias set is an ordered collection of declarations: unmeasured confounding,
 selection bias, differential misclassification. Building the set derives the
-sensitivity parameters of the corresponding bound: argument names, display
-symbols, scales, and how parameters pair up into joint bounding factors.
+sensitivity parameters of the corresponding bound and how they pair up into
+joint bounding factors.
+
+Each parameter is declared once, by its display symbol, e.g. ``RR_SUs|A=1``.
+Its argument name is the symbol without ``_|=,*`` (``RRSUsA1``), its scale is
+the symbol's first two letters (``RR`` or ``OR``), and its LaTeX form is
+rendered from the symbol.
 
 Declaration order matters when both selection and misclassification are
 present. Selection declared first means classification errors happen within
@@ -11,23 +16,31 @@ the selected sample, so the misclassification parameters are conditioned on
 selection. Misclassification declared first means selection may depend on
 the misclassified value, so the selection parameters refer to the starred
 (recorded) variable instead.
+
+Declarations are also written as '+'-joined clauses, e.g.
+"confounding + selection(general, increased_risk)";
+:meth:`BiasSpec.describe` prints that syntax and :func:`parse_bias_string`
+reads it, both from the same option table.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .errors import (
     DuplicateBias,
+    ParseError,
     RareOutcomeRequired,
     SelectedPopulationConflict,
 )
 
-_POPULATIONS = ("general", "selected")
-_DIRECTIONS = ("increased", "decreased")
-_VARIABLES = ("outcome", "exposure")
+_UNNAMED = str.maketrans("", "", "_|=,*")  # display characters a name drops
+_LATEX = str.maketrans({"|": r" \mid ", ",": ", ", "=": " = ", "*": "^*"})
+_LATENT = re.compile(r"U([a-z]+)")  # a latent factor and its subscript
+_SELECTED = re.compile(r"(?<=[|,])S$")  # conditioning on selection, S = 1
 
 
 class BiasKind(enum.Enum):
@@ -43,12 +56,32 @@ class Scale(enum.Enum):
     ODDS_RATIO = "OR"
 
 
+# each clause option, per kind, and the BiasSpec field value it stands for
+_OPTIONS: dict[BiasKind, dict[str, tuple[str, object]]] = {
+    BiasKind.CONFOUNDING: {},
+    BiasKind.SELECTION: {
+        "general": ("population", "general"),
+        "selected": ("population", "selected"),
+        "increased_risk": ("risk_direction", "increased"),
+        "decreased_risk": ("risk_direction", "decreased"),
+        "s_equals_u": ("s_equals_u", True),
+    },
+    BiasKind.MISCLASSIFICATION: {
+        "outcome": ("variable", "outcome"),
+        "exposure": ("variable", "exposure"),
+        "rare_outcome": ("rare_outcome", True),
+        "rare_exposure": ("rare_exposure", True),
+    },
+}
+
+
 @dataclass(frozen=True)
 class BiasSpec:
     """One declared source of bias.
 
-    Only the fields matching ``kind`` may differ from their defaults. Use
-    the :func:`confounding`, :func:`selection` and :func:`misclassification`
+    Only the fields matching ``kind`` may differ from their defaults, and
+    only to a value one of its clause options stands for. Use the
+    :func:`confounding`, :func:`selection` and :func:`misclassification`
     helpers instead of constructing instances directly.
     """
 
@@ -61,49 +94,26 @@ class BiasSpec:
     rare_exposure: bool = False  # misclassification
 
     def __post_init__(self) -> None:
-        if self.kind is not BiasKind.SELECTION and (
-            self.population != "general"
-            or self.risk_direction is not None
-            or self.s_equals_u
-        ):
-            raise ValueError(f"selection options are not valid for {self.kind.value}")
-        if self.kind is not BiasKind.MISCLASSIFICATION and (
-            self.variable is not None or self.rare_outcome or self.rare_exposure
-        ):
-            raise ValueError(
-                f"misclassification options are not valid for {self.kind.value}"
-            )
-        if self.kind is BiasKind.SELECTION:
-            if self.population not in _POPULATIONS:
+        options = _OPTIONS[self.kind].values()
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if value != field.default and (field.name, value) not in options:
                 raise ValueError(
-                    f"population must be one of {_POPULATIONS}, got {self.population!r}"
+                    f"{self.kind.value} does not take {field.name}={value!r}"
                 )
-            if self.risk_direction is not None and self.risk_direction not in _DIRECTIONS:
-                raise ValueError(
-                    f"risk_direction must be one of {_DIRECTIONS}, got {self.risk_direction!r}"
-                )
-        if self.kind is BiasKind.MISCLASSIFICATION and self.variable not in _VARIABLES:
+        if self.kind is BiasKind.MISCLASSIFICATION and self.variable is None:
             raise ValueError(
-                f"misclassified variable must be one of {_VARIABLES}, got {self.variable!r}"
+                "misclassification needs a variable: 'outcome' or 'exposure'"
             )
 
     def describe(self) -> str:
-        """Canonical clause text; the CLI accepts the same syntax."""
-        if self.kind is BiasKind.CONFOUNDING:
-            return "confounding"
-        if self.kind is BiasKind.SELECTION:
-            opts = [self.population]
-            if self.risk_direction is not None:
-                opts.append(f"{self.risk_direction}_risk")
-            if self.s_equals_u:
-                opts.append("s_equals_u")
-            return f"selection({', '.join(opts)})"
-        opts = [self.variable or ""]
-        if self.rare_outcome:
-            opts.append("rare_outcome")
-        if self.rare_exposure:
-            opts.append("rare_exposure")
-        return f"misclassification({', '.join(opts)})"
+        """Canonical clause text; :func:`parse_bias_string` reads it back."""
+        options = ", ".join(
+            token
+            for token, (field, value) in _OPTIONS[self.kind].items()
+            if getattr(self, field) == value
+        )
+        return f"{self.kind.value}({options})" if options else self.kind.value
 
 
 def confounding() -> BiasSpec:
@@ -159,14 +169,35 @@ def misclassification(
 
 @dataclass(frozen=True)
 class Parameter:
-    """One sensitivity parameter of a bound."""
+    """One sensitivity parameter of a bound, named after its display symbol."""
 
     name: str  # argument name, e.g. "RRSUsA1"
     display: str  # display symbol, e.g. "RR_SUs|A=1"
-    latex: str
-    scale: Scale
-    degree: int  # power contributed to the E-value polynomial numerator
     bias: str  # label of the bias the parameter belongs to
+
+    @property
+    def scale(self) -> Scale:
+        return Scale(self.display[:2])
+
+    @property
+    def degree(self) -> int:
+        """Power contributed to the E-value polynomial numerator.
+
+        An odds ratio enters the E-value through its square root, so it
+        counts twice. Reads the scale's prefix directly: ``Scale(...)`` costs
+        more than the rest of a parameter's derivation.
+        """
+        return 2 if self.display.startswith("OR") else 1
+
+    @property
+    def latex(self) -> str:
+        """The display symbol in LaTeX, e.g. ``\\mathrm{RR}_{SU_s \\mid A = 1}``."""
+        scale, _, symbol = self.display.partition("_")
+        symbol = _SELECTED.sub("S=1", symbol)
+        symbol = _LATENT.sub(
+            lambda m: f"U_{{{m[1]}}}" if len(m[1]) > 1 else f"U_{m[1]}", symbol
+        )
+        return rf"\mathrm{{{scale}}}_{{{symbol.translate(_LATEX)}}}"
 
     @property
     def evalue_name(self) -> str:
@@ -175,9 +206,7 @@ class Parameter:
         Odds-ratio parameters enter the E-value through their square root,
         so they are reported under the matching risk-ratio name.
         """
-        if self.scale is Scale.ODDS_RATIO:
-            return self.name.replace("OR", "RR", 1)
-        return self.name
+        return "RR" + self.name[2:]
 
 
 @dataclass(frozen=True)
@@ -246,31 +275,20 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
     params: list[Parameter] = []
     terms: list[tuple[str, ...]] = []
 
-    def factor(
-        bias: str, *entries: tuple[str, str, str], scale: Scale = Scale.RISK_RATIO
-    ) -> None:
-        """Add one bounding factor: a lone parameter, or a pair joined by g.
-
-        Each entry is (argument name, display symbol, latex).
-        """
-        degree = 2 if scale is Scale.ODDS_RATIO else 1
-        for name, display, latex in entries:
-            params.append(Parameter(name, display, latex, scale, degree, bias))
-        terms.append(tuple([entry[0] for entry in entries]))
+    def factor(bias: str, *displays: str) -> None:
+        """Add one bounding factor: a lone parameter, or a pair joined by g."""
+        names = tuple([display.translate(_UNNAMED) for display in displays])
+        params.extend(
+            [Parameter(name, display, bias) for name, display in zip(names, displays)]
+        )
+        terms.append(names)
 
     if selected:
-        factor(
-            "confounding and selection" if conf is not None else "selection",
-            ("RRAUscS", "RR_AUsc|S", r"\mathrm{RR}_{AU_{sc} \mid S = 1}"),
-            ("RRUscYS", "RR_UscY|S", r"\mathrm{RR}_{U_{sc}Y \mid S = 1}"),
-        )
+        bias = "confounding and selection" if conf is not None else "selection"
+        factor(bias, "RR_AUsc|S", "RR_UscY|S")
     else:
         if conf is not None:
-            factor(
-                "confounding",
-                ("RRAUc", "RR_AUc", r"\mathrm{RR}_{AU_c}"),
-                ("RRUcY", "RR_UcY", r"\mathrm{RR}_{U_cY}"),
-            )
+            factor("confounding", "RR_AUc", "RR_UcY")
         if sel is not None:
             spec = sel[1]
             # a starred mark means the parameter refers to the recorded value
@@ -281,75 +299,28 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
                     a_mark = "A*"
                 else:
                     y_mark = "Y*"
-            a_tex = a_mark.replace("A*", "A^*")
-            y_tex = y_mark.replace("Y*", "Y^*")
-            if spec.risk_direction == "increased":
-                arms = ("1",)
-            elif spec.risk_direction == "decreased":
-                arms = ("0",)
-            else:
-                arms = ("1", "0")
+            # a known risk direction keeps only the exposed or the unexposed arm
+            arms = {"increased": "1", "decreased": "0"}.get(spec.risk_direction, "10")
             for arm in arms:
-                cond = f"{a_mark}={arm}"
-                cond_tex = f"{a_tex} = {arm}"
                 if spec.s_equals_u:
-                    factor(
-                        "selection",
-                        (
-                            f"RRSYA{arm}",
-                            f"RR_S{y_mark}|{cond}",
-                            rf"\mathrm{{RR}}_{{S{y_tex} \mid {cond_tex}}}",
-                        ),
-                    )
+                    factor("selection", f"RR_S{y_mark}|{a_mark}={arm}")
                 else:
                     factor(
                         "selection",
-                        (
-                            f"RRUsYA{arm}",
-                            f"RR_Us{y_mark}|{cond}",
-                            rf"\mathrm{{RR}}_{{U_s{y_tex} \mid {cond_tex}}}",
-                        ),
-                        (
-                            f"RRSUsA{arm}",
-                            f"RR_SUs|{cond}",
-                            rf"\mathrm{{RR}}_{{SU_s \mid {cond_tex}}}",
-                        ),
+                        f"RR_Us{y_mark}|{a_mark}={arm}",
+                        f"RR_SUs|{a_mark}={arm}",
                     )
 
     if mis is not None:
         spec = mis[1]
         conditioned = sel is not None and (selected or sel_before_mis)
-        suffix = "S" if conditioned else ""
         cond = ",S" if conditioned else ""
-        cond_tex = ", S = 1" if conditioned else ""
         if spec.variable == "outcome":
-            factor(
-                "outcome misclassification",
-                (
-                    f"RRAYy{suffix}",
-                    f"RR_AY*|y{cond}",
-                    rf"\mathrm{{RR}}_{{AY^* \mid y{cond_tex}}}",
-                ),
-            )
-        elif spec.rare_exposure:
-            factor(
-                "exposure misclassification",
-                (
-                    f"RRYAa{suffix}",
-                    f"RR_YA*|a{cond}",
-                    rf"\mathrm{{RR}}_{{YA^* \mid a{cond_tex}}}",
-                ),
-            )
+            factor("outcome misclassification", f"RR_AY*|y{cond}")
         else:
-            factor(
-                "exposure misclassification",
-                (
-                    f"ORYAa{suffix}",
-                    f"OR_YA*|a{cond}",
-                    rf"\mathrm{{OR}}_{{YA^* \mid a{cond_tex}}}",
-                ),
-                scale=Scale.ODDS_RATIO,
-            )
+            # without the rare-exposure approximation the parameter is an odds ratio
+            scale = "RR" if spec.rare_exposure else "OR"
+            factor("exposure misclassification", f"{scale}_YA*|a{cond}")
 
     # each joint factor g(x, x) = x**2 / (2x - 1) adds one to k, and each
     # pair has one parameter more than its single term
@@ -369,3 +340,64 @@ def parameter_summary(
             row += (p.latex,)
         rows.append(row)
     return rows
+
+
+def _split_outside_parens(text: str, sep: str) -> list[str]:
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parentheses in {text!r}")
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {text!r}")
+    parts.append("".join(current))
+    return parts
+
+
+_CLAUSE = re.compile(r"([a-z_]+)\s*(?:\((.*)\))?", re.DOTALL)
+
+
+def _parse_clause(clause: str) -> BiasSpec:
+    """One clause, read with the option table :meth:`BiasSpec.describe` prints."""
+    match = _CLAUSE.fullmatch(clause.strip())
+    if match is None:
+        raise ParseError(f"cannot parse bias clause {clause!r}")
+    name, options_text = match.groups()
+    try:
+        kind = BiasKind(name)
+    except ValueError:
+        raise ParseError(f"unknown bias {name!r}") from None
+    options = _OPTIONS[kind]
+    given: dict[str, object] = {}
+    for token in (options_text or "").split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if token not in options:
+            raise ParseError(f"unknown {name} option {token!r}")
+        field, value = options[token]
+        if field in given:
+            raise ParseError(f"{field} is given more than once in {clause.strip()!r}")
+        given[field] = value
+    try:
+        return BiasSpec(kind, **given)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def parse_bias_string(text: str) -> BiasSet:
+    """Build a bias set from a '+'-joined clause string."""
+    clauses = _split_outside_parens(text, "+")
+    if not any(c.strip() for c in clauses):
+        raise ParseError("empty bias string")
+    return build_bias_set([_parse_clause(c) for c in clauses])

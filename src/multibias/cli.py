@@ -8,7 +8,8 @@ Subcommands:
   curve    E-values for a range of risk ratios under one or more bias sets
   verify   stress-test the bound against randomly generated worlds
 
-Bias combinations are written as '+'-joined clauses, e.g.
+Bias combinations are written as '+'-joined clauses (see
+:func:`multibias.biases.parse_bias_string`), e.g.
 "confounding + selection(increased_risk) + misclassification(outcome)".
 """
 
@@ -17,27 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from typing import TYPE_CHECKING
 
-from .biases import (
-    BiasSet,
-    Scale,
-    build_bias_set,
-    confounding,
-    misclassification,
-    parameter_summary,
-    selection,
-)
+from .biases import Scale, _split_outside_parens, parameter_summary, parse_bias_string
 from .bounds import MAX_GRID_CELLS, adjust_estimate, grid_table, multi_bound
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
 from .evalues import MAX_CURVE_POINTS, EffectEstimate, evalue_curve, multi_evalue
 
 if TYPE_CHECKING:
     import numpy as np
-
-_MEASURES = {"RR": Scale.RISK_RATIO, "OR": Scale.ODDS_RATIO}
 
 # sorted(oracle.STRUCTURES), written out so that parsing arguments does not
 # load the oracle and numpy; a test keeps the two equal
@@ -50,100 +40,6 @@ _STRUCTURE_NAMES = (
     "selection",
     "selection_selected",
 )
-
-
-def _split_outside_parens(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
-    return parts
-
-
-_CLAUSE = re.compile(r"([a-z_]+)\s*(?:\((.*)\))?", re.DOTALL)
-
-
-def _parse_clause(clause: str):
-    match = _CLAUSE.fullmatch(clause.strip())
-    if match is None:
-        raise ParseError(f"cannot parse bias clause {clause!r}")
-    name, options_text = match.group(1), match.group(2)
-    options = []
-    if options_text is not None:
-        options = [o.strip() for o in options_text.split(",") if o.strip()]
-
-    if name == "confounding":
-        if options:
-            raise ParseError("confounding takes no options")
-        return confounding()
-
-    if name == "selection":
-        population = None
-        direction = None
-        s_equals_u = False
-        for opt in options:
-            if opt in ("general", "selected"):
-                if population is not None:
-                    raise ParseError(f"conflicting populations in {clause!r}")
-                population = opt
-            elif opt in ("increased_risk", "decreased_risk"):
-                if direction is not None:
-                    raise ParseError(f"conflicting risk directions in {clause!r}")
-                direction = opt.removesuffix("_risk")
-            elif opt == "s_equals_u":
-                s_equals_u = True
-            else:
-                raise ParseError(f"unknown selection option {opt!r}")
-        return selection(
-            population or "general", risk_direction=direction, s_equals_u=s_equals_u
-        )
-
-    if name == "misclassification":
-        variable = None
-        rare_outcome = False
-        rare_exposure = False
-        for opt in options:
-            if opt in ("outcome", "exposure"):
-                if variable is not None:
-                    raise ParseError(f"conflicting variables in {clause!r}")
-                variable = opt
-            elif opt == "rare_outcome":
-                rare_outcome = True
-            elif opt == "rare_exposure":
-                rare_exposure = True
-            else:
-                raise ParseError(f"unknown misclassification option {opt!r}")
-        if variable is None:
-            raise ParseError(
-                "misclassification needs a variable: 'outcome' or 'exposure'"
-            )
-        return misclassification(
-            variable, rare_outcome=rare_outcome, rare_exposure=rare_exposure
-        )
-
-    raise ParseError(f"unknown bias {name!r}")
-
-
-def parse_bias_string(text: str) -> BiasSet:
-    """Build a bias set from a '+'-joined clause string."""
-    clauses = [c for c in _split_outside_parens(text, "+")]
-    if not any(c.strip() for c in clauses):
-        raise ParseError("empty bias string")
-    return build_bias_set([_parse_clause(c) for c in clauses])
 
 
 def _fmt(x: float) -> str:
@@ -208,8 +104,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_evalue(args: argparse.Namespace) -> int:
     bias_set = parse_bias_string(args.biases)
     try:
-        scale = _MEASURES[args.measure]
-    except KeyError:
+        scale = Scale(args.measure)
+    except ValueError:
         raise ParseError(
             f"cannot convert scale {args.measure!r}; hazard ratios and other "
             "measures are not supported"

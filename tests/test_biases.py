@@ -16,6 +16,7 @@ from multibias import (
     parameter_summary,
     selection,
 )
+from multibias.biases import parse_bias_string
 
 
 # (name, display, latex, scale, degree) of every parameter the grammar reaches
@@ -199,6 +200,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BiasSpec(BiasKind.MISCLASSIFICATION, variable="dose")
 
+    def test_bias_spec_takes_only_values_its_clause_options_stand_for(self):
+        with pytest.raises(ValueError):
+            selection(risk_direction="up")
+        with pytest.raises(ValueError):
+            selection(s_equals_u="yes")
+        with pytest.raises(ValueError, match="needs a variable"):
+            BiasSpec(BiasKind.MISCLASSIFICATION)
+
     def test_single_spec_accepted_without_list(self):
         assert names(build_bias_set(confounding())) == ["RRAUc", "RRUcY"]
 
@@ -232,6 +241,11 @@ class TestSummary:
 
 
 class TestLabel:
+    def test_every_label_parses_back_to_its_declarations(self):
+        for declared in DECLARATIONS:
+            bs = build_bias_set(declared)
+            assert parse_bias_string(bs.label).biases == bs.biases, bs.label
+
     def test_label_round_trips_the_clause_syntax(self):
         bs = build_bias_set(
             [

@@ -67,6 +67,12 @@ class TestParseBiasString:
             "gravity",
             "confounding + selection(general",
             "confounding ++ selection",
+            "selection(general, general)",
+            "selection(s_equals_u, s_equals_u)",
+            "selection(increased_risk, increased_risk)",
+            "misclassification(outcome, outcome)",
+            "misclassification(outcome, rare_outcome, rare_outcome)",
+            "misclassification(exposure, rare_outcome, rare_exposure, rare_exposure)",
         ],
     )
     def test_rejects_malformed(self, text):

@@ -1,12 +1,24 @@
-"""The README's Python examples run as written."""
+"""The README's Python and shell examples run as written."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from multibias.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, re.DOTALL)
+SH = "".join(re.findall(r"```sh\n(.*?)```", TEXT, re.DOTALL))
+# each "$ multibias ..." command, with its "\" continuations, and the output under it
+EXAMPLES = re.findall(
+    r"^\$ (multibias (?:[^\n]*\\\n)*[^\n]*)\n(.*?)(?=^\$ |\Z)",
+    SH,
+    re.DOTALL | re.MULTILINE,
+)
 
 
 def test_readme_has_python_examples():
@@ -16,3 +28,24 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("block", BLOCKS)
 def test_python_block_runs(block):
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_has_shell_examples():
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize(
+    "command, shown", EXAMPLES, ids=[command.split()[1] for command, _ in EXAMPLES]
+)
+def test_shell_example_prints_what_is_shown(command, shown, capsys):
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    assert main(argv) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = shown.rstrip("\n").splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        if want_line.startswith("{"):
+            want_json = pytest.approx(json.loads(want_line), rel=1e-12)
+            assert json.loads(got_line) == want_json
+        else:
+            assert got_line == want_line
