@@ -107,8 +107,8 @@ def _cmd_evalue(args: argparse.Namespace) -> int:
         scale = Scale(args.measure)
     except ValueError:
         raise ParseError(
-            f"cannot convert scale {args.measure!r}; hazard ratios and other "
-            "measures are not supported"
+            f"unknown measure {args.measure!r}: use RR or OR (hazard ratios "
+            "and other measures are not supported)"
         ) from None
     estimate = EffectEstimate(
         point=args.est, lo=args.lo, hi=args.hi, scale=scale, rare_outcome=args.rare

@@ -24,8 +24,9 @@ from multibias import (
     solve_polynomial,
     verify_bound,
 )
-from multibias.evalues import _bisect, odds_ratio, risk_ratio
+from multibias.evalues import odds_ratio, risk_ratio
 from multibias.oracle import STRUCTURES
+from roots import bisect_root
 
 HIV = [confounding(), selection(risk_direction="increased")]
 LEUK = [confounding(), misclassification("exposure", rare_outcome=True)]
@@ -304,13 +305,9 @@ def test_criterion_10e_closed_forms_match_bisection():
     targets = [1.0 + 1e-9, 1.0 + 1e-6, 2.0, 73.1, 1e6] + list(
         np.exp(rng.uniform(0.0, np.log(1e6), 200))
     )
+    closed_forms = [(2, 1), (4, 2), (6, 3), (1, 0), (2, 0), (3, 0), (7, 0)]
     for target in targets:
-        closed = solve_polynomial(EValuePolynomial(2, 1), float(target))
-        assert abs(closed - _bisect(EValuePolynomial(2, 1), float(target))) <= 1e-9 * closed
-        for n in (1, 2, 3, 7):
-            closed = solve_polynomial(EValuePolynomial(n, 0), float(target))
-            assert (
-                abs(closed - _bisect(EValuePolynomial(n, 0), float(target)))
-                <= 1e-9 * closed
-            )
+        for n, k in closed_forms:
+            closed = solve_polynomial(EValuePolynomial(n, k), float(target))
+            assert abs(closed - bisect_root(n, k, float(target))) <= 1e-9 * closed
     print("PASS: closed forms agree with bisection within 1e-9")

@@ -275,6 +275,13 @@ class TestEvalueCommand:
         assert rc == 2
         assert "hazard" in captured.err
 
+    @pytest.mark.parametrize("measure", ["rr", "or"])
+    def test_lower_case_measure_names_accepted_spellings(self, measure, capsys):
+        rc = main(["evalue", "--biases", "confounding", "--est", "2", "--measure", measure])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"unknown measure '{measure}': use RR or OR" in captured.err
+
     def test_plain_risk_ratio_default_measure(self, capsys):
         rc = main(["evalue", "--biases", "confounding", "--est", "10.73"])
         captured = capsys.readouterr()

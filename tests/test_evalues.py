@@ -27,6 +27,7 @@ from multibias import (
     to_risk_ratio,
 )
 from multibias.evalues import MAX_CURVE_POINTS, odds_ratio, risk_ratio
+from roots import bisect_root, decimal_root
 
 # one bias set for each polynomial the grammar can reach
 SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATIONS)}
@@ -175,15 +176,16 @@ class TestSolve:
         x = solve_polynomial(poly, target)
         assert abs(poly.value(x) - target) <= 1e-9 * target
 
-    @given(st.floats(min_value=1.0 + 1e-9, max_value=1e6))
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=1.0 + 1e-9, max_value=1e6),
+    )
     @settings(max_examples=300)
-    def test_closed_form_matches_bisection_for_2_1(self, target):
-        from multibias.evalues import _bisect
-
-        poly = EValuePolynomial(2, 1)
+    def test_closed_form_matches_bisection_for_n_equal_2k(self, k, target):
+        poly = EValuePolynomial(2 * k, k)
         closed = solve_polynomial(poly, target)
         assert abs(poly.value(closed) - target) <= 1e-9 * target
-        assert closed == pytest.approx(_bisect(poly, target), rel=1e-9)
+        assert closed == pytest.approx(bisect_root(2 * k, k, target), rel=1e-9)
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -191,11 +193,24 @@ class TestSolve:
     )
     @settings(max_examples=300)
     def test_closed_form_matches_bisection_for_pure_powers(self, n, target):
-        from multibias.evalues import _bisect
-
         poly = EValuePolynomial(n, 0)
         closed = solve_polynomial(poly, target)
-        assert closed == pytest.approx(_bisect(poly, target), rel=1e-9)
+        assert closed == pytest.approx(bisect_root(n, 0, target), rel=1e-9)
+
+    @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL), ids="n{0[0]}k{0[1]}".format)
+    @pytest.mark.parametrize(
+        "target",
+        [1 + 1e-15, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.5, 4.0, 1e3, 1e12, 1e300],
+    )
+    def test_root_matches_60_digit_bisection(self, nk, target):
+        # checks the root itself: a residual check cannot catch a bad root
+        # when n == 2k, because f is flat at 1 there (f'(1) == 0)
+        exact = float(decimal_root(*nk, target))
+        assert solve_polynomial(EValuePolynomial(*nk), target) == pytest.approx(
+            exact, rel=1e-12
+        )
+        [point] = evalue_curve([SET_BY_POLYNOMIAL[nk]], [target])
+        assert point.evalue == pytest.approx(exact, rel=1e-12)
 
 
 class TestMultiEvalue:
