@@ -52,6 +52,33 @@ class TestWorldConfig:
             WorldConfig(rare_outcome_ceiling=1.5)
 
 
+# each structure's world mechanisms, written out: equal configs draw equal
+# worlds for every seed, so `verify` output stays the same
+STRUCTURE_CONFIGS = {
+    "confounding": WorldConfig(confounding=True),
+    "selection": WorldConfig(selection=True),
+    "selection_selected": WorldConfig(selection=True),
+    "outcome_misclassification": WorldConfig(misclassification="outcome"),
+    "result1": WorldConfig(confounding=True, selection=True, misclassification="outcome"),
+    "result2": WorldConfig(
+        confounding=True,
+        selection=True,
+        misclassification="exposure",
+        rare_outcome_ceiling=0.01,
+    ),
+    "result3": WorldConfig(confounding=True, selection=True, misclassification="outcome"),
+}
+
+
+class TestStructures:
+    def test_names(self):
+        assert sorted(STRUCTURES) == sorted(STRUCTURE_CONFIGS)
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURE_CONFIGS))
+    def test_config_unchanged(self, structure):
+        assert STRUCTURES[structure][0] == STRUCTURE_CONFIGS[structure]
+
+
 class TestGeneration:
     def test_deterministic_per_seed(self):
         config = STRUCTURES["result1"][0]
