@@ -68,13 +68,14 @@ _ORACLE_NAMES = (
     "generate_world",
     "observed_and_true_rr",
     "verify_bound",
+    "world_config",
 )
 
 
 def __getattr__(name: str):
     """Import the oracle on first access to one of its names (PEP 562).
 
-    All eight are then bound here, so later accesses are plain lookups.
+    All nine are then bound here, so later accesses are plain lookups.
     """
     if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -134,4 +135,5 @@ __all__ = [
     "solve_polynomial",
     "to_risk_ratio",
     "verify_bound",
+    "world_config",
 ]

@@ -66,9 +66,12 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     values: dict[str, float] = {}
     for pair in pairs:
         name, eq, raw = pair.partition("=")
+        name = name.strip()
         if not eq or not name:
             raise ParseError(f"expected NAME=VALUE, got {pair!r}")
-        values[name.strip()] = _parse_float(raw, name.strip())
+        if name in values:
+            raise ParseError(f"{name} is given more than once")
+        values[name] = _parse_float(raw, name)
     return values
 
 
@@ -258,6 +261,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, rare_outcome_ceiling=args.rare_ceiling)
     if args.worlds < 0:
         raise ParseError("--worlds must be nonnegative")
+    if args.seed < 0:
+        raise ParseError("--seed must be nonnegative")
     for i in range(args.worlds):
         seed = args.seed + i
         report = verify_bound(generate_world(config, seed), bias_set)

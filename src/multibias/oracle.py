@@ -30,11 +30,12 @@ _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
 _MAX_REDRAWS = 1000
 _ONE = 1.0  # map(_ONE.__sub__, xs) yields 1 - x for each x
+_RARE_OUTCOME_CEILING = 0.01  # stratum risk limit where the bound assumes rare outcomes
 
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Which bias mechanisms a generated world contains."""
+    """Which bias mechanisms a generated world contains; see :func:`world_config`."""
 
     confounding: bool = False
     selection: bool = False
@@ -276,11 +277,17 @@ _EXTRACTORS: dict[str, Callable[[_Tables], dict[str, float]]] = {
 }
 
 
-def _check_structure(world: World, bias_set: BiasSet) -> None:
-    config = world.config
-    declared = {b.kind: b for b in bias_set.biases}
-    sel = declared.get(BiasKind.SELECTION)
-    mis = declared.get(BiasKind.MISCLASSIFICATION)
+def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, bool]:
+    """The confounding, selection and misclassified variable of a bias set's
+    worlds, and whether it targets the selected population."""
+    conf, sel, mis, sel_first = False, None, None, False
+    for spec in bias_set.biases:  # in declaration order, each kind at most once
+        if spec.kind is BiasKind.CONFOUNDING:
+            conf = True
+        elif spec.kind is BiasKind.SELECTION:
+            sel = spec
+        else:
+            mis, sel_first = spec, sel is not None
     selected = sel is not None and sel.population == "selected"
 
     if sel is not None and (sel.risk_direction is not None or sel.s_equals_u):
@@ -290,25 +297,38 @@ def _check_structure(world: World, bias_set: BiasSet) -> None:
         )
     if mis is not None and mis.rare_exposure:
         raise StructureMismatch("rare-exposure worlds are not generated")
-    if mis is not None and sel is not None and not selected:
-        kinds = [b.kind for b in bias_set.biases]
-        if kinds.index(BiasKind.MISCLASSIFICATION) < kinds.index(BiasKind.SELECTION):
-            raise StructureMismatch(
-                "worlds model classification errors within the selected "
-                "sample; declare selection before misclassification"
-            )
-    expected_mis = mis.variable if mis is not None else None
-    if config.misclassification != expected_mis:
+    if mis is not None and sel is not None and not (selected or sel_first):
         raise StructureMismatch(
-            f"world misclassification {config.misclassification!r} does not "
-            f"match the bias set's {expected_mis!r}"
+            "worlds model classification errors within the selected "
+            "sample; declare selection before misclassification"
         )
-    if config.selection != (sel is not None):
-        raise StructureMismatch("world selection does not match the bias set")
+    variable = mis.variable if mis is not None else None
+    return conf, sel is not None, variable, selected
+
+
+def world_config(bias_set: BiasSet) -> WorldConfig:
+    """The mechanisms of the worlds a bias set's bound must hold in.
+
+    Exposure misclassification worlds get rare outcomes, as its bound
+    assumes. Raises StructureMismatch for the declarations no generated
+    world satisfies: one-sided selection (``risk_direction``,
+    ``s_equals_u``), rare exposure, and misclassification declared before
+    general-population selection.
+    """
+    conf, sel, mis, _ = _mechanisms(bias_set)
+    ceiling = _RARE_OUTCOME_CEILING if mis == "exposure" else None
+    return WorldConfig(conf, sel, mis, rare_outcome_ceiling=ceiling)
+
+
+def _check_structure(world: World, bias_set: BiasSet) -> None:
+    conf, sel, mis, selected = _mechanisms(bias_set)
+    config = world.config
     # a selected-population set covers confounding whether or not it is
     # present, since its parameters range over the joint factor
-    if not selected and config.confounding != (BiasKind.CONFOUNDING in declared):
-        raise StructureMismatch("world confounding does not match the bias set")
+    if config.selection != sel or config.misclassification != mis or (
+        config.confounding != conf and not selected
+    ):
+        raise StructureMismatch(f"{config} does not fit the bias set {bias_set.label!r}")
 
 
 def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
@@ -387,41 +407,20 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
 
 
 STRUCTURES: dict[str, tuple[WorldConfig, BiasSet]] = {
-    "confounding": (
-        WorldConfig(confounding=True),
-        build_bias_set([confounding()]),
-    ),
-    "selection": (
-        WorldConfig(selection=True),
-        build_bias_set([selection()]),
-    ),
-    "selection_selected": (
-        WorldConfig(selection=True),
-        build_bias_set([selection("selected")]),
-    ),
-    "outcome_misclassification": (
-        WorldConfig(misclassification="outcome"),
-        build_bias_set([misclassification("outcome")]),
-    ),
-    "result1": (
-        WorldConfig(confounding=True, selection=True, misclassification="outcome"),
-        build_bias_set([confounding(), selection(), misclassification("outcome")]),
-    ),
-    "result2": (
-        WorldConfig(
-            confounding=True,
-            selection=True,
-            misclassification="exposure",
-            rare_outcome_ceiling=0.01,
+    name: (world_config(bias_set), bias_set)
+    for name, bias_set in {
+        "confounding": build_bias_set([confounding()]),
+        "selection": build_bias_set([selection()]),
+        "selection_selected": build_bias_set([selection("selected")]),
+        "outcome_misclassification": build_bias_set([misclassification("outcome")]),
+        "result1": build_bias_set(
+            [confounding(), selection(), misclassification("outcome")]
         ),
-        build_bias_set(
+        "result2": build_bias_set(
             [confounding(), selection(), misclassification("exposure", rare_outcome=True)]
         ),
-    ),
-    "result3": (
-        WorldConfig(confounding=True, selection=True, misclassification="outcome"),
-        build_bias_set(
+        "result3": build_bias_set(
             [confounding(), selection("selected"), misclassification("outcome")]
         ),
-    ),
+    }.items()
 }

@@ -166,6 +166,24 @@ class TestBoundCommand:
         assert rc == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeat", ["RRAUc=3", " RRAUc =2"])
+    def test_repeated_param_exits_2(self, capsys, repeat):
+        rc = main(
+            [
+                "bound",
+                "--biases",
+                "confounding",
+                "--param",
+                "RRAUc=2",
+                "--param",
+                repeat,
+                "--param",
+                "RRUcY=3",
+            ]
+        )
+        assert rc == 2
+        assert "RRAUc is given more than once" in capsys.readouterr().err
+
 
 class TestEvalueCommand:
     def test_hiv_output(self, capsys):
@@ -407,6 +425,27 @@ class TestGridCommand:
         )
         assert rc == 2
 
+    def test_repeated_param_exits_2(self, capsys):
+        rc = main(
+            [
+                "grid",
+                "--biases",
+                HIV,
+                "--vary",
+                "RRAUc=2:3:0.5",
+                "--vary",
+                "RRUcY=2:3:0.5",
+                "--param",
+                "RRUsYA1=2",
+                "--param",
+                "RRSUsA1=2",
+                "--param",
+                "RRUsYA1=3",
+            ]
+        )
+        assert rc == 2
+        assert "RRUsYA1 is given more than once" in capsys.readouterr().err
+
 
 class TestCurveCommand:
     def test_text_and_values(self, capsys):
@@ -531,6 +570,12 @@ class TestVerifyCommand:
     def test_unknown_structure_rejected(self, capsys):
         rc = main(["verify", "--structure", "result9"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--worlds"])
+    def test_negative_seed_or_worlds_names_the_flag(self, capsys, flag):
+        rc = main(["verify", "--structure", "result1", flag, "-1"])
+        assert rc == 2
+        assert f"error: {flag} must be nonnegative" in capsys.readouterr().err
 
 
 class TestRobustness:

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from declarations import DECLARATIONS
 from multibias import (
     DegenerateStratum,
     InfeasibleConfig,
@@ -25,6 +26,7 @@ from multibias import (
     observed_and_true_rr,
     selection,
     verify_bound,
+    world_config,
 )
 from multibias.oracle import STRUCTURES
 
@@ -474,6 +476,52 @@ class TestStructureChecks:
         bias_set = build_bias_set([selection("selected")])
         report = verify_bound(generate_world(config, 14), bias_set)
         assert report.holds
+
+
+def derivable(declarations):
+    """The bias sets world_config accepts, with their configs; the rest it rejects."""
+    derived = []
+    for declared in declarations:
+        bias_set = build_bias_set(declared)
+        try:
+            derived.append((bias_set, world_config(bias_set)))
+        except StructureMismatch:
+            pass
+    return derived
+
+
+DERIVED = derivable(DECLARATIONS)
+
+
+class TestWorldConfigDerivation:
+    def test_counts(self):
+        assert len(DECLARATIONS) == 376
+        assert len(DERIVED) == 52
+        assert len({bias_set.terms for bias_set, _ in DERIVED}) == 14
+
+    def test_rejections_raise_structure_mismatch(self):
+        accepted = {bias_set.biases for bias_set, _ in DERIVED}
+        rejected = [d for d in DECLARATIONS if d not in accepted]
+        assert len(rejected) == 324
+        for declared in rejected:
+            with pytest.raises(StructureMismatch):
+                world_config(build_bias_set(declared))
+
+    @pytest.mark.parametrize(
+        "bias_set, config", DERIVED, ids=[bias_set.label for bias_set, _ in DERIVED]
+    )
+    def test_bound_holds_on_derived_worlds(self, bias_set, config):
+        # the exposure misclassification bound is approximate: hold it to
+        # the 2% allowance of the rare-outcome structure
+        approximate = config.misclassification == "exposure"
+        for levels in (2, 3):
+            wide = replace(config, confounder_levels=levels, selection_levels=levels)
+            for seed in range(200):
+                report = verify_bound(generate_world(wide, seed), bias_set)
+                if approximate:
+                    assert report.ratio <= 1.02 * report.bound, (levels, seed, report)
+                else:
+                    assert report.ratio <= report.bound + 1e-12, (levels, seed, report)
 
 
 class TestVerify:
