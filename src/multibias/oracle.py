@@ -9,18 +9,19 @@ falsifiable: for exact structures the realized bias must never exceed the
 bound, while the exposure misclassification structure is only approximate
 and its violation should shrink as the outcome gets rarer.
 
-Parameters and risk ratios come from the factor tables, on Python floats:
-with at most 18 cells a table, numpy calls cost more than their arithmetic.
-``World.joint()`` enumerates the full joint table as the tests' reference.
+A world keeps its factor tables as tuples of Python floats, drawn from one
+``random.Random`` stream per seed, and parameters and risk ratios are
+computed straight from them: with at most 18 cells a table, array calls
+would cost more than their arithmetic. The tests enumerate the full joint
+table from these tuples as their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import add, mul, truediv
+from random import Random
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .biases import BiasKind, BiasSet, build_bias_set, confounding, misclassification, selection
 from .bounds import multi_bound
@@ -70,66 +71,56 @@ class World:
     exchangeability given the confounding factor, selection independent of
     the outcome given exposure and the selection factor, and classification
     errors that may depend on the true exposure and outcome but nothing else.
+
+    Tables are tuples of floats; a cell is a pair (c, u) of confounding and
+    selection levels, in row order (index ``c * selection_levels + u``).
     """
 
     config: WorldConfig
-    p_u: np.ndarray  # (nc, ns) joint mass of the latent factors
-    p_a: np.ndarray  # (nc,) chance of exposure given the confounding factor
-    p_y: np.ndarray  # (2, nc, ns) outcome risk given exposure and factors
-    p_s: np.ndarray  # (2, ns) selection chance given exposure and factor
-    p_m: np.ndarray | None  # (2, 2) by (true y, true a): chance the copy is 1
-
-    def __post_init__(self) -> None:
-        for array in (self.p_u, self.p_a, self.p_y, self.p_s, self.p_m):
-            if array is not None:
-                array.setflags(write=False)
-
-    def joint(self) -> np.ndarray:
-        """Full table over (uc, us, a, y, s, m); m mirrors y when exact."""
-        pa = np.stack([1.0 - self.p_a, self.p_a])  # (a, nc)
-        py = np.stack([1.0 - self.p_y, self.p_y])  # (y, a, nc, ns)
-        ps = np.stack([1.0 - self.p_s, self.p_s])  # (s, a, ns)
-        if self.p_m is None:
-            pm = np.zeros((2, 2, 2))  # (m, y, a)
-            pm[1, 1, :] = 1.0
-            pm[0, 0, :] = 1.0
-        else:
-            pm = np.stack([1.0 - self.p_m, self.p_m])  # (m, y, a)
-        return np.einsum("cu,ac,yacu,sau,mya->cuaysm", self.p_u, pa, py, ps, pm)
+    p_u: tuple  # [cell]: joint mass of the latent factors
+    p_a: tuple  # [c]: chance of exposure given the confounding factor
+    p_y: tuple  # [a][cell]: outcome risk given exposure and factors
+    p_s: tuple  # [a][u]: selection chance given exposure and factor
+    p_m: tuple | None  # [true y][true a]: chance the copy is 1
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Draw a random world with the configured mechanisms active.
 
-    When misclassification is active the exposure labels are chosen so the
+    Each seed, a nonnegative int, names one ``random.Random`` stream. When
+    misclassification is active the exposure labels are chosen so the
     outcome risk comparison among the selected runs in the causative
     direction, and classification rates are redrawn until the differential
     factor is at least 1: the misclassification part of the bound is
     one-sided, and these pure relabelings/redraws put the world on the side
     it covers without touching any structural assumption.
     """
-    rng = np.random.default_rng(seed)
+    if not isinstance(seed, int) or seed < 0:
+        raise InfeasibleConfig(f"seed must be a nonnegative int, got {seed!r}")
+    rng = Random(seed)
     nc, ns = config.confounder_levels, config.selection_levels
 
-    for _ in range(_MAX_REDRAWS):
-        p_u = rng.dirichlet(np.ones(nc * ns)).reshape(nc, ns)
-        if p_u.min() >= _MIN_MASS:
+    for _ in range(_MAX_REDRAWS):  # Dirichlet(1, ..., 1) over the cells
+        draws = [rng.expovariate(1.0) for _ in range(nc * ns)]
+        total = sum(draws)
+        p_u = tuple([x / total for x in draws])
+        if min(p_u) >= _MIN_MASS:
             break
     else:
         raise DegenerateStratum("could not draw latent factors with enough mass")
 
     if config.confounding:
-        p_a = rng.uniform(0.05, 0.95, nc)
+        p_a = _uniform(rng, 0.05, 0.95, nc)
     else:
-        p_a = np.full(nc, rng.uniform(0.05, 0.95))
+        p_a = _uniform(rng, 0.05, 0.95, 1) * nc
 
     ceiling = config.rare_outcome_ceiling or 1.0
-    p_y = rng.uniform(0.001 * ceiling, ceiling, (2, nc, ns))
+    p_y = tuple(_uniform(rng, 0.001 * ceiling, ceiling, nc * ns) for _ in (0, 1))
 
     if config.selection:
-        p_s = rng.uniform(0.05, 0.95, (2, ns))
+        p_s = tuple(_uniform(rng, 0.05, 0.95, ns) for _ in (0, 1))
     else:
-        p_s = np.ones((2, ns))
+        p_s = ((1.0,) * ns,) * 2
 
     world = World(config, p_u, p_a, p_y, p_s, _draw_rates(rng, config.misclassification))
     if config.misclassification is not None:
@@ -143,17 +134,18 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     return world
 
 
-def _draw_rates(rng: np.random.Generator, kind: str | None) -> np.ndarray | None:
+def _uniform(rng: Random, lo: float, hi: float, n: int) -> tuple:
+    """n independent draws from U(lo, hi)."""
+    return tuple([lo + (hi - lo) * rng.random() for _ in range(n)])
+
+
+def _draw_rates(rng: Random, kind: str | None) -> tuple | None:
     if kind is None:
         return None
-    rates = np.empty((2, 2))
+    high, low = _uniform(rng, 0.5, 0.99, 2), _uniform(rng, 0.01, 0.5, 2)
     if kind == "outcome":
-        rates[1] = rng.uniform(0.5, 0.99, 2)  # sensitivity by exposure arm
-        rates[0] = rng.uniform(0.01, 0.5, 2)  # false positives by exposure arm
-    else:
-        rates[:, 1] = rng.uniform(0.5, 0.99, 2)  # P(A*=1 | A=1) by outcome
-        rates[:, 0] = rng.uniform(0.01, 0.5, 2)  # P(A*=1 | A=0) by outcome
-    return rates
+        return low, high  # rows y = 0, 1: false positives, sensitivities by arm
+    return tuple(zip(low, high))  # row y: P(A*=1 | A=0), P(A*=1 | A=1)
 
 
 def _orient(world: World) -> World:
@@ -163,24 +155,19 @@ def _orient(world: World) -> World:
         return world
     p_m = world.p_m
     if p_m is not None:
-        p_m = p_m[:, ::-1].copy()
+        p_m = tuple(row[::-1] for row in p_m)
         if world.config.misclassification == "exposure":
-            p_m = 1.0 - p_m  # the recorded copy's labels flip with the true ones
-    return World(
-        world.config,
-        world.p_u,
-        1.0 - world.p_a,
-        world.p_y[::-1].copy(),
-        world.p_s[::-1].copy(),
-        p_m,
-    )
+            # the recorded copy's labels flip with the true ones
+            p_m = tuple(tuple(map(_ONE.__sub__, row)) for row in p_m)
+    p_a = tuple(map(_ONE.__sub__, world.p_a))
+    return World(world.config, world.p_u, p_a, world.p_y[::-1], world.p_s[::-1], p_m)
 
 
 def _differential_factor(world: World) -> float:
     """The misclassification bounding factor implied by the error rates."""
-    if world.p_m is None:
+    rates = world.p_m
+    if rates is None:
         raise StructureMismatch("world has no misclassification")
-    rates = world.p_m.tolist()
     if world.config.misclassification == "outcome":
         return max(rates[1][1] / rates[1][0], rates[0][1] / rates[0][0])
     s1, s0 = rates[1][1], rates[0][1]  # P(A*=1 | Y=y, A=1) for y = 1, 0
@@ -193,23 +180,22 @@ def _differential_factor(world: World) -> float:
 
 
 class _Tables:
-    """A world's tables as Python floats, with the masses all results share.
+    """A world's tables, with the masses all results share.
 
-    Tables are flat lists per exposure arm a, cells (c, u) in row order for
-    confounding level c and selection level u: ``mass[a]`` is P(A=a, Uc, Us),
-    ``sel[a]`` its selected part (S=1), ``total[a]`` is P(A=a, S=1) and
-    ``cases[a]`` is P(A=a, Y=1, S=1).
+    Masses are lists per exposure arm a over the world's cells: ``mass[a]``
+    is P(A=a, Uc, Us), ``sel[a]`` its selected part (S=1), ``total[a]`` is
+    P(A=a, S=1) and ``cases[a]`` is P(A=a, Y=1, S=1).
     """
 
     __slots__ = ("world", "ns", "p_u", "p_y", "p_s", "mass", "sel", "total", "cases")
 
     def __init__(self, world: World) -> None:
-        nc, self.ns = world.p_u.shape
+        nc, self.ns = world.config.confounder_levels, world.config.selection_levels
         self.world = world
-        self.p_u = p_u = world.p_u.ravel().tolist()
-        self.p_y = p_y = world.p_y.reshape(2, -1).tolist()
-        self.p_s = p_s = world.p_s.tolist()
-        exposed = [x for x in world.p_a.tolist() for _ in range(self.ns)]  # P(A=1 | Uc)
+        self.p_u = p_u = world.p_u
+        self.p_y = p_y = world.p_y
+        self.p_s = p_s = world.p_s
+        exposed = [x for x in world.p_a for _ in range(self.ns)]  # P(A=1 | Uc)
         unexposed = list(map(_ONE.__sub__, exposed))
         self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
         self.sel = sel = [list(map(mul, m, chance * nc)) for m, chance in zip(mass, p_s)]
@@ -295,7 +281,7 @@ def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, bool]:
             "risk-direction and s_equals_u simplifications assume one-sided "
             "selection effects that generated worlds do not enforce"
         )
-    if mis is not None and mis.rare_exposure:
+    if mis is not None and mis.variable == "exposure" and mis.rare_exposure:
         raise StructureMismatch("rare-exposure worlds are not generated")
     if mis is not None and sel is not None and not (selected or sel_first):
         raise StructureMismatch(
@@ -312,8 +298,9 @@ def world_config(bias_set: BiasSet) -> WorldConfig:
     Exposure misclassification worlds get rare outcomes, as its bound
     assumes. Raises StructureMismatch for the declarations no generated
     world satisfies: one-sided selection (``risk_direction``,
-    ``s_equals_u``), rare exposure, and misclassification declared before
-    general-population selection.
+    ``s_equals_u``), rare exposure under exposure misclassification (for
+    outcome misclassification the option changes nothing), and
+    misclassification declared before general-population selection.
     """
     conf, sel, mis, _ = _mechanisms(bias_set)
     ceiling = _RARE_OUTCOME_CEILING if mis == "exposure" else None
@@ -364,7 +351,7 @@ def _risk_ratios(t: _Tables, bias_set: BiasSet) -> tuple[float, float]:
     mis = t.world.config.misclassification
     num, den = t.cases, t.total
     if mis is not None:
-        rates = t.world.p_m.tolist()  # P(copy=1 | y, a), indexed [y][a]
+        rates = t.world.p_m  # P(copy=1 | y, a), indexed [y][a]
         controls = [_dot(sel, map(_ONE.__sub__, ys)) for sel, ys in zip(t.sel, t.p_y)]
         if mis == "outcome":
             num = [num[a] * rates[1][a] + controls[a] * rates[0][a] for a in (0, 1)]

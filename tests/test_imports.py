@@ -1,4 +1,4 @@
-"""numpy, and the oracle that needs it, load only where they are used.
+"""numpy and the oracle load only where they are used.
 
 Each check that depends on what is loaded runs in a fresh interpreter, since
 this test process has long since imported numpy and the oracle.
@@ -33,10 +33,12 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()[-1].split()
 
 
-def _main_then_numpy_loaded(argv: list[str]) -> list[str]:
+def _main_then_loaded(argv: list[str]) -> list[str]:
+    """The exit code, then whether numpy and the oracle are loaded."""
     return _fresh(
         "import sys, multibias.cli; "
-        f"rc = multibias.cli.main({argv!r}); print(rc, 'numpy' in sys.modules)"
+        f"rc = multibias.cli.main({argv!r}); "
+        "print(rc, 'numpy' in sys.modules, 'multibias.oracle' in sys.modules)"
     )
 
 
@@ -52,7 +54,12 @@ def _main_then_numpy_loaded(argv: list[str]) -> list[str]:
     ],
 )
 def test_one_shot_commands_do_not_load_numpy(argv):
-    assert _main_then_numpy_loaded(argv) == ["0", "False"]
+    assert _main_then_loaded(argv) == ["0", "False", "False"]
+
+
+def test_verify_loads_the_oracle_but_not_numpy():
+    argv = ["verify", "--structure", "result1", "--worlds", "2"]
+    assert _main_then_loaded(argv) == ["0", "False", "True"]
 
 
 @pytest.mark.parametrize(
@@ -61,11 +68,10 @@ def test_one_shot_commands_do_not_load_numpy(argv):
         ["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5"]
         + ["--vary", "RRUcY=2,4", "--format", "csv"],
         ["curve", "--bias-sets", "confounding, selection", "--points", "3"],
-        ["verify", "--structure", "result1", "--worlds", "2"],
     ],
 )
 def test_array_commands_load_numpy_and_succeed(argv):
-    assert _main_then_numpy_loaded(argv) == ["0", "True"]
+    assert _main_then_loaded(argv) == ["0", "True", "False"]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_the_oracle():
@@ -79,7 +85,7 @@ def test_first_oracle_name_binds_all_of_them():
         "print('numpy' in sys.modules, all(vars(multibias)[n] is getattr(multibias.oracle, n) "
         "for n in multibias._ORACLE_NAMES))"
     )
-    assert _fresh(code) == ["True", "True"]
+    assert _fresh(code) == ["False", "True"]
 
 
 def test_star_import_gives_every_public_name():
