@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -99,27 +97,6 @@ class GridTable:
     col_values: tuple[float, ...]
     fixed: Mapping[str, float]
     values: np.ndarray  # shape (len(row_values), len(col_values))
-
-    def to_csv(self) -> str:
-        """CSV with the column parameter's values as header, rows labeled."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [str(v) for v in self.col_values])
-        for row_value, row in zip(self.row_values, self.values):
-            writer.writerow([str(row_value)] + [str(float(x)) for x in row])
-        return buf.getvalue()
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "biases": self.bias_set.label,
-            "row_parameter": self.row_name,
-            "col_parameter": self.col_name,
-            "row_values": list(self.row_values),
-            "col_values": list(self.col_values),
-            "fixed": dict(self.fixed),
-            "values": [[float(x) for x in row] for row in self.values],
-        }
 
 
 def grid_table(

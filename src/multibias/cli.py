@@ -22,7 +22,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .biases import Scale, _split_outside_parens, parameter_summary, parse_bias_string
-from .bounds import MAX_GRID_CELLS, adjust_estimate, grid_table, multi_bound
+from .bounds import MAX_GRID_CELLS, grid_table, multi_bound
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
 from .evalues import MAX_CURVE_POINTS, EffectEstimate, evalue_curve, multi_evalue
 
@@ -63,13 +63,19 @@ def _format_table(rows: list[list[str]], right_from: int = 1) -> str:
     return "\n".join(lines)
 
 
+def _split_name(pair: str, form: str) -> tuple[str, str]:
+    """NAME and the rest of a NAME=... argument; form names the expected shape."""
+    name, eq, raw = pair.partition("=")
+    name = name.strip()
+    if not eq or not name:
+        raise ParseError(f"expected {form}, got {pair!r}")
+    return name, raw
+
+
 def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     values: dict[str, float] = {}
     for pair in pairs:
-        name, eq, raw = pair.partition("=")
-        name = name.strip()
-        if not eq or not name:
-            raise ParseError(f"expected NAME=VALUE, got {pair!r}")
+        name, raw = _split_name(pair, "NAME=VALUE")
         if name in values:
             raise ParseError(f"{name} is given more than once")
         values[name] = _parse_float(raw, name)
@@ -79,6 +85,13 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
 def _print_json(payload: dict) -> None:
     """Print one JSON record; a non-finite number is an error, never NaN or Infinity."""
     print(json.dumps(payload, allow_nan=False))
+
+
+def _print_csv(rows: list[list]) -> None:
+    """Print CSV rows: numbers as str(float), a label quoted where it holds a comma."""
+    import csv
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _parse_float(raw: str, label: str) -> float:
@@ -119,8 +132,22 @@ def _cmd_evalue(args: argparse.Namespace) -> int:
     )
     result = multi_evalue(bias_set, estimate, true_value=args.true)
 
+    shown = result.estimate  # already on the risk ratio scale
     if args.format == "json":
-        _print_json(result.to_json())
+        _print_json(
+            {
+                "schema_version": 1,
+                "biases": bias_set.label,
+                "true_value": result.true_value,
+                "point": shown.point,
+                "lo": shown.lo,
+                "hi": shown.hi,
+                "evalue_point": result.evalue_point,
+                "evalue_lo": result.evalue_lo,
+                "evalue_hi": result.evalue_hi,
+                "parameters": list(result.parameters),
+            }
+        )
         return 0
 
     if args.true != 1.0:
@@ -131,13 +158,11 @@ def _cmd_evalue(args: argparse.Namespace) -> int:
             f"true value of {args.true:g} rather than to the null value."
         )
         print()
-    names = [p.evalue_name for p in bias_set.parameters]
     print(
         "This multi-bias e-value refers simultaneously to parameters "
-        f"{', '.join(names)}. (See documentation for details.)"
+        f"{', '.join(result.parameters)}. (See documentation for details.)"
     )
     print()
-    shown = result.estimate  # already on the risk ratio scale
     rows = [
         ["", "point", "lower", "upper"],
         ["RR", _fmt(shown.point), _na(shown.lo), _na(shown.hi)],
@@ -170,10 +195,7 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
 
     vary: list[tuple[str, np.ndarray]] = []
     for pair in pairs:
-        name, eq, raw = pair.partition("=")
-        if not eq or not name:
-            raise ParseError(f"expected NAME=START:STOP:STEP or NAME=v1,v2,..., got {pair!r}")
-        name = name.strip()
+        name, raw = _split_name(pair, "NAME=START:STOP:STEP or NAME=v1,v2,...")
         if ":" in raw:
             pieces = raw.split(":")
             if len(pieces) != 3:
@@ -209,9 +231,23 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     fixed = _parse_assignments(args.param)
     table = grid_table(bias_set, vary, fixed=fixed or None)
     if args.format == "csv":
-        sys.stdout.write(table.to_csv())
+        _print_csv(
+            [["", *table.col_values]]
+            + [[value, *row] for value, row in zip(table.row_values, table.values.tolist())]
+        )
     elif args.format == "json":
-        _print_json(table.to_json())
+        _print_json(
+            {
+                "schema_version": 1,
+                "biases": bias_set.label,
+                "row_parameter": table.row_name,
+                "col_parameter": table.col_name,
+                "row_values": table.row_values,
+                "col_values": table.col_values,
+                "fixed": dict(table.fixed),
+                "values": table.values.tolist(),
+            }
+        )
     else:
         rows = [[""] + [f"{v:g}" for v in table.col_values]]
         for value, row in zip(table.row_values, table.values):
@@ -241,9 +277,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         }
         _print_json(payload)
     elif args.format == "csv":
-        print("rr,biases,evalue")
-        for p in points:
-            print(f"{p.rr:g},{p.biases},{p.evalue:g}")
+        _print_csv([["rr", "biases", "evalue"]] + [[p.rr, p.biases, p.evalue] for p in points])
     else:
         rows = [["rr", "biases", "evalue"]]
         for p in points:

@@ -187,21 +187,6 @@ class EValueResult:
     evalue_hi: float | None
     parameters: tuple[str, ...]  # names the shared parameter value refers to
 
-    def to_json(self) -> dict:
-        est = self.estimate
-        return {
-            "schema_version": 1,
-            "biases": self.bias_set.label,
-            "true_value": self.true_value,
-            "point": est.point,
-            "lo": est.lo,
-            "hi": est.hi,
-            "evalue_point": self.evalue_point,
-            "evalue_lo": self.evalue_lo,
-            "evalue_hi": self.evalue_hi,
-            "parameters": list(self.parameters),
-        }
-
 
 def multi_evalue(
     bias_set: BiasSet, estimate: EffectEstimate, true_value: float = 1.0

@@ -166,8 +166,6 @@ def _orient(world: World) -> World:
 def _differential_factor(world: World) -> float:
     """The misclassification bounding factor implied by the error rates."""
     rates = world.p_m
-    if rates is None:
-        raise StructureMismatch("world has no misclassification")
     if world.config.misclassification == "outcome":
         return max(rates[1][1] / rates[1][0], rates[0][1] / rates[0][0])
     s1, s0 = rates[1][1], rates[0][1]  # P(A*=1 | Y=y, A=1) for y = 1, 0
@@ -316,6 +314,18 @@ def _check_structure(world: World, bias_set: BiasSet) -> None:
         config.confounding != conf and not selected
     ):
         raise StructureMismatch(f"{config} does not fit the bias set {bias_set.label!r}")
+    # the tables must have the lengths the config gives: p_u, p_a, p_y and
+    # its rows, p_s and its rows, then p_m and its rows
+    p_y, p_s, p_m = world.p_y, world.p_s, world.p_m
+    if (p_m is None) != (config.misclassification is None):
+        raise InfeasibleConfig(f"p_m must be given exactly when {config} has misclassification")
+    nc, ns = config.confounder_levels, config.selection_levels
+    found = (len(world.p_u), len(world.p_a), len(p_y), *map(len, p_y), len(p_s), *map(len, p_s))
+    want = (nc * ns, nc, 2, nc * ns, nc * ns, 2, ns, ns)
+    if p_m is not None:
+        found, want = found + (len(p_m), *map(len, p_m)), want + (2, 2, 2)
+    if found != want:
+        raise InfeasibleConfig(f"table lengths {found} do not fit {config}, which gives {want}")
 
 
 def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:

@@ -212,23 +212,6 @@ class TestGrid:
                 cell = {**fixed, row: rv, col: cv}
                 assert table.values[i, j] == multi_bound(bs, cell)
 
-    def test_csv_round_trip(self):
-        bs = build_bias_set([confounding()])
-        table = grid_table(bs, [("RRAUc", [1.5, 2.0]), ("RRUcY", [1.5, 2.0, 3.0])])
-        lines = table.to_csv().strip().split("\n")
-        assert lines[0] == ",1.5,2.0,3.0"
-        parsed = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
-        assert np.allclose(parsed, table.values)
-        assert [line.split(",")[0] for line in lines[1:]] == ["1.5", "2.0"]
-
-    def test_json_payload(self):
-        bs = build_bias_set([confounding()])
-        table = grid_table(bs, [("RRAUc", [2.0]), ("RRUcY", [3.0])])
-        payload = table.to_json()
-        assert payload["schema_version"] == 1
-        assert payload["row_parameter"] == "RRAUc"
-        assert payload["values"] == [[pytest.approx(1.5)]]
-
     def test_requires_exactly_two_varying(self):
         bs = build_bias_set([confounding()])
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Command line interface tests, driven through main(argv)."""
 
+import csv
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from multibias import grid_table
 from multibias.cli import main, parse_bias_string
 from multibias.errors import ParseError
 
@@ -287,6 +290,31 @@ class TestEvalueCommand:
         assert payload["evalue_point"] == pytest.approx(2 + 2**0.5, rel=1e-9)
         assert payload["evalue_hi"] is None
 
+    def test_json_payload(self, capsys):
+        argv = ["evalue", "--biases", "confounding", "--est", "2", "--lo", "1.5"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert list(payload) == [
+            "schema_version",
+            "biases",
+            "true_value",
+            "point",
+            "lo",
+            "hi",
+            "evalue_point",
+            "evalue_lo",
+            "evalue_hi",
+            "parameters",
+        ]
+        assert payload["schema_version"] == 1
+        assert payload["point"] == 2.0
+        assert payload["hi"] is None
+        assert payload["evalue_hi"] is None
+        assert payload["evalue_lo"] == pytest.approx(
+            1.5 + math.sqrt(1.5 * 0.5), rel=1e-9
+        )
+        assert payload["parameters"] == ["RRAUc", "RRUcY"]
+
     def test_hazard_ratio_rejected(self, capsys):
         rc = main(["evalue", "--biases", "confounding", "--est", "2", "--measure", "HR"])
         captured = capsys.readouterr()
@@ -384,6 +412,55 @@ class TestGridCommand:
         first = lines[1].split(",")
         # g(1.25, 1.25) * g(2, 2)
         assert float(first[1]) == pytest.approx(1.5625 / 1.5 * 4 / 3, rel=1e-9)
+
+    def test_csv_round_trip(self, capsys):
+        vary = [("RRAUc", [1.5, 2.0]), ("RRUcY", [1.5, 2.0, 3.0])]
+        argv = ["grid", "--biases", "confounding", "--format", "csv"]
+        argv += ["--vary", "RRAUc=1.5,2.0", "--vary", "RRUcY=1.5,2.0,3.0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == ",1.5,2.0,3.0"
+        parsed = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+        # str(float) round-trips, so every cell comes back exactly
+        assert parsed == grid_table(parse_bias_string("confounding"), vary).values.tolist()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1.5", "2.0"]
+
+    def test_json_payload(self, capsys):
+        argv = ["grid", "--biases", HIV, "--vary", "RRAUc=2", "--vary", "RRUcY=3"]
+        argv += ["--param", "RRSUsA1=1.5", "--param", "RRUsYA1=2", "--format", "json"]
+        assert main(argv) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert list(payload) == [
+            "schema_version",
+            "biases",
+            "row_parameter",
+            "col_parameter",
+            "row_values",
+            "col_values",
+            "fixed",
+            "values",
+        ]
+        assert payload["schema_version"] == 1
+        assert payload["biases"] == HIV
+        assert payload["row_parameter"] == "RRAUc"
+        assert payload["col_parameter"] == "RRUcY"
+        # the fixed values in parameter order, not in the order given
+        assert list(payload["fixed"].items()) == [("RRUsYA1", 2.0), ("RRSUsA1", 1.5)]
+        assert payload["values"] == [[pytest.approx(1.5 * 1.2)]]  # g(2, 3) * g(2, 1.5)
+
+    @pytest.mark.parametrize(
+        "flag, value, form",
+        [
+            ("--vary", " =1,2", "NAME=START:STOP:STEP or NAME=v1,v2,..."),
+            ("--param", " =2", "NAME=VALUE"),
+        ],
+        ids=["vary", "param"],
+    )
+    def test_blank_name_is_rejected(self, flag, value, form, capsys):
+        argv = ["grid", "--biases", HIV, "--vary", "RRAUc=1,2", "--vary", "RRUcY=1,2"]
+        argv += ["--param", "RRUsYA1=2", "--param", "RRSUsA1=2", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: expected {form}, got {value!r}\n"
 
     def test_comma_list_values(self, capsys):
         rc = main(
@@ -511,6 +588,19 @@ class TestCurveCommand:
         lines = captured.out.strip().splitlines()
         assert lines[0] == "rr,biases,evalue"
         assert len(lines) == 3
+
+    def test_csv_rows_parse_and_carry_the_json_values(self, capsys):
+        argv = ["curve", "--bias-sets", f"confounding, {HIV}", "--points", "5"]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert main(argv + ["--format", "json"]) == 0
+        points = _strict_json(capsys.readouterr().out)["points"]
+        assert rows[0] == ["rr", "biases", "evalue"]
+        assert all(len(row) == 3 for row in rows)
+        assert [[float(rr), label, float(e)] for rr, label, e in rows[1:]] == [
+            [p["rr"], p["biases"], p["evalue"]] for p in points
+        ]
+        assert {p["biases"] for p in points} == {"confounding", HIV}
 
     def test_bad_range_rejected(self, capsys):
         rc = main(["curve", "--bias-sets", "confounding", "--rr-min", "5", "--rr-max", "2"])

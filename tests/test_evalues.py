@@ -299,17 +299,6 @@ class TestMultiEvalue:
         result = multi_evalue(bs, risk_ratio(2.0))
         assert result.parameters == ("RRAUc", "RRUcY", "RRYAa")
 
-    def test_json_payload(self):
-        bs = build_bias_set([confounding()])
-        payload = multi_evalue(bs, risk_ratio(2.0, 1.5)).to_json()
-        assert payload["schema_version"] == 1
-        assert payload["point"] == 2.0
-        assert payload["hi"] is None
-        assert payload["evalue_hi"] is None
-        assert payload["evalue_lo"] == pytest.approx(
-            1.5 + math.sqrt(1.5 * 0.5), rel=1e-9
-        )
-
     @given(st.floats(min_value=1.0, max_value=100.0))
     @settings(max_examples=200)
     def test_point_evalue_inverts_the_bound(self, rr):

@@ -1,7 +1,7 @@
-"""numpy and the oracle load only where they are used.
+"""numpy, the oracle and csv load only where they are used.
 
 Each check that depends on what is loaded runs in a fresh interpreter, since
-this test process has long since imported numpy and the oracle.
+this test process has long since imported all three.
 """
 
 import os
@@ -34,11 +34,11 @@ def _fresh(code: str) -> list[str]:
 
 
 def _main_then_loaded(argv: list[str]) -> list[str]:
-    """The exit code, then whether numpy and the oracle are loaded."""
+    """The exit code, then whether numpy, the oracle and csv are loaded."""
     return _fresh(
         "import sys, multibias.cli; "
         f"rc = multibias.cli.main({argv!r}); "
-        "print(rc, 'numpy' in sys.modules, 'multibias.oracle' in sys.modules)"
+        "print(rc, *(m in sys.modules for m in ('numpy', 'multibias.oracle', 'csv')))"
     )
 
 
@@ -54,29 +54,33 @@ def _main_then_loaded(argv: list[str]) -> list[str]:
     ],
 )
 def test_one_shot_commands_do_not_load_numpy(argv):
-    assert _main_then_loaded(argv) == ["0", "False", "False"]
+    assert _main_then_loaded(argv) == ["0", "False", "False", "False"]
 
 
 def test_verify_loads_the_oracle_but_not_numpy():
     argv = ["verify", "--structure", "result1", "--worlds", "2"]
-    assert _main_then_loaded(argv) == ["0", "False", "True"]
+    assert _main_then_loaded(argv) == ["0", "False", "True", "False"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, csv",
     [
-        ["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5"]
-        + ["--vary", "RRUcY=2,4", "--format", "csv"],
-        ["curve", "--bias-sets", "confounding, selection", "--points", "3"],
+        (["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5"]
+         + ["--vary", "RRUcY=2,4", "--format", "csv"], "True"),
+        (["curve", "--bias-sets", "confounding, selection", "--points", "3"], "False"),
+        (["curve", "--bias-sets", "confounding", "--points", "3", "--format", "csv"], "True"),
     ],
 )
-def test_array_commands_load_numpy_and_succeed(argv):
-    assert _main_then_loaded(argv) == ["0", "True", "False"]
+def test_array_commands_load_numpy_and_succeed(argv, csv):
+    assert _main_then_loaded(argv) == ["0", "True", "False", csv]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_the_oracle():
-    code = "import sys, multibias; print('numpy' in sys.modules, 'multibias.oracle' in sys.modules)"
-    assert _fresh(code) == ["False", "False"]
+    code = (
+        "import sys, multibias; "
+        "print(*(m in sys.modules for m in ('numpy', 'multibias.oracle', 'csv')))"
+    )
+    assert _fresh(code) == ["False", "False", "False"]
 
 
 def test_first_oracle_name_binds_all_of_them():

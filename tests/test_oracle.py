@@ -520,6 +520,44 @@ class TestHandBuiltWorlds:
             extract_parameters(everyone, bias_set)
 
 
+class TestWorldShapeChecks:
+    @pytest.mark.parametrize("check", [extract_parameters, observed_and_true_rr, verify_bound])
+    @pytest.mark.parametrize("drawn, declared", [(2, 3), (3, 2)])
+    def test_tables_of_other_levels_than_the_config_are_rejected(self, check, drawn, declared):
+        # unchecked, 2-level selection tables read as 3-level ones gave a bound
+        # of 1.925 for the 1.517 of seed 0, and 3-level ones read as 2-level a
+        # ZeroDivisionError
+        config, bias_set = STRUCTURES["selection"]
+        world = generate_world(replace(config, selection_levels=drawn), 0)
+        misread = replace(world, config=replace(config, selection_levels=declared))
+        with pytest.raises(InfeasibleConfig, match="table lengths"):
+            check(misread, bias_set)
+
+    def test_rates_must_be_given_exactly_with_misclassification(self):
+        world, bias_set = world_of("result1")
+        with pytest.raises(InfeasibleConfig, match="p_m must be given"):
+            verify_bound(replace(world, p_m=None), bias_set)
+        plain, plain_set = world_of("selection")
+        with pytest.raises(InfeasibleConfig, match="p_m must be given"):
+            verify_bound(replace(plain, p_m=world.p_m), plain_set)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda w: {"p_u": w.p_u[1:]},
+            lambda w: {"p_a": w.p_a + (0.5,)},
+            lambda w: {"p_y": (w.p_y[0], w.p_y[1][1:])},
+            lambda w: {"p_s": w.p_s + (w.p_s[0],)},
+            lambda w: {"p_m": w.p_m[:1]},
+        ],
+        ids=["p_u", "p_a", "p_y", "p_s", "p_m"],
+    )
+    def test_each_table_is_checked(self, change):
+        world, bias_set = world_of("result1")
+        with pytest.raises(InfeasibleConfig, match="table lengths"):
+            verify_bound(replace(world, **change(world)), bias_set)
+
+
 class TestStructureChecks:
     def test_misdeclared_confounding_rejected(self):
         world = generate_world(WorldConfig(), 1)
