@@ -1,6 +1,9 @@
 """E-value polynomials, solving, orientation, and curves."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import warnings
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from declarations import DECLARATIONS
 from multibias import (
+    CurvePoint,
     DomainError,
     EffectEstimate,
     EValuePolynomial,
@@ -344,6 +348,33 @@ class TestCurve:
             expected = multi_evalue(bias_set, risk_ratio(p.rr)).evalue_point
             assert isinstance(p.evalue, float)
             assert p.evalue == pytest.approx(expected, rel=1e-12)
+
+    def test_points_behave_as_constructed_points(self):
+        # every reachable (n, k), with protective, null and causative ratios
+        sets = list(SET_BY_POLYNOMIAL.values())
+        rr = [0.05, 0.3, 0.999, 1.0, 1.0000001, 1.5, 2.0, 10.73, 250.0, 1e6]
+        points = evalue_curve(sets, rr)
+        assert len(points) == len(sets) * len(rr)
+        expected = [
+            CurvePoint(r, bias_set.label, multi_evalue(bias_set, risk_ratio(r)).evalue_point)
+            for bias_set in sets
+            for r in rr
+        ]
+        for p, e in zip(points, expected):
+            assert type(p) is CurvePoint
+            assert type(p.rr) is float and type(p.evalue) is float
+            assert (p.rr, p.biases) == (e.rr, e.biases)
+            # the array solve agrees with the scalar one to a few ulps
+            assert p.evalue == pytest.approx(e.evalue, rel=1e-12)
+            built = CurvePoint(p.rr, p.biases, p.evalue)
+            assert p == built and hash(p) == hash(built) and repr(p) == repr(built)
+            for name in ("rr", "biases", "evalue"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(p, name, 1.0)
+            assert dataclasses.replace(p) == p
+            assert dataclasses.replace(p, evalue=e.evalue) == e
+            assert copy.deepcopy(p) == p
+            assert pickle.loads(pickle.dumps(p)) == p
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_ratios_that_are_not_positive_and_finite(self, bad):
