@@ -371,6 +371,11 @@ class TestCurve:
             for name in ("rr", "biases", "evalue"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(p, name, 1.0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(p, name)
+            with pytest.raises((AttributeError, TypeError)):
+                p.other = 1.0
+            assert not hasattr(p, "__dict__")
             assert dataclasses.replace(p) == p
             assert dataclasses.replace(p, evalue=e.evalue) == e
             assert copy.deepcopy(p) == p
