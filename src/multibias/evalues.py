@@ -276,8 +276,9 @@ def evalue_curve(
 ) -> list[CurvePoint]:
     """Point E-values for each bias set across a range of risk ratios.
 
-    Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point;
-    every bias set's points are solved together as one array.
+    Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
+    to within a few ulps, where numpy's log and exp round differently from
+    math's; every bias set's points are solved together as one array.
     """
     import numpy as np
 
