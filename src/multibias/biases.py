@@ -8,7 +8,8 @@ joint bounding factors.
 Each parameter is declared once, by its display symbol, e.g. ``RR_SUs|A=1``.
 Its argument name is the symbol without ``_|=,*`` (``RRSUsA1``), its scale is
 the symbol's first two letters (``RR`` or ``OR``), and its LaTeX form is
-rendered from the symbol.
+rendered from the symbol. Names drop ``*`` yet stay unique within a set, which
+:func:`multi_bound` needs: no set holds both a symbol and its starred twin.
 
 Declaration order matters when both selection and misclassification are
 present. Selection declared first means classification errors happen within

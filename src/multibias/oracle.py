@@ -19,6 +19,7 @@ table from these tuples as their reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
@@ -32,6 +33,7 @@ _SLACK = 1e-12  # absolute tolerance when checking dominance
 _MAX_REDRAWS = 1000
 _ONE = 1.0  # map(_ONE.__sub__, xs) yields 1 - x for each x
 _RARE_OUTCOME_CEILING = 0.01  # stratum risk limit where the bound assumes rare outcomes
+_CONFOUNDING, _SELECTION = BiasKind.CONFOUNDING, BiasKind.SELECTION  # enum lookups are slow
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,9 @@ class WorldConfig:
                 f"misclassification must be None, 'outcome' or 'exposure', "
                 f"got {self.misclassification!r}"
             )
-        if not (2 <= self.confounder_levels <= 3 and 2 <= self.selection_levels <= 3):
-            raise InfeasibleConfig("factor supports must have 2 or 3 levels")
+        for levels in (self.confounder_levels, self.selection_levels):
+            if not (isinstance(levels, int) and levels in (2, 3)):
+                raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
         if self.rare_outcome_ceiling is not None and not (
             1e-6 <= self.rare_outcome_ceiling <= 1.0
         ):
@@ -225,69 +228,65 @@ def _confounding(t: _Tables) -> dict[str, float]:
     (level0, spread0), (level1, spread1) = (_levels(*arm, rows) for arm in zip(t.mass, t.p_y))
     total0, total1 = sum(level0), sum(level1)
     shift = max((n1 / total1) / (n0 / total0) for n0, n1 in zip(level0, level1))
-    return {"RRAUc": shift, "RRUcY": max(1.0, spread0, spread1)}
+    return {"RR_AUc": shift, "RR_UcY": max(1.0, spread0, spread1)}
 
 
-def _selection(t: _Tables) -> dict[str, float]:
+def _selection(t: _Tables, a: int) -> dict[str, float]:
     columns = [slice(u, None, t.ns) for u in range(t.ns)]  # Us levels
-    out = {}
-    for a in (1, 0):
-        by_level, out[f"RRUsYA{a}"] = _levels(t.mass[a], t.p_y[a], columns)
-        kept = _normalized(list(map(mul, by_level, t.p_s[a])), a, 1)
-        dropped = _normalized(list(map(mul, by_level, map(_ONE.__sub__, t.p_s[a]))), a, 0)
-        # the reweighting runs toward S=1 in the exposed arm, S=0 in the unexposed
-        num, den = (kept, dropped) if a == 1 else (dropped, kept)
-        out[f"RRSUsA{a}"] = max(map(truediv, num, den))
-    return out
+    by_level, spread = _levels(t.mass[a], t.p_y[a], columns)
+    kept = _normalized(list(map(mul, by_level, t.p_s[a])), a, 1)
+    dropped = _normalized(list(map(mul, by_level, map(_ONE.__sub__, t.p_s[a]))), a, 0)
+    # the reweighting runs toward S=1 in the exposed arm, S=0 in the unexposed
+    num, den = (kept, dropped) if a == 1 else (dropped, kept)
+    return {f"RR_UsY|A={a}": spread, f"RR_SUs|A={a}": max(map(truediv, num, den))}
 
 
 def _selected_population(t: _Tables) -> dict[str, float]:
     shift = max(map(truediv, *(_normalized(t.sel[a], a, 1) for a in (1, 0))))
     spread = max(max(ys) / min(ys) for ys in t.p_y)
-    return {"RRAUscS": shift, "RRUscYS": spread}
+    return {"RR_AUsc|S": shift, "RR_UscY|S": spread}
 
 
 def _misclassification(t: _Tables) -> dict[str, float]:
     return dict.fromkeys(_MISCLASSIFIED, _differential_factor(t.world))
 
 
-_MISCLASSIFIED = ("RRAYy", "RRAYyS", "ORYAa", "ORYAaS")
-# each parameter's extractor, which also yields the parameters derived alongside it
+_EXPOSED, _UNEXPOSED = partial(_selection, a=1), partial(_selection, a=0)
+_MISCLASSIFIED = ("RR_AY*|y", "RR_AY*|y,S", "OR_YA*|a", "OR_YA*|a,S")
+# the parameters a generated world measures, by display symbol: each one's
+# extractor, which also yields the parameters derived alongside it
 _EXTRACTORS: dict[str, Callable[[_Tables], dict[str, float]]] = {
-    **dict.fromkeys(("RRAUc", "RRUcY"), _confounding),
-    **dict.fromkeys(("RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"), _selection),
-    **dict.fromkeys(("RRAUscS", "RRUscYS"), _selected_population),
+    **dict.fromkeys(("RR_AUc", "RR_UcY"), _confounding),
+    **dict.fromkeys(("RR_UsY|A=1", "RR_SUs|A=1"), _EXPOSED),
+    **dict.fromkeys(("RR_UsY|A=0", "RR_SUs|A=0"), _UNEXPOSED),
+    **dict.fromkeys(("RR_AUsc|S", "RR_UscY|S"), _selected_population),
     **dict.fromkeys(_MISCLASSIFIED, _misclassification),
 }
 
 
-def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, bool]:
-    """The confounding, selection and misclassified variable of a bias set's
-    worlds, and whether it targets the selected population."""
-    conf, sel, mis, sel_first = False, None, None, False
-    for spec in bias_set.biases:  # in declaration order, each kind at most once
-        if spec.kind is BiasKind.CONFOUNDING:
+def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, dict]:
+    """A bias set's confounding, selection, misclassified variable and parameter extractors."""
+    extractors = {}
+    try:
+        for p in bias_set.parameters:
+            extractors[_EXTRACTORS[p.display]] = None
+    except KeyError as missing:
+        raise StructureMismatch(
+            f"no generated world measures {missing.args[0]}, a parameter of {bias_set.label!r}"
+        ) from None
+    conf = sel = False
+    mis = None
+    for spec in bias_set.biases:
+        if spec.kind is _CONFOUNDING:
             conf = True
-        elif spec.kind is BiasKind.SELECTION:
-            sel = spec
+        elif spec.kind is _SELECTION:
+            sel = True
         else:
-            mis, sel_first = spec, sel is not None
-    selected = sel is not None and sel.population == "selected"
-
-    if sel is not None and (sel.risk_direction is not None or sel.s_equals_u):
-        raise StructureMismatch(
-            "risk-direction and s_equals_u simplifications assume one-sided "
-            "selection effects that generated worlds do not enforce"
-        )
-    if mis is not None and mis.variable == "exposure" and mis.rare_exposure:
-        raise StructureMismatch("rare-exposure worlds are not generated")
-    if mis is not None and sel is not None and not (selected or sel_first):
-        raise StructureMismatch(
-            "worlds model classification errors within the selected "
-            "sample; declare selection before misclassification"
-        )
-    variable = mis.variable if mis is not None else None
-    return conf, sel is not None, variable, selected
+            mis = spec.variable
+    if sel and (_EXPOSED in extractors) != (_UNEXPOSED in extractors):
+        arm = int(_UNEXPOSED in extractors)  # the arm with no parameters
+        raise StructureMismatch(f"{bias_set.label!r} bounds no selection in the A={arm} arm")
+    return conf, sel, mis, extractors
 
 
 def world_config(bias_set: BiasSet) -> WorldConfig:
@@ -295,37 +294,38 @@ def world_config(bias_set: BiasSet) -> WorldConfig:
 
     Exposure misclassification worlds get rare outcomes, as its bound
     assumes. Raises StructureMismatch for the declarations no generated
-    world satisfies: one-sided selection (``risk_direction``,
-    ``s_equals_u``), rare exposure under exposure misclassification (for
-    outcome misclassification the option changes nothing), and
-    misclassification declared before general-population selection.
+    world satisfies: those with a parameter no extractor measures (starred
+    selection symbols, ``RR_SY...`` and ``RR_YA*|a...``), and those that
+    bound selection in one exposure arm only.
     """
     conf, sel, mis, _ = _mechanisms(bias_set)
     ceiling = _RARE_OUTCOME_CEILING if mis == "exposure" else None
     return WorldConfig(conf, sel, mis, rare_outcome_ceiling=ceiling)
 
 
-def _check_structure(world: World, bias_set: BiasSet) -> None:
-    conf, sel, mis, selected = _mechanisms(bias_set)
+def _check_structure(world: World, bias_set: BiasSet) -> dict:
+    """The extractors of the bias set's parameters, once the world is found to fit it."""
+    conf, sel, mis, extractors = _mechanisms(bias_set)
     config = world.config
     # a selected-population set covers confounding whether or not it is
     # present, since its parameters range over the joint factor
     if config.selection != sel or config.misclassification != mis or (
-        config.confounding != conf and not selected
+        config.confounding != conf and _selected_population not in extractors
     ):
         raise StructureMismatch(f"{config} does not fit the bias set {bias_set.label!r}")
-    # the tables must have the lengths the config gives: p_u, p_a, p_y and
-    # its rows, p_s and its rows, then p_m and its rows
+    # the tables must have the lengths the config gives: p_u, p_a, p_y, p_s,
+    # the rows of p_y and p_s, then p_m and its rows
     p_y, p_s, p_m = world.p_y, world.p_s, world.p_m
     if (p_m is None) != (config.misclassification is None):
         raise InfeasibleConfig(f"p_m must be given exactly when {config} has misclassification")
     nc, ns = config.confounder_levels, config.selection_levels
-    found = (len(world.p_u), len(world.p_a), len(p_y), *map(len, p_y), len(p_s), *map(len, p_s))
-    want = (nc * ns, nc, 2, nc * ns, nc * ns, 2, ns, ns)
+    found = (len(world.p_u), len(world.p_a), len(p_y), len(p_s), *map(len, (*p_y, *p_s)))
+    want = (nc * ns, nc, 2, 2, nc * ns, nc * ns, ns, ns)
     if p_m is not None:
         found, want = found + (len(p_m), *map(len, p_m)), want + (2, 2, 2)
     if found != want:
         raise InfeasibleConfig(f"table lengths {found} do not fit {config}, which gives {want}")
+    return extractors
 
 
 def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
@@ -334,15 +334,14 @@ def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
     Each ratio is computed from the world's structural tables by taking
     maxima and minima over the latent factor levels.
     """
-    _check_structure(world, bias_set)
-    return _parameters(_Tables(world), bias_set)
+    return _parameters(_Tables(world), bias_set, _check_structure(world, bias_set))
 
 
-def _parameters(t: _Tables, bias_set: BiasSet) -> dict[str, float]:
+def _parameters(t: _Tables, bias_set: BiasSet, extractors: Iterable) -> dict[str, float]:
     values: dict[str, float] = {}
-    for extractor in dict.fromkeys(_EXTRACTORS[p.name] for p in bias_set.parameters):
+    for extractor in extractors:
         values.update(extractor(t))
-    return {p.name: values[p.name] for p in bias_set.parameters}
+    return {p.name: values[p.display] for p in bias_set.parameters}
 
 
 def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]:
@@ -353,11 +352,11 @@ def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]
     standardizes the potential-outcome risks over the latent factors, in the
     whole population or among the selected, per the bias set's target.
     """
-    _check_structure(world, bias_set)
-    return _risk_ratios(_Tables(world), bias_set)
+    selected = _selected_population in _check_structure(world, bias_set)
+    return _risk_ratios(_Tables(world), selected)
 
 
-def _risk_ratios(t: _Tables, bias_set: BiasSet) -> tuple[float, float]:
+def _risk_ratios(t: _Tables, selected: bool) -> tuple[float, float]:
     mis = t.world.config.misclassification
     num, den = t.cases, t.total
     if mis is not None:
@@ -375,7 +374,6 @@ def _risk_ratios(t: _Tables, bias_set: BiasSet) -> tuple[float, float]:
     rr_obs = (num[1] / den[1]) / (num[0] / den[0])
 
     # P(Uc, Us), or P(Uc, Us, S=1) among the selected, whose total cancels
-    selected = any(b.population == "selected" for b in bias_set.biases)
     weights = list(map(add, *t.sel)) if selected else t.p_u
     return rr_obs, _dot(weights, t.p_y[1]) / _dot(weights, t.p_y[0])
 
@@ -393,10 +391,10 @@ class BoundReport:
 
 def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     """Compare the bias realized in a world against the bound's promise."""
-    _check_structure(world, bias_set)
+    extractors = _check_structure(world, bias_set)
     t = _Tables(world)
-    params = _parameters(t, bias_set)
-    rr_obs, rr_true = _risk_ratios(t, bias_set)
+    params = _parameters(t, bias_set, extractors)
+    rr_obs, rr_true = _risk_ratios(t, _selected_population in extractors)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
     prevalence = max(map(max, t.p_y))

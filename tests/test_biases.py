@@ -166,6 +166,13 @@ class TestParameterDerivation:
         }
         assert got == GOLDEN_SYMBOLS
 
+    def test_argument_names_are_unique_within_each_set(self):
+        # names drop the star, so a starred symbol and its unstarred twin
+        # would collide; no declaration yields both in one set
+        for declared in DECLARATIONS:
+            bias_set = build_bias_set(declared)
+            assert len(set(names(bias_set))) == len(bias_set.parameters), bias_set.label
+
     def test_deterministic(self):
         specs = [confounding(), selection(), misclassification("outcome")]
         assert build_bias_set(specs) == build_bias_set(specs)

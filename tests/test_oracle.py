@@ -6,6 +6,7 @@ code cannot hide. A world's tables are tuples, cells (c, u) in row order;
 the tests reshape them into numpy arrays to build that joint table.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from multibias import (
     verify_bound,
     world_config,
 )
+from multibias.biases import parse_bias_string
 from multibias.oracle import STRUCTURES, _orient
 
 
@@ -75,6 +77,14 @@ class TestWorldConfig:
             WorldConfig(confounder_levels=1)
         with pytest.raises(InfeasibleConfig):
             WorldConfig(selection_levels=4)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [{"confounder_levels": 2.5}, {"selection_levels": 2.0}, {"selection_levels": True}],
+    )
+    def test_rejects_level_counts_that_are_not_ints(self, levels):
+        with pytest.raises(InfeasibleConfig, match="2 or 3 levels"):
+            WorldConfig(**levels)
 
     def test_rejects_bad_ceiling(self):
         with pytest.raises(InfeasibleConfig):
@@ -616,6 +626,23 @@ class TestWorldConfigDerivation:
         assert len(DECLARATIONS) == 376
         assert len(DERIVED) == 82
         assert len({bias_set.terms for bias_set, _ in DERIVED}) == 14
+
+    @pytest.mark.parametrize(
+        "clauses, named",
+        [
+            # misclassification declared before general-population selection
+            ("misclassification(outcome) + selection", "RR_UsY*|A=1"),
+            ("misclassification(exposure, rare_outcome) + selection", "RR_UsY|A*=1"),
+            ("selection(s_equals_u)", "RR_SY|A=1"),
+            ("misclassification(exposure, rare_outcome, rare_exposure)", "RR_YA*|a"),
+            # one-armed selection names the arm it leaves out
+            ("selection(increased_risk)", "A=0 arm"),
+            ("selection(decreased_risk)", "A=1 arm"),
+        ],
+    )
+    def test_rejection_names_what_no_world_measures(self, clauses, named):
+        with pytest.raises(StructureMismatch, match=re.escape(named)):
+            world_config(parse_bias_string(clauses))
 
     def test_rejections_raise_structure_mismatch(self):
         accepted = {bias_set.biases for bias_set, _ in DERIVED}
