@@ -7,135 +7,104 @@ E-values: the joint parameter magnitude needed to fully explain an estimate
 away. A companion oracle enumerates small exact worlds to stress-test the
 bounds against ground truth.
 
-Only the grid and the curve need numpy, so it is loaded on first use. The
-oracle is too: its names below are resolved by the module ``__getattr__``,
-since compiling and running ``oracle.py`` costs 9-13 ms a process without
-cached bytecode (4-5 ms with it), up to a tenth of a one-shot ``bound``.
+``import multibias`` loads only the exception types, which the CLI's ``main``
+catches. Every other public name is resolved by the module ``__getattr__``
+(PEP 562): the first use of a name imports its submodule and binds all of
+that submodule's names here. Without cached bytecode each submodule costs a
+one-shot CLI call milliseconds to compile, so a command loads only those it
+uses. Only the grid and the curve need numpy, so it is loaded on first use.
 """
 
-from .biases import (
-    BiasKind,
-    BiasSet,
-    BiasSpec,
-    Parameter,
-    Scale,
-    build_bias_set,
-    confounding,
-    misclassification,
-    parameter_summary,
-    selection,
-)
-from .bounds import (
-    GridTable,
-    ShiftedEstimate,
-    adjust_estimate,
-    g,
-    grid_table,
-    multi_bound,
-)
-from .errors import (
-    BiasAnalysisError,
-    DegenerateStratum,
-    DomainError,
-    DuplicateBias,
-    InfeasibleConfig,
-    MissingParameter,
-    ParseError,
-    RareOutcomeRequired,
-    SelectedPopulationConflict,
-    SizeLimitExceeded,
-    StructureMismatch,
-    UnknownParameter,
-)
-from .evalues import (
-    CurvePoint,
-    EffectEstimate,
-    EValuePolynomial,
-    EValueResult,
-    evalue_curve,
-    evalue_polynomial,
-    multi_evalue,
-    odds_ratio,
-    risk_ratio,
-    solve_polynomial,
-    to_risk_ratio,
-)
+from importlib import import_module as _import_module
 
-_ORACLE_NAMES = (
-    "STRUCTURES",
-    "BoundReport",
-    "World",
-    "WorldConfig",
-    "extract_parameters",
-    "generate_world",
-    "observed_and_true_rr",
-    "verify_bound",
-    "world_config",
-)
+# each submodule's public names, bound in the package together
+_PUBLIC = {
+    "errors": (
+        "BiasAnalysisError",
+        "DegenerateStratum",
+        "DomainError",
+        "DuplicateBias",
+        "InfeasibleConfig",
+        "MissingParameter",
+        "ParseError",
+        "RareOutcomeRequired",
+        "SelectedPopulationConflict",
+        "SizeLimitExceeded",
+        "StructureMismatch",
+        "UnknownParameter",
+    ),
+    "biases": (
+        "BiasKind",
+        "BiasSet",
+        "BiasSpec",
+        "Parameter",
+        "Scale",
+        "build_bias_set",
+        "confounding",
+        "misclassification",
+        "parameter_summary",
+        "selection",
+    ),
+    "bounds": (
+        "GridTable",
+        "ShiftedEstimate",
+        "adjust_estimate",
+        "g",
+        "grid_table",
+        "multi_bound",
+    ),
+    "evalues": (
+        "CurvePoint",
+        "EffectEstimate",
+        "EValuePolynomial",
+        "EValueResult",
+        "evalue_curve",
+        "evalue_polynomial",
+        "multi_evalue",
+        "odds_ratio",
+        "risk_ratio",
+        "solve_polynomial",
+        "to_risk_ratio",
+    ),
+    "oracle": (
+        "STRUCTURES",
+        "BoundReport",
+        "World",
+        "WorldConfig",
+        "extract_parameters",
+        "generate_world",
+        "observed_and_true_rr",
+        "verify_bound",
+        "world_config",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import a submodule and bind all of its public names in the package."""
+    source = _import_module(f".{module}", __name__)
+    globals().update({name: getattr(source, name) for name in _PUBLIC[module]})
 
 
 def __getattr__(name: str):
-    """Import the oracle on first access to one of its names (PEP 562).
+    """Bind the names of a submodule on first access to one of them (PEP 562).
 
-    All nine are then bound here, so later accesses are plain lookups.
+    Later accesses are plain lookups.
     """
-    if name not in _ORACLE_NAMES:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    globals().update({n: getattr(oracle, n) for n in _ORACLE_NAMES})
+    _bind(_MODULE_OF[name])
     return globals()[name]
 
 
+def __dir__() -> list[str]:
+    """The bound names and every public one, bound or not."""
+    return sorted({*globals(), *__all__})
+
+
+_bind("errors")  # eager: the CLI's main catches these classes
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasAnalysisError",
-    "BiasKind",
-    "BiasSet",
-    "BiasSpec",
-    "BoundReport",
-    "CurvePoint",
-    "DegenerateStratum",
-    "DomainError",
-    "DuplicateBias",
-    "EffectEstimate",
-    "EValuePolynomial",
-    "EValueResult",
-    "GridTable",
-    "InfeasibleConfig",
-    "MissingParameter",
-    "Parameter",
-    "ParseError",
-    "RareOutcomeRequired",
-    "STRUCTURES",
-    "Scale",
-    "SelectedPopulationConflict",
-    "ShiftedEstimate",
-    "SizeLimitExceeded",
-    "StructureMismatch",
-    "UnknownParameter",
-    "World",
-    "WorldConfig",
-    "adjust_estimate",
-    "build_bias_set",
-    "confounding",
-    "evalue_curve",
-    "evalue_polynomial",
-    "extract_parameters",
-    "g",
-    "generate_world",
-    "grid_table",
-    "misclassification",
-    "multi_bound",
-    "multi_evalue",
-    "observed_and_true_rr",
-    "odds_ratio",
-    "parameter_summary",
-    "risk_ratio",
-    "selection",
-    "solve_polynomial",
-    "to_risk_ratio",
-    "verify_bound",
-    "world_config",
-]
+__all__ = sorted(_MODULE_OF)

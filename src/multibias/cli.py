@@ -16,22 +16,19 @@ Bias combinations are written as '+'-joined clauses (see
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import TYPE_CHECKING
 
 from .biases import Scale, _split_outside_parens, parameter_summary, parse_bias_string
-from .bounds import MAX_GRID_CELLS, grid_table, multi_bound
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
-from .evalues import MAX_CURVE_POINTS, EffectEstimate, evalue_curve, multi_evalue
 
 if TYPE_CHECKING:
     import numpy as np
 
 # sorted(oracle.STRUCTURES), written out so that parsing arguments does not
-# load the oracle, whose import costs 9-13 ms without cached bytecode (4-5 ms
-# with it); a test keeps the two equal
+# load the oracle: like bounds and evalues, it loads only in the command that
+# uses it; a test keeps the two equal
 _STRUCTURE_NAMES = (
     "confounding",
     "outcome_misclassification",
@@ -84,6 +81,8 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
 
 def _print_json(payload: dict) -> None:
     """Print one JSON record; a non-finite number is an error, never NaN or Infinity."""
+    import json
+
     print(json.dumps(payload, allow_nan=False))
 
 
@@ -102,6 +101,8 @@ def _parse_float(raw: str, label: str) -> float:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from .bounds import multi_bound
+
     bias_set = parse_bias_string(args.biases)
     values = _parse_assignments(args.param)
     bound = multi_bound(bias_set, values)
@@ -119,6 +120,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_evalue(args: argparse.Namespace) -> int:
+    from .evalues import EffectEstimate, multi_evalue
+
     bias_set = parse_bias_string(args.biases)
     try:
         scale = Scale(args.measure)
@@ -193,6 +196,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
     import numpy as np
 
+    from .bounds import MAX_GRID_CELLS
+
     vary: list[tuple[str, np.ndarray]] = []
     for pair in pairs:
         name, raw = _split_name(pair, "NAME=START:STOP:STEP or NAME=v1,v2,...")
@@ -226,6 +231,8 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    from .bounds import grid_table
+
     bias_set = parse_bias_string(args.biases)
     vary = _parse_vary(args.vary)
     fixed = _parse_assignments(args.param)
@@ -259,6 +266,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     import numpy as np
+
+    from .evalues import MAX_CURVE_POINTS, evalue_curve
 
     clauses = _split_outside_parens(args.bias_sets, ",")
     bias_sets = [parse_bias_string(c) for c in clauses]
@@ -400,7 +409,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: end quietly with the status
+        # of a process killed by SIGPIPE (128 + 13), and point stdout at devnull
+        # so that the flush at interpreter exit does not raise again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (BiasAnalysisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

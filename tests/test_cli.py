@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from multibias.errors import ParseError
 HIV = "confounding + selection(general, increased_risk)"
 LEUK = "confounding + misclassification(exposure, rare_outcome)"
 EIGHT_THREE = "confounding + selection + misclassification(exposure, rare_outcome)"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _strict_json(text: str):
@@ -750,3 +755,19 @@ class TestTopLevel:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_closed_stdout_ends_quietly_with_the_sigpipe_status(self):
+        # 2000 worlds fill far more than a pipe buffer, so the command is still
+        # writing when the reader goes, whatever the timing
+        argv = ["verify", "--structure", "result1", "--worlds", "2000"]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "multibias.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert json.loads(proc.stdout.readline())["seed"] == 0
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""

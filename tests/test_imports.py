@@ -1,7 +1,7 @@
-"""numpy, the oracle and csv load only where they are used.
+"""Each submodule, numpy, json and csv load only where they are used.
 
 Each check that depends on what is loaded runs in a fresh interpreter, since
-this test process has long since imported all three.
+this test process has long since imported all of them.
 """
 
 import os
@@ -17,6 +17,11 @@ from multibias.oracle import STRUCTURES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BOUND = ["bound", "--biases", "confounding", "--param", "RRAUc=2", "--param", "RRUcY=3"]
+EVALUE = ["evalue", "--biases", "confounding + selection", "--est", "3.9", "--lo", "1.8"]
+GRID = ["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5", "--vary", "RRUcY=2,4"]
+CURVE = ["curve", "--bias-sets", "confounding, selection", "--points", "3"]
+# what a command may load beyond biases and errors, which every command needs
+OPTIONAL = ("multibias.bounds", "multibias.evalues", "multibias.oracle", "numpy", "json", "csv")
 
 
 def _fresh(code: str) -> list[str]:
@@ -33,63 +38,63 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()[-1].split()
 
 
-def _main_then_loaded(argv: list[str]) -> list[str]:
-    """The exit code, then whether numpy, the oracle and csv are loaded."""
-    return _fresh(
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (BOUND, ["multibias.bounds"]),
+        (BOUND + ["--format", "json"], ["multibias.bounds", "json"]),
+        (EVALUE, ["multibias.evalues"]),
+        (["evalue", "--biases", "confounding", "--est", "0.5", "--measure", "OR"]
+         + ["--hi", "0.9", "--true", "0.8", "--format", "json"], ["multibias.evalues", "json"]),
+        (["summary", "--biases", "confounding + misclassification(outcome)", "--latex"], []),
+        (GRID, ["multibias.bounds", "numpy"]),
+        (GRID + ["--format", "csv"], ["multibias.bounds", "numpy", "csv"]),
+        (GRID + ["--format", "json"], ["multibias.bounds", "numpy", "json"]),
+        (CURVE, ["multibias.evalues", "numpy"]),
+        (CURVE + ["--format", "csv"], ["multibias.evalues", "numpy", "csv"]),
+        (["verify", "--structure", "result1", "--worlds", "2"],
+         ["multibias.bounds", "multibias.oracle", "json"]),
+        (["--help"], []),
+        (BOUND[:1] + ["--help"], []),
+    ],
+)
+def test_each_command_loads_only_what_it_uses(argv, loaded):
+    code = (
         "import sys, multibias.cli; "
         f"rc = multibias.cli.main({argv!r}); "
-        "print(rc, *(m in sys.modules for m in ('numpy', 'multibias.oracle', 'csv')))"
+        f"print(rc, *(m for m in {OPTIONAL!r} if m in sys.modules))"
     )
+    assert _fresh(code) == ["0", *loaded]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        BOUND,
-        BOUND + ["--format", "json"],
-        ["evalue", "--biases", "confounding + selection", "--est", "3.9", "--lo", "1.8"],
-        ["evalue", "--biases", "confounding", "--est", "0.5", "--measure", "OR"]
-        + ["--hi", "0.9", "--true", "0.8", "--format", "json"],
-        ["summary", "--biases", "confounding + misclassification(outcome)", "--latex"],
-    ],
-)
-def test_one_shot_commands_do_not_load_numpy(argv):
-    assert _main_then_loaded(argv) == ["0", "False", "False", "False"]
-
-
-def test_verify_loads_the_oracle_but_not_numpy():
-    argv = ["verify", "--structure", "result1", "--worlds", "2"]
-    assert _main_then_loaded(argv) == ["0", "False", "True", "False"]
-
-
-@pytest.mark.parametrize(
-    "argv, csv",
-    [
-        (["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5"]
-         + ["--vary", "RRUcY=2,4", "--format", "csv"], "True"),
-        (["curve", "--bias-sets", "confounding, selection", "--points", "3"], "False"),
-        (["curve", "--bias-sets", "confounding", "--points", "3", "--format", "csv"], "True"),
-    ],
-)
-def test_array_commands_load_numpy_and_succeed(argv, csv):
-    assert _main_then_loaded(argv) == ["0", "True", "False", csv]
-
-
-def test_importing_the_package_loads_neither_numpy_nor_the_oracle():
+def test_importing_the_package_loads_only_its_errors():
     code = (
         "import sys, multibias; "
-        "print(*(m in sys.modules for m in ('numpy', 'multibias.oracle', 'csv')))"
+        "print(*(m for m in sys.modules if m.startswith('multibias.')), "
+        f"*(m for m in {OPTIONAL!r} if m in sys.modules))"
     )
-    assert _fresh(code) == ["False", "False", "False"]
+    assert _fresh(code) == ["multibias.errors"]
 
 
-def test_first_oracle_name_binds_all_of_them():
+@pytest.mark.parametrize("module", multibias._PUBLIC)
+def test_first_name_of_a_module_binds_all_of_its_names(module):
+    names = multibias._PUBLIC[module]
     code = (
-        "import sys, multibias; multibias.STRUCTURES; "
-        "print('numpy' in sys.modules, all(vars(multibias)[n] is getattr(multibias.oracle, n) "
-        "for n in multibias._ORACLE_NAMES))"
+        f"import sys, multibias; multibias.{names[0]}; m = sys.modules['multibias.{module}']; "
+        f"print(all(vars(multibias)[n] is getattr(m, n) for n in {names!r}), "
+        "'numpy' in sys.modules, *sorted(n for n in multibias.__all__ if n in vars(multibias) "
+        f"and n not in {names + multibias._PUBLIC['errors']!r}))"
     )
-    assert _fresh(code) == ["False", "True"]
+    assert _fresh(code) == ["True", "False"]
+
+
+def test_dir_lists_every_public_name_before_any_is_used():
+    code = (
+        "import sys, multibias; names = dir(multibias); "
+        "print(sorted(set(multibias.__all__) - set(names)), "
+        "*(m for m in sys.modules if m.startswith('multibias.')))"
+    )
+    assert _fresh(code) == ["[]", "multibias.errors"]
 
 
 def test_star_import_gives_every_public_name():
