@@ -67,12 +67,13 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
     for name in names:
         value = float(values[name])
         if not 1.0 <= value < math.inf:
-            raise DomainError(
-                f"parameter {name} must be a finite number at least 1, "
-                f"got {values[name]}"
-            )
+            raise _out_of_domain(name, values[name])
         out[name] = value
     return out
+
+
+def _out_of_domain(name: str, value: Any) -> DomainError:
+    return DomainError(f"parameter {name} must be a finite number at least 1, got {value}")
 
 
 def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
@@ -128,18 +129,13 @@ def grid_table(
     overlap = sorted({row_name, col_name} & set(fixed))
     if overlap:
         raise ValueError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
-
-    probe = dict(fixed)
-    probe[row_name] = rows[0]
-    probe[col_name] = cols[0]
-    fixed = {k: v for k, v in _validated(bias_set, probe).items() if k in fixed}
+    # names and fixed values, with each axis's first value standing in
+    checked = _validated(bias_set, {**fixed, row_name: rows[0], col_name: cols[0]})
+    fixed = {k: v for k, v in checked.items() if k in fixed}
     for name, axis in ((row_name, rows), (col_name, cols)):
         bad = ~((axis >= 1.0) & (axis < math.inf))
         if bad.any():
-            raise DomainError(
-                f"parameter {name} must be a finite number at least 1, "
-                f"got {axis[bad][0]}"
-            )
+            raise _out_of_domain(name, axis[bad][0])
 
     cells = {**fixed, row_name: rows[:, None], col_name: cols[None, :]}
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below

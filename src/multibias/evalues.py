@@ -8,12 +8,14 @@ x**n / (2x - 1)**k, so computing an E-value means inverting that function.
 
 One solver, _root, inverts it for a float or a whole array: in closed form
 when k == 0 or n == 2k, and otherwise by Newton's method in log x, which
-descends to the root from above in at most a dozen steps.
+descends to the root from above in at most a dozen steps. Estimates and
+curves share one solve path, _evalues, which adds the one overflow rule. A
+ratio at or below 1 is raised or inverted to at least 1, and gets the
+E-value 1 from the solver, not from a mask.
 
-evalue_curve solves each bias set's ratios as one array and builds its
-points in C: _curve_points allocates them with object.__new__ and stores
-each field's column through that field's slot descriptor, so no point runs
-the frozen dataclass __init__.
+evalue_curve builds its points in C: _curve_points allocates them with
+object.__new__ and stores each field's column through that field's slot
+descriptor, so no point runs the frozen dataclass __init__.
 """
 
 from __future__ import annotations
@@ -138,9 +140,14 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
         raise DomainError(f"target must be a finite number at least 1, got {target}")
     if target == 1.0:
         return 1.0
-    x, _ = _root(polynomial.n, polynomial.k, target, math, bool)
-    if x == math.inf:
-        raise DomainError(f"the E-value for {target} exceeds the floating-point range")
+    return _evalues(polynomial.n, polynomial.k, target, math, bool)
+
+
+def _evalues(n: int, k: int, ratios, m, any_):
+    """The roots _root finds at ratios >= 1; DomainError if one is inf."""
+    x, _ = _root(n, k, ratios, m, any_)
+    if any_(x == math.inf):
+        raise DomainError("an E-value exceeds the floating-point range")
     return x
 
 
@@ -154,7 +161,7 @@ _LOG2 = math.log(2.0)
 def _root(n: int, k: int, t, m, moving):
     """The root x >= 1 of x**n / (2x - 1)**k == t, and the Newton steps taken.
 
-    t is a float > 1 with m = math and moving = bool, or an array of them
+    t is a float >= 1 with m = math and moving = bool, or an array of them
     with m = numpy and moving = numpy.any. Plain arithmetic, with log, exp,
     log1p, expm1 and sqrt taken from m, so each element of an array takes
     the steps the float path takes. The closed forms take 0 steps.
@@ -211,7 +218,7 @@ def multi_evalue(
     if not 0 < true_value < math.inf:
         raise DomainError(f"true_value must be positive and finite, got {true_value}")
     rr = to_risk_ratio(estimate)
-    polynomial = evalue_polynomial(bias_set)
+    poly = evalue_polynomial(bias_set)
     inverted = rr.point < 1.0
     if inverted:
         # checked first, as evalue_curve does; hi >= point, so its inverse
@@ -229,24 +236,18 @@ def multi_evalue(
             f"the estimate's ratio to the true value, {point:g} / {true_value:g}, "
             "exceeds the floating-point range"
         )
-    evalue_point = _evalue_for(polynomial, target)
-    evalue_near = None if near is None else _evalue_for(polynomial, near / true_value)
+    evalue_point = solve_polynomial(poly, max(target, 1.0))
+    evalue_near = None if near is None else solve_polynomial(poly, max(near / true_value, 1.0))
     return EValueResult(
         bias_set=bias_set,
         estimate=rr,
         true_value=true_value,
-        polynomial=polynomial,
+        polynomial=poly,
         evalue_point=evalue_point,
         evalue_lo=None if inverted else evalue_near,
         evalue_hi=evalue_near if inverted else None,
         parameters=tuple(p.evalue_name for p in bias_set.parameters),
     )
-
-
-def _evalue_for(polynomial: EValuePolynomial, ratio: float) -> float:
-    if ratio <= 1.0:
-        return 1.0
-    return solve_polynomial(polynomial, ratio)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,8 +278,9 @@ def evalue_curve(
     """Point E-values for each bias set across a range of risk ratios.
 
     Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
-    to within a few ulps, where numpy's log and exp round differently from
-    math's; every bias set's points are solved together as one array.
+    to within 1e-12 relative (measured: 15 ulps from 1e-6 to 1e6, 340
+    beyond, where numpy's log and exp round differently from math's) and
+    is exactly 1 at rr == 1; each bias set's ratios are solved as one array.
     """
     import numpy as np
 
@@ -298,17 +300,13 @@ def evalue_curve(
     if rr.min(initial=1.0) <= _UNINVERTIBLE:
         raise DomainError("a risk ratio's inverse exceeds the floating-point range")
     ratios = np.maximum(rr, 1.0 / rr)
-    need = ratios > 1.0
     rr_list = rr.tolist()
     points: list[CurvePoint] = []
     for bias_set in bias_sets:
-        evalues = np.ones_like(rr)
         n, k = bias_set.polynomial
         # only the (2, 1) root, about 2 * ratio, can overflow; it becomes
-        # inf, which is rejected below
+        # inf, which _evalues rejects
         with np.errstate(over="ignore") if (n, k) == (2, 1) else nullcontext():
-            evalues[need], _ = _root(n, k, ratios[need], np, np.any)
-        if evalues.max(initial=1.0) == math.inf:
-            raise DomainError("a curve E-value exceeds the floating-point range")
+            evalues = _evalues(n, k, ratios, np, np.any)
         points += _curve_points(rr_list, bias_set.label, evalues.tolist())
     return points

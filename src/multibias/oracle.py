@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from math import fsum
 from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
@@ -105,7 +106,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
 
     for _ in range(_MAX_REDRAWS):  # Dirichlet(1, ..., 1) over the cells
         draws = [rng.expovariate(1.0) for _ in range(nc * ns)]
-        total = sum(draws)
+        total = fsum(draws)
         p_u = tuple([x / total for x in draws])
         if min(p_u) >= _MIN_MASS:
             break
@@ -200,17 +201,17 @@ class _Tables:
         unexposed = list(map(_ONE.__sub__, exposed))
         self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
         self.sel = sel = [list(map(mul, m, chance * nc)) for m, chance in zip(mass, p_s)]
-        self.total = list(map(sum, sel))
+        self.total = list(map(fsum, sel))
         self.cases = list(map(_dot, sel, p_y))
 
 
 def _dot(x: Iterable[float], y: Iterable[float]) -> float:
-    return sum(map(mul, x, y))
+    return fsum(map(mul, x, y))
 
 
 def _normalized(mass: list, a: int, s: int) -> list:
     """P(factor level | A=a, S=s) from the stratum's masses."""
-    total = sum(mass)
+    total = fsum(mass)
     if total < _MIN_MASS:
         raise DegenerateStratum(f"stratum A={a}, S={s} has no mass")
     return [m / total for m in mass]
@@ -218,7 +219,7 @@ def _normalized(mass: list, a: int, s: int) -> list:
 
 def _levels(arm: list, ys: list, cells: list[slice]) -> tuple[list, float]:
     """Each level's mass in one arm, and the spread of the levels' outcome risks."""
-    mass = [sum(arm[c]) for c in cells]
+    mass = [fsum(arm[c]) for c in cells]
     risk = [_dot(arm[c], ys[c]) / n for c, n in zip(cells, mass)]
     return mass, max(risk) / min(risk)
 
@@ -226,7 +227,7 @@ def _levels(arm: list, ys: list, cells: list[slice]) -> tuple[list, float]:
 def _confounding(t: _Tables) -> dict[str, float]:
     rows = [slice(i, i + t.ns) for i in range(0, len(t.p_u), t.ns)]  # Uc levels
     (level0, spread0), (level1, spread1) = (_levels(*arm, rows) for arm in zip(t.mass, t.p_y))
-    total0, total1 = sum(level0), sum(level1)
+    total0, total1 = fsum(level0), fsum(level1)
     shift = max((n1 / total1) / (n0 / total0) for n0, n1 in zip(level0, level1))
     return {"RR_AUc": shift, "RR_UcY": max(1.0, spread0, spread1)}
 
@@ -313,8 +314,8 @@ def _check_structure(world: World, bias_set: BiasSet) -> dict:
         config.confounding != conf and _selected_population not in extractors
     ):
         raise StructureMismatch(f"{config} does not fit the bias set {bias_set.label!r}")
-    # the tables must have the lengths the config gives: p_u, p_a, p_y, p_s,
-    # the rows of p_y and p_s, then p_m and its rows
+    # the tables must have the lengths the config gives (p_u, p_a, p_y, p_s,
+    # their rows, p_m and its rows) and must not hold a mechanism it denies
     p_y, p_s, p_m = world.p_y, world.p_s, world.p_m
     if (p_m is None) != (config.misclassification is None):
         raise InfeasibleConfig(f"p_m must be given exactly when {config} has misclassification")
@@ -325,6 +326,10 @@ def _check_structure(world: World, bias_set: BiasSet) -> dict:
         found, want = found + (len(p_m), *map(len, p_m)), want + (2, 2, 2)
     if found != want:
         raise InfeasibleConfig(f"table lengths {found} do not fit {config}, which gives {want}")
+    if not config.confounding and len(set(world.p_a)) > 1:
+        raise InfeasibleConfig(f"p_a must be constant, since {config} has no confounding")
+    if not config.selection and {*p_s[0], *p_s[1]} != {1.0}:
+        raise InfeasibleConfig(f"every p_s entry must be 1, since {config} has no selection")
     return extractors
 
 

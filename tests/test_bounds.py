@@ -231,6 +231,12 @@ class TestGrid:
                 {"RRUcY": 2.0, "RRAYy": 1.5},
             )
 
+    @pytest.mark.parametrize("rows, cols", [([], [2.0]), ([2.0], [])], ids=["row", "col"])
+    def test_rejects_an_empty_axis(self, rows, cols):
+        bs = build_bias_set([confounding()])
+        with pytest.raises(ValueError, match="non-empty"):
+            grid_table(bs, [("RRAUc", rows), ("RRUcY", cols)])
+
     def test_rejects_grid_values_below_one(self):
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError):

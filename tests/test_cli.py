@@ -74,6 +74,7 @@ class TestParseBiasString:
             "misclassification(dose)",
             "gravity",
             "confounding + selection(general",
+            "confounding) + selection(",
             "confounding ++ selection",
             "selection(general, general)",
             "selection(s_equals_u, s_equals_u)",
@@ -467,6 +468,12 @@ class TestGridCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: expected {form}, got {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["RRAUc=1:2", "RRAUc=1:2:0", "RRAUc=,"])
+    def test_malformed_vary_exits_2_with_one_error_line(self, value, capsys):
+        assert main(["grid", "--biases", "confounding", "--vary", value, "--vary", "RRUcY=2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: RRAUc: ") and err.count("\n") == 1
+
     def test_comma_list_values(self, capsys):
         rc = main(
             [
@@ -729,6 +736,7 @@ class TestRobustness:
             (["--est", "1e-320", "--hi", "1e-310"], "inverse"),
             (["--est", "1e300", "--true", "1e-300"], "1e+300 / 1e-300"),
             (["--est", "1e-300", "--true", "1e-300"], "1e+300 / 1e-300"),
+            (["--est", "1e308"], "E-value"),  # the root, about 2e308, overflows
         ],
     )
     def test_overflowing_evalue_target_is_named_not_inf(self, argv, named, capsys):

@@ -159,6 +159,11 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_polynomial(EValuePolynomial(7, 3), math.inf)
 
+    def test_overflowing_root_is_a_domain_error(self):
+        # the (2, 1) root is about twice the target
+        with pytest.raises(DomainError, match="floating-point range"):
+            solve_polynomial(EValuePolynomial(2, 1), 1e308)
+
     @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL))
     @given(target=st.floats(min_value=1.0, max_value=1e300))
     @settings(max_examples=50)
@@ -349,6 +354,17 @@ class TestCurve:
             assert isinstance(p.evalue, float)
             assert p.evalue == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL), ids="n{0[0]}k{0[1]}".format)
+    def test_null_ratio_solves_to_exactly_one(self, nk):
+        # no mask keeps a ratio of 1 out of the solve: the root there is 1
+        # exactly, and the ratios beside it stay within evalue_curve's 1e-12
+        bias_set = SET_BY_POLYNOMIAL[nk]
+        null, protective, causative = evalue_curve([bias_set], [1.0, 0.5, 2.0])
+        assert null.evalue == 1.0
+        for p in (protective, causative):
+            expected = multi_evalue(bias_set, risk_ratio(p.rr)).evalue_point
+            assert p.evalue == pytest.approx(expected, rel=1e-12)
+
     def test_points_behave_as_constructed_points(self):
         # every reachable (n, k), with protective, null and causative ratios
         sets = list(SET_BY_POLYNOMIAL.values())
@@ -385,6 +401,10 @@ class TestCurve:
     def test_rejects_ratios_that_are_not_positive_and_finite(self, bad):
         with pytest.raises(DomainError):
             evalue_curve([build_bias_set([confounding()])], [2.0, bad])
+
+    def test_rejects_ratios_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            evalue_curve([build_bias_set([confounding()])], [[2.0, 3.0]])
 
     @pytest.mark.parametrize("rr", [[1e-320, 2.0], [1.0 / sys.float_info.max], [1e308]])
     def test_overflow_is_a_domain_error_not_a_warning(self, rr):

@@ -567,6 +567,25 @@ class TestWorldShapeChecks:
         with pytest.raises(InfeasibleConfig, match="table lengths"):
             verify_bound(replace(world, **change(world)), bias_set)
 
+    @pytest.mark.parametrize("check", [extract_parameters, observed_and_true_rr, verify_bound])
+    @pytest.mark.parametrize(
+        "structure, change, named",
+        [
+            # unchecked, this selection under a config without it read as a
+            # violation: ratio 1.42 against bound 1.03
+            ("confounding", {"p_s": ((0.2, 0.9), (0.9, 0.2))}, "p_s"),
+            # and this confounding, under a config without it, was accepted
+            ("selection", {"p_a": (0.1, 0.9)}, "p_a"),
+        ],
+        ids=["p_s", "p_a"],
+    )
+    def test_tables_holding_a_mechanism_the_config_denies_are_rejected(
+        self, check, structure, change, named
+    ):
+        world, bias_set = world_of(structure)
+        with pytest.raises(InfeasibleConfig, match=named):
+            check(replace(world, **change), bias_set)
+
 
 class TestStructureChecks:
     def test_misdeclared_confounding_rejected(self):
