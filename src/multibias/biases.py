@@ -343,29 +343,9 @@ def parameter_summary(
     return rows
 
 
-def _split_outside_parens(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
-    return parts
-
-
-_CLAUSE = re.compile(r"([a-z_]+)\s*(?:\((.*)\))?", re.DOTALL)
+# a name and at most one option list; no option holds "(", ")" or "+", so a
+# bias string splits into clauses at every "+"
+_CLAUSE = re.compile(r"([a-z_]+)\s*(?:\(([^()]*)\))?")
 
 
 def _parse_clause(clause: str) -> BiasSpec:
@@ -398,7 +378,7 @@ def _parse_clause(clause: str) -> BiasSpec:
 
 def parse_bias_string(text: str) -> BiasSet:
     """Build a bias set from a '+'-joined clause string."""
-    clauses = _split_outside_parens(text, "+")
+    clauses = text.split("+")
     if not any(c.strip() for c in clauses):
         raise ParseError("empty bias string")
     return build_bias_set([_parse_clause(c) for c in clauses])

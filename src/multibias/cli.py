@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
-from .biases import Scale, _split_outside_parens, parameter_summary, parse_bias_string
+from .biases import Scale, parameter_summary, parse_bias_string
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
 
 if TYPE_CHECKING:
@@ -269,8 +270,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
     from .evalues import MAX_CURVE_POINTS, evalue_curve
 
-    clauses = _split_outside_parens(args.bias_sets, ",")
-    bias_sets = [parse_bias_string(c) for c in clauses]
+    # a comma followed by ")" before any "(" separates options, any other bias sets
+    bias_sets = [parse_bias_string(s) for s in re.split(r",(?![^()]*\))", args.bias_sets)]
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     if args.points > MAX_CURVE_POINTS:

@@ -330,6 +330,24 @@ def _check_structure(world: World, bias_set: BiasSet) -> dict:
         raise InfeasibleConfig(f"p_a must be constant, since {config} has no confounding")
     if not config.selection and {*p_s[0], *p_s[1]} != {1.0}:
         raise InfeasibleConfig(f"every p_s entry must be 1, since {config} has no selection")
+    # every entry is a probability in its range, which NaN and inf are not
+    bad = [
+        f"every {name} entry must lie in (0, {top:g}{']' if closed else ')'}, got {x!r}"
+        for name, rows, top, closed in (
+            ("p_u", (world.p_u,), 1.0, True),
+            ("p_a", (world.p_a,), 1.0, False),
+            ("p_y", p_y, config.rare_outcome_ceiling or 1.0, True),
+            ("p_s", p_s, 1.0, True),
+            ("p_m", p_m or (), 1.0, False),
+        )
+        for row in rows
+        for x in row
+        if not (0.0 < x < top or closed and x == top)
+    ]
+    if bad:
+        raise InfeasibleConfig(bad[0])
+    if abs(fsum(world.p_u) - 1.0) > 1e-9:
+        raise InfeasibleConfig(f"p_u must sum to 1, got {fsum(world.p_u)!r}")
     return extractors
 
 

@@ -76,6 +76,9 @@ class TestParseBiasString:
             "confounding + selection(general",
             "confounding) + selection(",
             "confounding ++ selection",
+            "selection((general))",
+            "selection(general)(x)",
+            "confounding + selection(general + increased_risk)",
             "selection(general, general)",
             "selection(s_equals_u, s_equals_u)",
             "selection(increased_risk, increased_risk)",
@@ -601,8 +604,19 @@ class TestCurveCommand:
         assert lines[0] == "rr,biases,evalue"
         assert len(lines) == 3
 
-    def test_csv_rows_parse_and_carry_the_json_values(self, capsys):
-        argv = ["curve", "--bias-sets", f"confounding, {HIV}", "--points", "5"]
+    @pytest.mark.parametrize(
+        "bias_sets, labels",
+        [
+            (f"confounding, {HIV}", ["confounding", HIV]),
+            # a comma inside a clause's parentheses separates options, not sets
+            (
+                "selection(general, increased_risk), confounding",
+                ["selection(general, increased_risk)", "confounding"],
+            ),
+        ],
+    )
+    def test_csv_rows_parse_and_carry_the_json_values(self, bias_sets, labels, capsys):
+        argv = ["curve", "--bias-sets", bias_sets, "--points", "5"]
         assert main(argv + ["--format", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert main(argv + ["--format", "json"]) == 0
@@ -612,7 +626,7 @@ class TestCurveCommand:
         assert [[float(rr), label, float(e)] for rr, label, e in rows[1:]] == [
             [p["rr"], p["biases"], p["evalue"]] for p in points
         ]
-        assert {p["biases"] for p in points} == {"confounding", HIV}
+        assert list(dict.fromkeys(p["biases"] for p in points)) == labels
 
     def test_bad_range_rejected(self, capsys):
         rc = main(["curve", "--bias-sets", "confounding", "--rr-min", "5", "--rr-max", "2"])
@@ -696,6 +710,14 @@ class TestRobustness:
     def test_non_finite_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bias_sets", ["selection(general, increased_risk", "confounding), selection("]
+    )
+    def test_malformed_bias_sets_exit_2_with_one_error_line(self, bias_sets, capsys):
+        assert main(["curve", "--bias-sets", bias_sets]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_bound_json_stays_finite_and_strict(self, capsys):
         argv = ["bound", "--biases", "confounding", "--format", "json"]

@@ -529,6 +529,13 @@ class TestHandBuiltWorlds:
         with pytest.raises(DegenerateStratum):
             extract_parameters(everyone, bias_set)
 
+    def test_analysis_cell_without_mass_raises(self):
+        # the other two checks fail earlier, on the selection extractor's strata
+        world, bias_set = world_of("selection")
+        starved = replace(world, p_s=((1e-12, 1e-12), world.p_s[1]))
+        with pytest.raises(DegenerateStratum, match="analysis cell"):
+            observed_and_true_rr(starved, bias_set)
+
 
 class TestWorldShapeChecks:
     @pytest.mark.parametrize("check", [extract_parameters, observed_and_true_rr, verify_bound])
@@ -576,8 +583,35 @@ class TestWorldShapeChecks:
             ("confounding", {"p_s": ((0.2, 0.9), (0.9, 0.2))}, "p_s"),
             # and this confounding, under a config without it, was accepted
             ("selection", {"p_a": (0.1, 0.9)}, "p_a"),
+            # entries outside their probability range: unchecked, the huge
+            # p_u read as ratio 1.0 against bound 1.0, zeros raised a
+            # ZeroDivisionError, p_a above 1 a DegenerateStratum, the NaN a
+            # DomainError that blamed RRAUc, and most others were accepted
+            ("confounding", {"p_u": (1e308, 1e308, 0.1, 0.1)}, "p_u"),
+            ("confounding", {"p_u": (0.5, 0.5, 0.0, 0.0)}, "p_u"),
+            ("confounding", {"p_u": (0.4, 0.4, 0.4, 0.4)}, "p_u"),
+            ("confounding", {"p_u": (float("nan"), 0.4, 0.3, 0.3)}, "p_u"),
+            ("confounding", {"p_a": (1.5, 0.2)}, "p_a"),
+            ("confounding", {"p_y": ((0.0,) * 4, (0.3,) * 4)}, "p_y"),
+            ("result2", {"p_y": ((0.005,) * 4, (0.5,) * 4)}, "p_y"),
+            ("selection", {"p_s": ((0.0, 0.5), (0.5, 0.5))}, "p_s"),
+            ("selection", {"p_s": ((float("inf"), 0.5), (0.5, 0.5))}, "p_s"),
+            ("result1", {"p_m": ((0.1, 0.2), (0.9, 1.0))}, "p_m"),
         ],
-        ids=["p_s", "p_a"],
+        ids=[
+            "p_s",
+            "p_a",
+            "p_u_huge",
+            "p_u_zero",
+            "p_u_sum",
+            "p_u_nan",
+            "p_a_above_one",
+            "p_y_zero",
+            "p_y_above_ceiling",
+            "p_s_zero",
+            "p_s_inf",
+            "p_m_one",
+        ],
     )
     def test_tables_holding_a_mechanism_the_config_denies_are_rejected(
         self, check, structure, change, named
