@@ -349,8 +349,8 @@ _CLAUSE = re.compile(r"([a-z_]+)\s*(?:\(([^()]*)\))?")
 
 
 def _parse_clause(clause: str) -> BiasSpec:
-    """One clause, read with the option table :meth:`BiasSpec.describe` prints."""
-    match = _CLAUSE.fullmatch(clause.strip())
+    """One stripped clause, read with the option table :meth:`BiasSpec.describe` prints."""
+    match = _CLAUSE.fullmatch(clause)
     if match is None:
         raise ParseError(f"cannot parse bias clause {clause!r}")
     name, options_text = match.groups()
@@ -368,7 +368,7 @@ def _parse_clause(clause: str) -> BiasSpec:
             raise ParseError(f"unknown {name} option {token!r}")
         field, value = options[token]
         if field in given:
-            raise ParseError(f"{field} is given more than once in {clause.strip()!r}")
+            raise ParseError(f"{field} is given more than once in {clause!r}")
         given[field] = value
     try:
         return BiasSpec(kind, **given)
@@ -378,7 +378,19 @@ def _parse_clause(clause: str) -> BiasSpec:
 
 def parse_bias_string(text: str) -> BiasSet:
     """Build a bias set from a '+'-joined clause string."""
-    clauses = text.split("+")
-    if not any(c.strip() for c in clauses):
+    clauses = [c.strip() for c in text.split("+")]
+    if not any(clauses):
         raise ParseError("empty bias string")
     return build_bias_set([_parse_clause(c) for c in clauses])
+
+
+# the paper's bias sets, each bias alone and then jointly (its Results 1-3), as labels
+NAMED_BIAS_SETS = {
+    "confounding": "confounding",
+    "selection": "selection(general)",
+    "selection_selected": "selection(selected)",
+    "outcome_misclassification": "misclassification(outcome)",
+    "result1": "confounding + selection(general) + misclassification(outcome)",
+    "result2": "confounding + selection(general) + misclassification(exposure, rare_outcome)",
+    "result3": "confounding + selection(selected) + misclassification(outcome)",
+}

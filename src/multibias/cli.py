@@ -21,24 +21,11 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .biases import Scale, parameter_summary, parse_bias_string
+from .biases import NAMED_BIAS_SETS, Scale, parameter_summary, parse_bias_string
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
 
 if TYPE_CHECKING:
     import numpy as np
-
-# sorted(oracle.STRUCTURES), written out so that parsing arguments does not
-# load the oracle: like bounds and evalues, it loads only in the command that
-# uses it; a test keeps the two equal
-_STRUCTURE_NAMES = (
-    "confounding",
-    "outcome_misclassification",
-    "result1",
-    "result2",
-    "result3",
-    "selection",
-    "selection_selected",
-)
 
 
 def _fmt(x: float) -> str:
@@ -271,7 +258,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     from .evalues import MAX_CURVE_POINTS, evalue_curve
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
-    bias_sets = [parse_bias_string(s) for s in re.split(r",(?![^()]*\))", args.bias_sets)]
+    try:
+        bias_sets = [parse_bias_string(s) for s in re.split(r",(?![^()]*\))", args.bias_sets)]
+    except ParseError as exc:
+        raise ParseError(f"--bias-sets {args.bias_sets!r}: {exc}") from None
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     if args.points > MAX_CURVE_POINTS:
@@ -389,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=_cmd_curve)
 
     p_verify = sub.add_parser("verify", help="stress-test the bound on random worlds")
-    p_verify.add_argument("--structure", choices=_STRUCTURE_NAMES, required=True)
+    p_verify.add_argument("--structure", choices=sorted(NAMED_BIAS_SETS), required=True)
     p_verify.add_argument("--worlds", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(

@@ -25,7 +25,7 @@ from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
 
-from .biases import BiasKind, BiasSet, build_bias_set, confounding, misclassification, selection
+from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
 from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch
 
@@ -154,8 +154,7 @@ def _draw_rates(rng: Random, kind: str | None) -> tuple | None:
 
 def _orient(world: World) -> World:
     """Relabel exposure so the selected outcome risk is higher under A=1."""
-    t = _Tables(world)
-    if t.cases[1] / t.total[1] >= t.cases[0] / t.total[0]:
+    if _oriented(_Tables(world)):
         return world
     p_m = world.p_m
     if p_m is not None:
@@ -165,6 +164,11 @@ def _orient(world: World) -> World:
             p_m = tuple(tuple(map(_ONE.__sub__, row)) for row in p_m)
     p_a = tuple(map(_ONE.__sub__, world.p_a))
     return World(world.config, world.p_u, p_a, world.p_y[::-1], world.p_s[::-1], p_m)
+
+
+def _oriented(t: _Tables) -> bool:
+    """Whether the selected outcome risk is at least as high under A=1 as under A=0."""
+    return t.cases[1] / t.total[1] >= t.cases[0] / t.total[0]
 
 
 def _differential_factor(world: World) -> float:
@@ -304,8 +308,8 @@ def world_config(bias_set: BiasSet) -> WorldConfig:
     return WorldConfig(conf, sel, mis, rare_outcome_ceiling=ceiling)
 
 
-def _check_structure(world: World, bias_set: BiasSet) -> dict:
-    """The extractors of the bias set's parameters, once the world is found to fit it."""
+def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
+    """The world's tables and the bias set's extractors, once the world is found to fit it."""
     conf, sel, mis, extractors = _mechanisms(bias_set)
     config = world.config
     # a selected-population set covers confounding whether or not it is
@@ -348,7 +352,15 @@ def _check_structure(world: World, bias_set: BiasSet) -> dict:
         raise InfeasibleConfig(bad[0])
     if abs(fsum(world.p_u) - 1.0) > 1e-9:
         raise InfeasibleConfig(f"p_u must sum to 1, got {fsum(world.p_u)!r}")
-    return extractors
+    t = _Tables(world)
+    # the misclassification bound is one-sided: a world must lie on the side it
+    # covers, where generate_world puts it (_orient and the redraw)
+    if p_m is not None and not _oriented(t):
+        r0, r1 = map(truediv, t.cases, t.total)
+        raise InfeasibleConfig(f"selected outcome risk {r1!r} at A=1 is below {r0!r} at A=0")
+    if p_m is not None and (factor := _differential_factor(world)) < 1.0:
+        raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {factor!r}")
+    return t, extractors
 
 
 def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
@@ -357,10 +369,10 @@ def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
     Each ratio is computed from the world's structural tables by taking
     maxima and minima over the latent factor levels.
     """
-    return _parameters(_Tables(world), bias_set, _check_structure(world, bias_set))
+    return _parameters(bias_set, *_check_structure(world, bias_set))
 
 
-def _parameters(t: _Tables, bias_set: BiasSet, extractors: Iterable) -> dict[str, float]:
+def _parameters(bias_set: BiasSet, t: _Tables, extractors: Iterable) -> dict[str, float]:
     values: dict[str, float] = {}
     for extractor in extractors:
         values.update(extractor(t))
@@ -375,8 +387,8 @@ def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]
     standardizes the potential-outcome risks over the latent factors, in the
     whole population or among the selected, per the bias set's target.
     """
-    selected = _selected_population in _check_structure(world, bias_set)
-    return _risk_ratios(_Tables(world), selected)
+    t, extractors = _check_structure(world, bias_set)
+    return _risk_ratios(t, _selected_population in extractors)
 
 
 def _risk_ratios(t: _Tables, selected: bool) -> tuple[float, float]:
@@ -414,9 +426,8 @@ class BoundReport:
 
 def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     """Compare the bias realized in a world against the bound's promise."""
-    extractors = _check_structure(world, bias_set)
-    t = _Tables(world)
-    params = _parameters(t, bias_set, extractors)
+    t, extractors = _check_structure(world, bias_set)
+    params = _parameters(bias_set, t, extractors)
     rr_obs, rr_true = _risk_ratios(t, _selected_population in extractors)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
@@ -426,19 +437,5 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
 
 STRUCTURES: dict[str, tuple[WorldConfig, BiasSet]] = {
     name: (world_config(bias_set), bias_set)
-    for name, bias_set in {
-        "confounding": build_bias_set([confounding()]),
-        "selection": build_bias_set([selection()]),
-        "selection_selected": build_bias_set([selection("selected")]),
-        "outcome_misclassification": build_bias_set([misclassification("outcome")]),
-        "result1": build_bias_set(
-            [confounding(), selection(), misclassification("outcome")]
-        ),
-        "result2": build_bias_set(
-            [confounding(), selection(), misclassification("exposure", rare_outcome=True)]
-        ),
-        "result3": build_bias_set(
-            [confounding(), selection("selected"), misclassification("outcome")]
-        ),
-    }.items()
+    for name, bias_set in zip(NAMED_BIAS_SETS, map(parse_bias_string, NAMED_BIAS_SETS.values()))
 }

@@ -718,6 +718,11 @@ class TestRobustness:
         assert main(["curve", "--bias-sets", bias_sets]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"--bias-sets {bias_sets!r}: " in err
+
+    def test_clause_error_quotes_the_clause_as_written(self, capsys):
+        assert main(["summary", "--biases", "confounding + selection(general"]) == 2
+        assert capsys.readouterr().err == "error: cannot parse bias clause 'selection(general'\n"
 
     def test_bound_json_stays_finite_and_strict(self, capsys):
         argv = ["bound", "--biases", "confounding", "--format", "json"]

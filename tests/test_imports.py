@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 import multibias
-from multibias.cli import _STRUCTURE_NAMES
-from multibias.oracle import STRUCTURES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BOUND = ["bound", "--biases", "confounding", "--param", "RRAUc=2", "--param", "RRUcY=3"]
@@ -108,7 +106,3 @@ def test_star_import_gives_every_public_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         multibias.no_such_name  # noqa: B018
-
-
-def test_cli_structure_names_are_the_oracle_structures():
-    assert _STRUCTURE_NAMES == tuple(sorted(STRUCTURES))

@@ -30,13 +30,30 @@ from multibias import (
     verify_bound,
     world_config,
 )
-from multibias.biases import parse_bias_string
+from multibias.biases import NAMED_BIAS_SETS, parse_bias_string
 from multibias.oracle import STRUCTURES, _orient
 
 
 def world_of(structure, seed=0):
     config, bias_set = STRUCTURES[structure]
     return generate_world(config, seed), bias_set
+
+
+def relabelled(structure, seed):
+    """Every table of a generated world, its exposure labels swapped back."""
+    world = world_of(structure, seed)[0]
+    p_m = tuple(row[::-1] for row in world.p_m)
+    if world.config.misclassification == "exposure":
+        p_m = tuple(tuple(1.0 - x for x in row) for row in p_m)
+    p_a, p_y, p_s = tuple(1.0 - x for x in world.p_a), world.p_y[::-1], world.p_s[::-1]
+    return {"p_u": world.p_u, "p_a": p_a, "p_y": p_y, "p_s": p_s, "p_m": p_m}
+
+
+def rates_swapped(structure, seed):
+    """Every table of a generated world, the two arms' classification rates swapped."""
+    world = world_of(structure, seed)[0]
+    p_m = tuple(row[::-1] for row in world.p_m)
+    return {"p_u": world.p_u, "p_a": world.p_a, "p_y": world.p_y, "p_s": world.p_s, "p_m": p_m}
 
 
 def arrays(world):
@@ -118,6 +135,10 @@ class TestStructures:
     @pytest.mark.parametrize("structure", sorted(STRUCTURE_CONFIGS))
     def test_config_unchanged(self, structure):
         assert STRUCTURES[structure][0] == STRUCTURE_CONFIGS[structure]
+
+    def test_named_bias_sets_are_canonical_clauses_in_structure_order(self):
+        assert all(parse_bias_string(v).label == v for v in NAMED_BIAS_SETS.values())
+        assert list(STRUCTURES) == list(NAMED_BIAS_SETS)
 
 
 class TestGeneration:
@@ -597,6 +618,22 @@ class TestWorldShapeChecks:
             ("selection", {"p_s": ((0.0, 0.5), (0.5, 0.5))}, "p_s"),
             ("selection", {"p_s": ((float("inf"), 0.5), (0.5, 0.5))}, "p_s"),
             ("result1", {"p_m": ((0.1, 0.2), (0.9, 1.0))}, "p_m"),
+            # misclassification worlds on the side the one-sided bound does not
+            # cover: unchecked, the first read as a violation (ratio 2.29
+            # against bound 1.10), the second and third raised a DomainError
+            # blaming RRAYy or ORYAaS, and the last was accepted
+            (
+                "outcome_misclassification",
+                relabelled("outcome_misclassification", 4),
+                "outcome risk",
+            ),
+            (
+                "outcome_misclassification",
+                rates_swapped("outcome_misclassification", 3),
+                "factor of p_m",
+            ),
+            ("result2", relabelled("result2", 0), "outcome risk"),
+            ("result2", relabelled("result2", 1), "outcome risk"),
         ],
         ids=[
             "p_s",
@@ -611,6 +648,10 @@ class TestWorldShapeChecks:
             "p_s_zero",
             "p_s_inf",
             "p_m_one",
+            "relabelled_outcome_misclassification",
+            "rates_swapped_outcome_misclassification",
+            "relabelled_result2_seed0",
+            "relabelled_result2_seed1",
         ],
     )
     def test_tables_holding_a_mechanism_the_config_denies_are_rejected(

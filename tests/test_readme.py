@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from multibias.biases import NAMED_BIAS_SETS
 from multibias.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,3 +41,8 @@ def test_shell_example_prints_what_is_shown(command, shown, capsys):
     argv = shlex.split(command.replace("\\\n", " "))[1:]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == shown.rstrip("\n").splitlines()
+
+
+def test_structure_table_is_the_named_bias_sets():
+    rows = re.findall(r"^  \| `(\w+)` \| `([^`]+)` \|$", TEXT, re.MULTILINE)
+    assert rows == list(NAMED_BIAS_SETS.items())
