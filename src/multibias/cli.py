@@ -266,7 +266,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     if args.points > MAX_CURVE_POINTS:
         raise SizeLimitExceeded(f"{args.points} points exceed {MAX_CURVE_POINTS}")
-    rr_values = np.linspace(args.rr_min, args.rr_max, args.points)
+    # linspace pins the last point to rr-max, but may first overflow computing
+    # it; an inf among the rest fails evalue_curve's finiteness check
+    with np.errstate(over="ignore"):
+        rr_values = np.linspace(args.rr_min, args.rr_max, args.points)
     points = evalue_curve(bias_sets, rr_values)
     if args.format == "json":
         payload = {

@@ -1,18 +1,24 @@
 """Command line interface tests, driven through main(argv)."""
 
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from multibias import grid_table
+from declarations import DECLARATIONS
+from multibias import build_bias_set, grid_table
+from multibias.biases import NAMED_BIAS_SETS
 from multibias.cli import main, parse_bias_string
 from multibias.errors import ParseError
 
@@ -34,6 +40,24 @@ def _strict_json(text: str):
 def _evalue_cells(out: str) -> list[str]:
     line = next(l for l in out.splitlines() if l.startswith("Multi-bias e-values"))
     return line.removeprefix("Multi-bias e-values").split()
+
+
+def _run_strict(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with every warning an error; its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# curve ranges whose np.linspace overflows computing the last point, which
+# it then pins to rr-max
+LINSPACE_OVERFLOW = [
+    ["curve", "--bias-sets", "confounding", "--rr-max", "1.7976931348623157e308"],
+    ["curve", "--bias-sets", "confounding + selection(general)"]
+    + ["--rr-min", "1e308", "--rr-max", "1.7976931348623157e308"],
+]
 
 
 class TestParseBiasString:
@@ -722,7 +746,9 @@ class TestRobustness:
 
     def test_clause_error_quotes_the_clause_as_written(self, capsys):
         assert main(["summary", "--biases", "confounding + selection(general"]) == 2
-        assert capsys.readouterr().err == "error: cannot parse bias clause 'selection(general'\n"
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot parse bias clause 'selection(general'\n"
 
     def test_bound_json_stays_finite_and_strict(self, capsys):
         argv = ["bound", "--biases", "confounding", "--format", "json"]
@@ -768,7 +794,8 @@ class TestRobustness:
     )
     def test_overflowing_evalue_target_is_named_not_inf(self, argv, named, capsys):
         assert main(["evalue", "--biases", "confounding", *argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "floating-point range" in err and named in err
         assert "inf" not in err
 
@@ -778,6 +805,18 @@ class TestRobustness:
             warnings.simplefilter("error")
             assert main(argv + ["--rr-max", "2", "--points", "2"]) == 2
         assert "floating-point range" in capsys.readouterr().err
+
+    def test_curve_step_overflowing_to_the_float_maximum_is_one_error_line(self):
+        code, out, err = _run_strict(LINSPACE_OVERFLOW[0])
+        assert (code, out) == (2, "")
+        assert err == "error: an E-value exceeds the floating-point range\n"
+
+    def test_curve_step_overflowing_before_a_finite_end_succeeds(self):
+        code, out, err = _run_strict(LINSPACE_OVERFLOW[1] + ["--format", "json"])
+        assert (code, err) == (0, "")
+        rr = [p["rr"] for p in _strict_json(out)["points"]]
+        assert len(rr) == 15 and rr[0] == 1e308 and rr[-1] == sys.float_info.max
+        assert rr == sorted(rr)
 
 
 class TestTopLevel:
@@ -806,3 +845,148 @@ class TestTopLevel:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
+
+
+# the parameter names of each declaration, by label
+PARAMETERS = {build_bias_set(d).label: build_bias_set(d).parameter_names() for d in DECLARATIONS}
+EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e308"]
+EDGE_NUMBERS += ["1.7976931348623157e308", "", " "]
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+USAGE_ERROR = re.compile(r"usage: multibias .*\nmultibias[ a-z]*: error: [^\n]*\n", re.DOTALL)
+RATIOS = st.floats(min_value=1.0, max_value=20.0)
+ESTIMATES = st.floats(min_value=1e-3, max_value=1e3)
+SPREADS = st.floats(min_value=0.5, max_value=4.0)  # below 1, a range upside down
+
+
+def _number(draw, value: float) -> str:
+    """repr(value), or one time in ten an edge case instead."""
+    return repr(value) if draw(st.integers(0, 9)) else draw(st.sampled_from(EDGE_NUMBERS))
+
+
+def _clause(draw) -> tuple[str, tuple[str, ...]]:
+    """A declaration label, one time in four with one character edited, and
+    the parameter names of the label as declared."""
+    label = text = draw(st.sampled_from(list(PARAMETERS)))
+    if not draw(st.integers(0, 3)):
+        i = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from("(),+ _ae"))
+        head, tail = text[:i], text[i + 1 :]
+        # delete, insert before or replace the character at i
+        text = draw(st.sampled_from([head + tail, head + char + text[i:], head + char + tail]))
+    return text, PARAMETERS[label]
+
+
+def _assignments(draw, names) -> list[str]:
+    """--param NAME=VALUE for each name, one time in ten with one left out
+    or a stray name added."""
+    names = list(names)
+    if names and not draw(st.integers(0, 9)):
+        names.remove(draw(st.sampled_from(names)))
+    if not draw(st.integers(0, 9)):
+        names.append(draw(st.sampled_from(["RRAUc", "x", " "])))
+    return [arg for name in names for arg in ("--param", f"{name}={_number(draw, draw(RATIOS))}")]
+
+
+def _format(draw, *formats: str) -> list[str]:
+    fmt = draw(st.sampled_from([None, *formats]))
+    return [] if fmt is None else ["--format", fmt]
+
+
+def _axis(draw) -> str:
+    """A comma list or START:STOP:STEP range of at most five values, or one
+    time in ten a range with an edge case in it."""
+    if draw(st.booleans()):
+        return ",".join(_number(draw, draw(RATIOS)) for _ in range(draw(st.integers(1, 4))))
+    start = draw(RATIOS)
+    step = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    bounds = [repr(start), repr(start + step * draw(st.integers(0, 4))), repr(step)]
+    if not draw(st.integers(0, 9)):
+        bounds[draw(st.integers(0, 2))] = draw(st.sampled_from(EDGE_NUMBERS))
+    return ":".join(bounds)
+
+
+def _curve(draw) -> list[str]:
+    sets = ", ".join(_clause(draw)[0] for _ in range(draw(st.integers(1, 2))))
+    argv = ["curve", "--bias-sets", sets]
+    if draw(st.integers(0, 3)):
+        low = draw(ESTIMATES)
+        argv += ["--rr-min", _number(draw, low), "--rr-max", _number(draw, low * draw(SPREADS))]
+    if draw(st.booleans()):
+        argv += ["--points", draw(st.sampled_from(["-1", "0", "1", "2", "3", "50", "x"]))]
+    return argv + _format(draw, "text", "csv", "json")
+
+
+def _verify(draw) -> list[str]:
+    structure = draw(st.sampled_from([*NAMED_BIAS_SETS, "result9"]))
+    worlds = draw(st.sampled_from(["-1", "0", "1", "2", "3", "1.5"]))
+    argv = ["verify", "--structure", structure, "--worlds", worlds]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["-1", "0", "7", str(2**64), "x"]))]
+    if draw(st.booleans()):
+        ceiling = draw(st.floats(min_value=1e-4, max_value=1.0))
+        argv += ["--rare-ceiling", _number(draw, ceiling)]
+    return argv
+
+
+def _bound(draw) -> list[str]:
+    text, names = _clause(draw)
+    return ["bound", "--biases", text, *_assignments(draw, names), *_format(draw, "text", "json")]
+
+
+def _evalue(draw) -> list[str]:
+    text, _ = _clause(draw)
+    est = draw(ESTIMATES)
+    argv = ["evalue", "--biases", text, "--est", _number(draw, est)]
+    for flag, value in [("--lo", est / draw(SPREADS)), ("--hi", est * draw(SPREADS))]:
+        if draw(st.booleans()):
+            argv += [flag, _number(draw, value)]
+    if draw(st.booleans()):
+        argv += ["--true", _number(draw, draw(ESTIMATES))]
+    if draw(st.booleans()):
+        argv += ["--measure", draw(st.sampled_from(["RR", "OR", "HR", "or"]))]
+    if draw(st.booleans()):
+        argv.append("--rare")
+    return argv + _format(draw, "text", "json")
+
+
+def _summary(draw) -> list[str]:
+    latex = ["--latex"] if draw(st.booleans()) else []
+    return ["summary", "--biases", _clause(draw)[0], *latex]
+
+
+def _grid(draw) -> list[str]:
+    text, names = _clause(draw)
+    varied = list(draw(st.permutations(names)))[: draw(st.sampled_from([2, 2, 2, 1, 3]))]
+    argv = ["grid", "--biases", text]
+    for name in varied:
+        argv += ["--vary", f"{name}={_axis(draw)}"]
+    fixed = [name for name in names if name not in varied]
+    return argv + _assignments(draw, fixed) + _format(draw, "text", "csv", "json")
+
+
+COMMANDS = [_bound, _evalue, _summary, _grid, _curve, _verify]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """An argv of any command and format: clauses from the declaration list,
+    numbers from edge cases and ordinary ranges, sweeps of a few values."""
+    return draw(st.sampled_from(COMMANDS))(draw)
+
+
+class TestGeneratedArgv:
+    @given(_argv())
+    @example(LINSPACE_OVERFLOW[0])
+    @example(LINSPACE_OVERFLOW[1])
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    def test_exit_0_with_finite_output_or_exit_2_with_one_error(self, argv):
+        code, out, err = _run_strict(argv)
+        assert code in (0, 2), (code, err)
+        if code == 2:
+            assert re.fullmatch(r"error: [^\n]*\n", err) or USAGE_ERROR.fullmatch(err), err
+            return
+        assert err == ""
+        assert not NON_FINITE.search(out), out
+        if argv[0] == "verify" or argv[-2:] == ["--format", "json"]:
+            for line in out.splitlines():
+                _strict_json(line)
