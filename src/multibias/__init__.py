@@ -71,9 +71,7 @@ _PUBLIC = {
         "BoundReport",
         "World",
         "WorldConfig",
-        "extract_parameters",
         "generate_world",
-        "observed_and_true_rr",
         "verify_bound",
         "world_config",
     ),

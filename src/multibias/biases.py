@@ -99,11 +99,11 @@ class BiasSpec:
         for field in fields(self)[1:]:
             value = getattr(self, field.name)
             if value != field.default and (field.name, value) not in options:
-                raise ValueError(
+                raise ParseError(
                     f"{self.kind.value} does not take {field.name}={value!r}"
                 )
         if self.kind is BiasKind.MISCLASSIFICATION and self.variable is None:
-            raise ValueError(
+            raise ParseError(
                 "misclassification needs a variable: 'outcome' or 'exposure'"
             )
 
@@ -244,7 +244,7 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
         biases = (biases,)
     specs = tuple(biases)
     if not specs:
-        raise ValueError("at least one bias must be declared")
+        raise ParseError("at least one bias must be declared")
 
     by_kind: dict[BiasKind, tuple[int, BiasSpec]] = {}
     for position, spec in enumerate(specs):
@@ -370,10 +370,7 @@ def _parse_clause(clause: str) -> BiasSpec:
         if field in given:
             raise ParseError(f"{field} is given more than once in {clause!r}")
         given[field] = value
-    try:
-        return BiasSpec(kind, **given)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return BiasSpec(kind, **given)
 
 
 def parse_bias_string(text: str) -> BiasSet:

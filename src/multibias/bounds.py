@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .biases import BiasSet
-from .errors import DomainError, MissingParameter, SizeLimitExceeded, UnknownParameter
+from .errors import DomainError, MissingParameter, ParseError, SizeLimitExceeded, UnknownParameter
 
 if TYPE_CHECKING:
     import numpy as np
@@ -18,13 +18,13 @@ MAX_GRID_CELLS = 1_000_000
 
 
 def g(a: float, b: float) -> float:
-    """Joint bounding factor a*b/(a+b-1) of two parameters, each at least 1.
+    """Joint bounding factor a*b/(a+b-1) of two finite parameters, each at least 1.
 
     Symmetric, between 1 and a*b, nondecreasing in both arguments, and equal
     to 1 exactly when either argument is 1.
     """
-    if not (a >= 1.0 and b >= 1.0):
-        raise DomainError(f"g is defined for arguments >= 1, got ({a}, {b})")
+    if not (1.0 <= a < math.inf and 1.0 <= b < math.inf):
+        raise DomainError(f"g is defined for finite arguments >= 1, got ({a}, {b})")
     return _g(a, b)
 
 
@@ -113,14 +113,14 @@ def grid_table(
     import numpy as np
 
     if len(vary) != 2:
-        raise ValueError("exactly two parameters must vary")
+        raise ParseError("exactly two parameters must vary")
     (row_name, row_values), (col_name, col_values) = vary
     if row_name == col_name:
-        raise ValueError("the two varying parameters must differ")
+        raise ParseError("the two varying parameters must differ")
     rows = np.asarray(row_values, dtype=float)
     cols = np.asarray(col_values, dtype=float)
     if rows.ndim != 1 or cols.ndim != 1 or not rows.size or not cols.size:
-        raise ValueError("grid values must be non-empty sequences")
+        raise ParseError("grid values must be non-empty sequences")
     if rows.size * cols.size > MAX_GRID_CELLS:
         raise SizeLimitExceeded(
             f"a {rows.size} x {cols.size} grid exceeds {MAX_GRID_CELLS} cells"
@@ -128,7 +128,7 @@ def grid_table(
     fixed = dict(fixed or {})
     overlap = sorted({row_name, col_name} & set(fixed))
     if overlap:
-        raise ValueError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
+        raise ParseError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
     # names and fixed values, with each axis's first value standing in
     checked = _validated(bias_set, {**fixed, row_name: rows[0], col_name: cols[0]})
     fixed = {k: v for k, v in checked.items() if k in fixed}
@@ -180,7 +180,7 @@ def adjust_estimate(
         if not 0 < v < math.inf:
             raise DomainError(f"{label} must be positive and finite, got {v}")
     if not lo <= point <= hi:
-        raise ValueError("interval must satisfy lo <= point <= hi")
+        raise DomainError("interval must satisfy lo <= point <= hi")
     bound = multi_bound(bias_set, values)
     if point >= 1.0:
         return ShiftedEstimate(point / bound, lo / bound, hi / bound, bound)

@@ -414,10 +414,10 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (BiasAnalysisError, ValueError) as exc:
+    except BiasAnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a program fault, never the user's input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

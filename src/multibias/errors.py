@@ -30,7 +30,7 @@ class UnknownParameter(BiasAnalysisError, ValueError):
 
 
 class ParseError(BiasAnalysisError, ValueError):
-    """A bias declaration string or CLI value could not be parsed."""
+    """A bias declaration, a CLI value or the shape of an argument is malformed."""
 
 
 class InfeasibleConfig(BiasAnalysisError, ValueError):

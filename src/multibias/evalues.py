@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .biases import BiasSet, Scale
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DomainError, ParseError, SizeLimitExceeded
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 112
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
@@ -55,11 +55,11 @@ class EffectEstimate:
             if v is not None and not 0 < v < math.inf:
                 raise DomainError(f"{label} must be positive and finite, got {v}")
         if self.lo is not None and self.lo > self.point:
-            raise ValueError("lo must not exceed the point estimate")
+            raise DomainError("lo must not exceed the point estimate")
         if self.hi is not None and self.hi < self.point:
-            raise ValueError("hi must not be below the point estimate")
+            raise DomainError("hi must not be below the point estimate")
         if self.rare_outcome and self.scale is not Scale.ODDS_RATIO:
-            raise ValueError("rare_outcome applies to odds ratios only")
+            raise ParseError("rare_outcome applies to odds ratios only")
 
 
 def risk_ratio(point: float, lo: float | None = None, hi: float | None = None) -> EffectEstimate:
@@ -121,7 +121,20 @@ class EValuePolynomial:
             )
 
     def value(self, x: float) -> float:
-        return x**self.n / (2.0 * x - 1.0) ** self.k
+        """x**n / (2x - 1)**k at a finite x >= 1; DomainError beyond the float range.
+
+        Taken as k joint factors x / (2 - 1/x) and n - 2k lone x, each at
+        least 1: none overflows unless the value does.
+        """
+        if not 1.0 <= x < math.inf:
+            raise DomainError(f"x must be a finite number at least 1, got {x}")
+        try:
+            value = (x / (2.0 - 1.0 / x)) ** self.k * x ** (self.n - 2 * self.k)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DomainError("the polynomial's value exceeds the floating-point range")
+        return value
 
 
 def evalue_polynomial(bias_set: BiasSet) -> EValuePolynomial:
@@ -286,7 +299,7 @@ def evalue_curve(
 
     rr = np.asarray(rr_values, dtype=float)
     if rr.ndim != 1:
-        raise ValueError("risk ratios must be a one-dimensional sequence")
+        raise ParseError("risk ratios must be a one-dimensional sequence")
     if len(bias_sets) * rr.size > MAX_CURVE_POINTS:
         raise SizeLimitExceeded(
             f"{len(bias_sets)} curves of {rr.size} points exceed "

@@ -363,34 +363,6 @@ def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
     return t, extractors
 
 
-def extract_parameters(world: World, bias_set: BiasSet) -> dict[str, float]:
-    """Exact parameter values for a world, keyed by argument name.
-
-    Each ratio is computed from the world's structural tables by taking
-    maxima and minima over the latent factor levels.
-    """
-    return _parameters(bias_set, *_check_structure(world, bias_set))
-
-
-def _parameters(bias_set: BiasSet, t: _Tables, extractors: Iterable) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for extractor in extractors:
-        values.update(extractor(t))
-    return {p.name: values[p.display] for p in bias_set.parameters}
-
-
-def observed_and_true_rr(world: World, bias_set: BiasSet) -> tuple[float, float]:
-    """The observable risk ratio and the causal risk ratio it may distort.
-
-    The observed ratio conditions on selection and uses the recorded copy
-    whenever the structure includes those mechanisms. The true ratio
-    standardizes the potential-outcome risks over the latent factors, in the
-    whole population or among the selected, per the bias set's target.
-    """
-    t, extractors = _check_structure(world, bias_set)
-    return _risk_ratios(t, _selected_population in extractors)
-
-
 def _risk_ratios(t: _Tables, selected: bool) -> tuple[float, float]:
     mis = t.world.config.misclassification
     num, den = t.cases, t.total
@@ -422,17 +394,31 @@ class BoundReport:
     holds: bool  # ratio <= bound + 1e-12
     slack: float  # bound - ratio; negative means the bound was violated
     prevalence: float  # largest stratum outcome risk (how rare the outcome is)
+    parameters: dict[str, float] | None = None  # exact values, by argument name
+    rr_obs: float | None = None  # observable risk ratio
+    rr_true: float | None = None  # causal risk ratio it may distort
 
 
 def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
-    """Compare the bias realized in a world against the bound's promise."""
+    """Compare the bias realized in a world against the bound's promise.
+
+    The report's parameters are extremes over the latent factor levels.
+    rr_obs is taken among the selected and from the recorded copy, where the
+    structure has them; rr_true standardizes the potential-outcome risks over
+    the latent factors, in the population the bias set targets.
+    """
     t, extractors = _check_structure(world, bias_set)
-    params = _parameters(bias_set, t, extractors)
+    values: dict[str, float] = {}
+    for extractor in extractors:
+        values.update(extractor(t))
+    params = {p.name: values[p.display] for p in bias_set.parameters}
     rr_obs, rr_true = _risk_ratios(t, _selected_population in extractors)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
     prevalence = max(map(max, t.p_y))
-    return BoundReport(ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence)
+    return BoundReport(
+        ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence, params, rr_obs, rr_true
+    )
 
 
 STRUCTURES: dict[str, tuple[WorldConfig, BiasSet]] = {

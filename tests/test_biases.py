@@ -7,6 +7,7 @@ from multibias import (
     BiasKind,
     BiasSpec,
     DuplicateBias,
+    ParseError,
     RareOutcomeRequired,
     Scale,
     SelectedPopulationConflict,
@@ -180,7 +181,7 @@ class TestParameterDerivation:
 
 class TestValidation:
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             build_bias_set([])
 
     def test_duplicate_bias_rejected(self):
@@ -200,19 +201,19 @@ class TestValidation:
             build_bias_set([selection("selected", s_equals_u=True)])
 
     def test_bias_spec_rejects_options_for_wrong_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BiasSpec(BiasKind.CONFOUNDING, population="selected")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BiasSpec(BiasKind.SELECTION, variable="outcome")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BiasSpec(BiasKind.MISCLASSIFICATION, variable="dose")
 
     def test_bias_spec_takes_only_values_its_clause_options_stand_for(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             selection(risk_direction="up")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             selection(s_equals_u="yes")
-        with pytest.raises(ValueError, match="needs a variable"):
+        with pytest.raises(ParseError, match="needs a variable"):
             BiasSpec(BiasKind.MISCLASSIFICATION)
 
     def test_single_spec_accepted_without_list(self):

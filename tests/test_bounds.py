@@ -11,6 +11,7 @@ from declarations import DECLARATIONS
 from multibias import (
     DomainError,
     MissingParameter,
+    ParseError,
     SizeLimitExceeded,
     UnknownParameter,
     adjust_estimate,
@@ -35,11 +36,15 @@ class TestG:
         assert g(3, 3) == pytest.approx(1.8, abs=1e-12)
         assert g(2.3, 2.5) == pytest.approx(5.75 / 3.8, abs=1e-12)
 
-    def test_domain(self):
+    # unchecked, (2, inf) and (1, inf) gave nan and (inf, 2) gave 2.0
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.99, 2), (2, 0.5), (2, math.inf), (1, math.inf), (math.inf, 2)]
+        + [(math.nan, 2), (2, math.nan)],
+    )
+    def test_domain(self, a, b):
         with pytest.raises(DomainError):
-            g(0.99, 2)
-        with pytest.raises(DomainError):
-            g(2, 0.5)
+            g(a, b)
 
     @given(ratios, ratios)
     def test_between_one_and_product(self, a, b):
@@ -214,17 +219,17 @@ class TestGrid:
 
     def test_requires_exactly_two_varying(self):
         bs = build_bias_set([confounding()])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             grid_table(bs, [("RRAUc", [2.0])])
 
     def test_rejects_duplicated_axis(self):
         bs = build_bias_set([confounding()])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             grid_table(bs, [("RRAUc", [2.0]), ("RRAUc", [2.0])])
 
     def test_rejects_fixed_overlap(self):
         bs = build_bias_set([confounding(), misclassification("outcome")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             grid_table(
                 bs,
                 [("RRAUc", [2.0]), ("RRUcY", [2.0])],
@@ -234,7 +239,7 @@ class TestGrid:
     @pytest.mark.parametrize("rows, cols", [([], [2.0]), ([2.0], [])], ids=["row", "col"])
     def test_rejects_an_empty_axis(self, rows, cols):
         bs = build_bias_set([confounding()])
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ParseError, match="non-empty"):
             grid_table(bs, [("RRAUc", rows), ("RRUcY", cols)])
 
     def test_rejects_grid_values_below_one(self):
@@ -288,7 +293,7 @@ class TestAdjustEstimate:
 
     def test_interval_ordering_enforced(self):
         bs = build_bias_set([confounding()])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             adjust_estimate(bs, {"RRAUc": 2, "RRUcY": 2}, point=2.0, lo=3.0, hi=4.0)
 
     def test_positive_inputs_required(self):

@@ -830,6 +830,16 @@ class TestTopLevel:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_a_plain_value_error_is_an_internal_error(self, capsys, monkeypatch):
+        # only a BiasAnalysisError is the user's; any other exception is a fault
+        # of the program, whatever its class
+        def fault(text):
+            raise ValueError("not a user error")
+
+        monkeypatch.setattr("multibias.cli.parse_bias_string", fault)
+        assert main(["summary", "--biases", "confounding"]) == 1
+        assert capsys.readouterr().err == "internal error: not a user error\n"
+
     def test_closed_stdout_ends_quietly_with_the_sigpipe_status(self):
         # 2000 worlds fill far more than a pipe buffer, so the command is still
         # writing when the reader goes, whatever the timing

@@ -17,6 +17,7 @@ from multibias import (
     DomainError,
     EffectEstimate,
     EValuePolynomial,
+    ParseError,
     Scale,
     SizeLimitExceeded,
     build_bias_set,
@@ -68,11 +69,11 @@ class TestToRiskRatio:
     def test_estimate_validation(self):
         with pytest.raises(DomainError):
             EffectEstimate(-2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             EffectEstimate(2.0, lo=3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             EffectEstimate(2.0, hi=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             EffectEstimate(2.0, rare_outcome=True)  # only meaningful for ORs
 
     @pytest.mark.parametrize(
@@ -125,6 +126,18 @@ class TestPolynomialAccounting:
         poly = EValuePolynomial(7, 3)
         assert poly.value(1.0) == 1.0
         assert poly.value(2.0) == pytest.approx(128 / 27, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_value_outside_its_domain_rejected(self, x):
+        # unchecked, 0.5 raised ZeroDivisionError and inf and nan gave nan
+        with pytest.raises(DomainError, match="at least 1"):
+            EValuePolynomial(7, 3).value(x)
+
+    def test_value_overflows_only_beyond_the_float_range(self):
+        # x**7 alone exceeds the float range at 1e50, and raised OverflowError
+        assert EValuePolynomial(7, 3).value(1e50) == pytest.approx(1e200 / 8, rel=1e-12)
+        with pytest.raises(DomainError, match="floating-point range"):
+            EValuePolynomial(7, 3).value(1e100)
 
     def test_invalid_polynomial_rejected(self):
         with pytest.raises(DomainError):
@@ -403,7 +416,7 @@ class TestCurve:
             evalue_curve([build_bias_set([confounding()])], [2.0, bad])
 
     def test_rejects_ratios_that_are_not_one_dimensional(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(ParseError, match="one-dimensional"):
             evalue_curve([build_bias_set([confounding()])], [[2.0, 3.0]])
 
     @pytest.mark.parametrize("rr", [[1e-320, 2.0], [1.0 / sys.float_info.max], [1e308]])

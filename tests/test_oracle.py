@@ -14,6 +14,7 @@ import pytest
 
 from declarations import DECLARATIONS
 from multibias import (
+    BoundReport,
     DegenerateStratum,
     InfeasibleConfig,
     StructureMismatch,
@@ -21,11 +22,9 @@ from multibias import (
     WorldConfig,
     build_bias_set,
     confounding,
-    extract_parameters,
     generate_world,
     misclassification,
     multi_bound,
-    observed_and_true_rr,
     selection,
     verify_bound,
     world_config,
@@ -374,7 +373,7 @@ class TestExtraction:
     def test_matches_brute_force(self, structure, levels):
         for seed, world, bias_set in wide_worlds(structure, levels):
             expected = brute_force_parameters(world)
-            got = extract_parameters(world, bias_set)
+            got = verify_bound(world, bias_set).parameters
             assert tuple(got) == bias_set.parameter_names()
             for name, value in got.items():
                 assert value == pytest.approx(expected[name], rel=1e-12), (seed, name)
@@ -382,14 +381,14 @@ class TestExtraction:
     def test_matches_brute_force_result1(self):
         world, bias_set = world_of("result1", seed=17)
         expected = brute_force_parameters(world)
-        got = extract_parameters(world, bias_set)
+        got = verify_bound(world, bias_set).parameters
         for name in ("RRAUc", "RRUcY", "RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"):
             assert got[name] == pytest.approx(expected[name], rel=1e-10), name
 
     def test_matches_brute_force_result3(self):
         world, bias_set = world_of("result3", seed=21)
         expected = brute_force_parameters(world)
-        got = extract_parameters(world, bias_set)
+        got = verify_bound(world, bias_set).parameters
         assert got["RRAUscS"] == pytest.approx(expected["RRAUscS"], rel=1e-10)
         assert got["RRUscYS"] == pytest.approx(expected["RRUscYS"], rel=1e-10)
 
@@ -397,7 +396,7 @@ class TestExtraction:
         world, bias_set = world_of("result1", seed=4)
         m = world.p_m
         expected = max(m[1][1] / m[1][0], m[0][1] / m[0][0])
-        assert extract_parameters(world, bias_set)["RRAYyS"] == pytest.approx(expected)
+        assert verify_bound(world, bias_set).parameters["RRAYyS"] == pytest.approx(expected)
 
     def test_exposure_misclassification_factor(self):
         world, bias_set = world_of("result2", seed=4)
@@ -409,13 +408,13 @@ class TestExtraction:
             (s1 / s0) / ((1 - f1) / (1 - f0)),
             (f1 / f0) / ((1 - s1) / (1 - s0)),
         )
-        assert extract_parameters(world, bias_set)["ORYAaS"] == pytest.approx(expected)
+        assert verify_bound(world, bias_set).parameters["ORYAaS"] == pytest.approx(expected)
 
     def test_all_extracted_values_at_least_one(self):
         for name in STRUCTURES:
             config, bias_set = STRUCTURES[name]
             for seed in range(25):
-                values = extract_parameters(generate_world(config, seed), bias_set)
+                values = verify_bound(generate_world(config, seed), bias_set).parameters
                 assert all(v >= 1.0 for v in values.values()), (name, seed)
 
     def test_extraction_invariant_to_level_relabeling(self):
@@ -429,8 +428,8 @@ class TestExtraction:
             tuple(ss[::-1] for ss in world.p_s),
             world.p_m,
         )
-        a = extract_parameters(world, bias_set)
-        b = extract_parameters(flipped, bias_set)
+        a = verify_bound(world, bias_set).parameters
+        b = verify_bound(flipped, bias_set).parameters
         for name, value in a.items():
             assert b[name] == pytest.approx(value, rel=1e-12), name
 
@@ -440,7 +439,7 @@ class TestObservedAndTrue:
     def test_dual_route(self, structure, levels):
         """Both risk ratios against sums over slices of the enumerated joint."""
         for seed, world, bias_set in wide_worlds(structure, levels):
-            rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+            report = verify_bound(world, bias_set)
             j = joint(world)  # axes (uc, us, a, y, s, m)
             p_u, _, p_y, _, _ = arrays(world)
             risks = []
@@ -454,7 +453,7 @@ class TestObservedAndTrue:
                 else:
                     num, den = j[:, :, arm, 1, 1, :].sum(), j[:, :, arm, :, 1, :].sum()
                 risks.append(num / den)
-            assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12), seed
+            assert report.rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12), seed
 
             if structure in ("selection_selected", "result3"):
                 weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
@@ -462,11 +461,11 @@ class TestObservedAndTrue:
             else:
                 weights = p_u
             truth = [(weights * p_y[arm]).sum() for arm in (0, 1)]
-            assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12), seed
+            assert report.rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12), seed
 
     def test_dual_route_no_misclassification(self):
         world, bias_set = world_of("selection", seed=13)
-        rr_obs, rr_true = observed_and_true_rr(world, bias_set)
+        report = verify_bound(world, bias_set)
 
         j = joint(world)
         risks = []
@@ -474,15 +473,15 @@ class TestObservedAndTrue:
             num = j[:, :, a, 1, 1, :].sum()
             den = j[:, :, a, :, 1, :].sum()
             risks.append(num / den)
-        assert rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
+        assert report.rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12)
 
         p_u, _, p_y, _, _ = arrays(world)
         truth = [(p_u * p_y[a]).sum() for a in (0, 1)]
-        assert rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12)
+        assert report.rr_true == pytest.approx(truth[1] / truth[0], rel=1e-12)
 
     def test_dual_route_outcome_misclassification(self):
         world, bias_set = world_of("result1", seed=29)
-        rr_obs, _ = observed_and_true_rr(world, bias_set)
+        rr_obs = verify_bound(world, bias_set).rr_obs
         j = joint(world)
         risks = []
         for a in (0, 1):
@@ -492,7 +491,7 @@ class TestObservedAndTrue:
 
     def test_dual_route_exposure_misclassification(self):
         world, bias_set = world_of("result2", seed=29)
-        rr_obs, _ = observed_and_true_rr(world, bias_set)
+        rr_obs = verify_bound(world, bias_set).rr_obs
         j = joint(world)
         risks = []
         for m in (0, 1):
@@ -502,7 +501,7 @@ class TestObservedAndTrue:
 
     def test_selected_population_truth_reweights(self):
         world, bias_set = world_of("result3", seed=6)
-        _, rr_true = observed_and_true_rr(world, bias_set)
+        rr_true = verify_bound(world, bias_set).rr_true
         j = joint(world)
         weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
         weights = weights / weights.sum()
@@ -513,9 +512,8 @@ class TestObservedAndTrue:
     def test_everyone_selected_means_no_selection_bias(self):
         world = generate_world(WorldConfig(confounding=True), 31)
         bias_set = build_bias_set([confounding()])
-        rr_obs, rr_true = observed_and_true_rr(world, bias_set)
-        params = extract_parameters(world, bias_set)
-        assert rr_obs / rr_true <= multi_bound(bias_set, params) + 1e-12
+        report = verify_bound(world, bias_set)
+        assert report.rr_obs / report.rr_true <= multi_bound(bias_set, report.parameters) + 1e-12
 
 
 class TestHandBuiltWorlds:
@@ -529,10 +527,9 @@ class TestHandBuiltWorlds:
             None,
         )
         bias_set = build_bias_set([confounding()])
-        rr_obs, rr_true = observed_and_true_rr(world, bias_set)
-        assert rr_obs == pytest.approx(1.0, abs=1e-12)
-        assert rr_true == pytest.approx(1.0, abs=1e-12)
         report = verify_bound(world, bias_set)
+        assert report.rr_obs == pytest.approx(1.0, abs=1e-12)
+        assert report.rr_true == pytest.approx(1.0, abs=1e-12)
         assert report.holds
         assert report.ratio == pytest.approx(report.bound, abs=1e-9)
 
@@ -548,20 +545,20 @@ class TestHandBuiltWorlds:
         )
         bias_set = build_bias_set([selection()])
         with pytest.raises(DegenerateStratum):
-            extract_parameters(everyone, bias_set)
+            verify_bound(everyone, bias_set)
 
     def test_analysis_cell_without_mass_raises(self):
-        # the other two checks fail earlier, on the selection extractor's strata
-        world, bias_set = world_of("selection")
-        starved = replace(world, p_s=((1e-12, 1e-12), world.p_s[1]))
+        # the exposed arm is too small to observe, yet large enough for the
+        # confounding extractor's ratios, which run first
+        world, bias_set = world_of("confounding")
+        starved = replace(world, p_a=(1e-300, 2e-300))
         with pytest.raises(DegenerateStratum, match="analysis cell"):
-            observed_and_true_rr(starved, bias_set)
+            verify_bound(starved, bias_set)
 
 
 class TestWorldShapeChecks:
-    @pytest.mark.parametrize("check", [extract_parameters, observed_and_true_rr, verify_bound])
     @pytest.mark.parametrize("drawn, declared", [(2, 3), (3, 2)])
-    def test_tables_of_other_levels_than_the_config_are_rejected(self, check, drawn, declared):
+    def test_tables_of_other_levels_than_the_config_are_rejected(self, drawn, declared):
         # unchecked, 2-level selection tables read as 3-level ones gave a bound
         # of 1.925 for the 1.517 of seed 0, and 3-level ones read as 2-level a
         # ZeroDivisionError
@@ -569,7 +566,7 @@ class TestWorldShapeChecks:
         world = generate_world(replace(config, selection_levels=drawn), 0)
         misread = replace(world, config=replace(config, selection_levels=declared))
         with pytest.raises(InfeasibleConfig, match="table lengths"):
-            check(misread, bias_set)
+            verify_bound(misread, bias_set)
 
     def test_rates_must_be_given_exactly_with_misclassification(self):
         world, bias_set = world_of("result1")
@@ -595,7 +592,6 @@ class TestWorldShapeChecks:
         with pytest.raises(InfeasibleConfig, match="table lengths"):
             verify_bound(replace(world, **change(world)), bias_set)
 
-    @pytest.mark.parametrize("check", [extract_parameters, observed_and_true_rr, verify_bound])
     @pytest.mark.parametrize(
         "structure, change, named",
         [
@@ -655,35 +651,35 @@ class TestWorldShapeChecks:
         ],
     )
     def test_tables_holding_a_mechanism_the_config_denies_are_rejected(
-        self, check, structure, change, named
+        self, structure, change, named
     ):
         world, bias_set = world_of(structure)
         with pytest.raises(InfeasibleConfig, match=named):
-            check(replace(world, **change), bias_set)
+            verify_bound(replace(world, **change), bias_set)
 
 
 class TestStructureChecks:
     def test_misdeclared_confounding_rejected(self):
         world = generate_world(WorldConfig(), 1)
         with pytest.raises(StructureMismatch):
-            extract_parameters(world, build_bias_set([confounding()]))
+            verify_bound(world, build_bias_set([confounding()]))
 
     def test_misdeclared_selection_rejected(self):
         world = generate_world(WorldConfig(selection=True), 1)
         with pytest.raises(StructureMismatch):
-            extract_parameters(world, build_bias_set([misclassification("outcome")]))
+            verify_bound(world, build_bias_set([misclassification("outcome")]))
 
     def test_wrong_misclassified_variable_rejected(self):
         world = generate_world(WorldConfig(misclassification="outcome"), 1)
         bias_set = build_bias_set([misclassification("exposure", rare_outcome=True)])
         with pytest.raises(StructureMismatch):
-            extract_parameters(world, bias_set)
+            verify_bound(world, bias_set)
 
     def test_direction_simplifications_not_generated(self):
         world = generate_world(WorldConfig(selection=True), 1)
         bias_set = build_bias_set([selection(risk_direction="increased")])
         with pytest.raises(StructureMismatch):
-            extract_parameters(world, bias_set)
+            verify_bound(world, bias_set)
 
     def test_misclassification_before_selection_not_generated(self):
         world = generate_world(
@@ -691,7 +687,7 @@ class TestStructureChecks:
         )
         bias_set = build_bias_set([misclassification("outcome"), selection()])
         with pytest.raises(StructureMismatch):
-            extract_parameters(world, bias_set)
+            verify_bound(world, bias_set)
 
     def test_selected_population_accepts_worlds_with_confounding(self):
         config = WorldConfig(confounding=True, selection=True)
@@ -776,14 +772,16 @@ class TestVerify:
         report = verify_bound(generate_world(config, 0), bias_set)
         assert report.slack == pytest.approx(report.bound - report.ratio)
         assert 0.0 < report.prevalence <= 1.0
+        # a report rebuilt from a verify record carries its first five fields only
+        rebuilt = BoundReport(report.ratio, report.bound, True, report.slack, report.prevalence)
+        assert (rebuilt.parameters, rebuilt.rr_obs, rebuilt.rr_true) == (None, None, None)
 
     @pytest.mark.parametrize("structure, levels", WIDE)
     def test_report_assembles_its_parts(self, structure, levels):
         for seed, world, bias_set in wide_worlds(structure, levels):
             report = verify_bound(world, bias_set)
-            rr_obs, rr_true = observed_and_true_rr(world, bias_set)
-            bound = multi_bound(bias_set, extract_parameters(world, bias_set))
-            assert report.ratio == pytest.approx(rr_obs / rr_true, rel=1e-12), seed
+            bound = multi_bound(bias_set, report.parameters)
+            assert report.ratio == pytest.approx(report.rr_obs / report.rr_true, rel=1e-12), seed
             assert report.bound == pytest.approx(bound, rel=1e-12), seed
             assert report.slack == report.bound - report.ratio, seed
             assert report.prevalence == max(map(max, world.p_y)), seed
