@@ -356,13 +356,45 @@ def brute_force_parameters(world):
     return out
 
 
-# every structure on 2-level supports, and again on 3-level supports
-WIDE = [(name, levels) for name in sorted(STRUCTURES) for levels in (2, 3)]
+def derivable(declarations):
+    """The bias sets world_config accepts, with their configs; the rest it rejects."""
+    derived = []
+    for declared in declarations:
+        bias_set = build_bias_set(declared)
+        try:
+            derived.append((bias_set, world_config(bias_set)))
+        except StructureMismatch:
+            pass
+    return derived
+
+
+DERIVED = derivable(DECLARATIONS)
+
+
+def kinds():
+    """One (config, bias set) for each parameter set world_config accepts.
+
+    The seven named structures come under their names, the other term sets
+    under the label of the first declaration that gives them.
+    """
+    found = {name: STRUCTURES[name] for name in sorted(STRUCTURES)}
+    terms = {bias_set.terms for _, bias_set in found.values()}
+    for bias_set, config in DERIVED:
+        if bias_set.terms not in terms:
+            terms.add(bias_set.terms)
+            found[bias_set.label] = config, bias_set
+    return found
+
+
+KINDS = kinds()
+
+# every kind on 2-level supports, and again on 3-level supports
+WIDE = [(name, levels) for name in KINDS for levels in (2, 3)]
 WIDE_SEEDS = range(50)
 
 
 def wide_worlds(structure, levels):
-    config, bias_set = STRUCTURES[structure]
+    config, bias_set = KINDS[structure]
     config = replace(config, confounder_levels=levels, selection_levels=levels)
     for seed in WIDE_SEEDS:
         yield seed, generate_world(config, seed), bias_set
@@ -455,7 +487,7 @@ class TestObservedAndTrue:
                 risks.append(num / den)
             assert report.rr_obs == pytest.approx(risks[1] / risks[0], rel=1e-12), seed
 
-            if structure in ("selection_selected", "result3"):
+            if any(bias.population == "selected" for bias in bias_set.biases):
                 weights = j[:, :, :, :, 1, :].sum(axis=(2, 3, 4))
                 weights = weights / weights.sum()
             else:
@@ -696,26 +728,12 @@ class TestStructureChecks:
         assert report.holds
 
 
-def derivable(declarations):
-    """The bias sets world_config accepts, with their configs; the rest it rejects."""
-    derived = []
-    for declared in declarations:
-        bias_set = build_bias_set(declared)
-        try:
-            derived.append((bias_set, world_config(bias_set)))
-        except StructureMismatch:
-            pass
-    return derived
-
-
-DERIVED = derivable(DECLARATIONS)
-
-
 class TestWorldConfigDerivation:
     def test_counts(self):
         assert len(DECLARATIONS) == 376
         assert len(DERIVED) == 82
         assert len({bias_set.terms for bias_set, _ in DERIVED}) == 14
+        assert len(KINDS) == 14
 
     @pytest.mark.parametrize(
         "clauses, named",
