@@ -3,7 +3,9 @@
 A bias set is an ordered collection of declarations: unmeasured confounding,
 selection bias, differential misclassification. Building the set derives the
 sensitivity parameters of the corresponding bound and how they pair up into
-joint bounding factors.
+joint bounding factors. Each declaration sequence is derived once:
+:func:`build_bias_set` returns one shared, immutable :class:`BiasSet` per
+sequence, at most 376 of them, so equal declarations give the same object.
 
 Each parameter is declared once, by its display symbol, e.g. ``RR_SUs|A=1``.
 Its argument name is the symbol without ``_|=,*`` (``RRSUsA1``), its scale is
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from typing import Iterable
 
 from .errors import (
@@ -225,12 +228,16 @@ class BiasSet:
     terms: tuple[tuple[str, ...], ...]  # parameter names, one or two per factor
     polynomial: tuple[int, int]
 
-    @property
+    @cached_property
     def label(self) -> str:
         return " + ".join(b.describe() for b in self.biases)
 
-    def parameter_names(self) -> tuple[str, ...]:
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
+
+    def parameter_names(self) -> tuple[str, ...]:
+        return self._names
 
 
 def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
@@ -239,10 +246,18 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
     Parameters are listed in a fixed reading order (confounding, selection,
     misclassification) regardless of declaration order; declaration order
     only decides the conditioning described in the module docstring.
+
+    Equal declaration sequences give the same, shared :class:`BiasSet`.
     """
     if isinstance(biases, BiasSpec):
         biases = (biases,)
-    specs = tuple(biases)
+    return _derive(tuple(biases))
+
+
+# a rejected sequence raises and is not stored, so the memo holds at most the
+# grammar's 376 valid declaration sequences and needs no bound
+@cache
+def _derive(specs: tuple[BiasSpec, ...]) -> BiasSet:
     if not specs:
         raise ParseError("at least one bias must be declared")
 

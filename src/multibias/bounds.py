@@ -52,17 +52,12 @@ def _product(terms: tuple[tuple[str, ...], ...], values: Mapping[str, Any]):
 
 def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]:
     names = bias_set.parameter_names()
-    expected = ", ".join(names)
-    unknown = sorted(set(values) - set(names))
-    if unknown:
-        raise UnknownParameter(
-            f"unknown parameter(s) {', '.join(unknown)}; expected: {expected}"
-        )
-    missing = [n for n in names if n not in values]
-    if missing:
-        raise MissingParameter(
-            f"missing value for parameter(s) {', '.join(missing)}; expected: {expected}"
-        )
+    # names are checked before any value, so a wrong name is what gets reported
+    if len(values) != len(names):
+        raise _name_error(names, values)
+    for name in names:
+        if name not in values:
+            raise _name_error(names, values)
     out: dict[str, float] = {}
     for name in names:
         value = float(values[name])
@@ -70,6 +65,22 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
             raise _out_of_domain(name, values[name])
         out[name] = value
     return out
+
+
+def _name_error(
+    names: tuple[str, ...], values: Mapping[str, Any]
+) -> UnknownParameter | MissingParameter:
+    """The error for a mapping whose keys are not exactly ``names``."""
+    expected = ", ".join(names)
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        return UnknownParameter(
+            f"unknown parameter(s) {', '.join(unknown)}; expected: {expected}"
+        )
+    missing = [n for n in names if n not in values]
+    return MissingParameter(
+        f"missing value for parameter(s) {', '.join(missing)}; expected: {expected}"
+    )
 
 
 def _out_of_domain(name: str, value: Any) -> DomainError:

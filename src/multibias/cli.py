@@ -118,6 +118,8 @@ def _cmd_evalue(args: argparse.Namespace) -> int:
             f"unknown measure {args.measure!r}: use RR or OR (hazard ratios "
             "and other measures are not supported)"
         ) from None
+    if args.rare and scale is not Scale.ODDS_RATIO:
+        raise ParseError("--rare applies to odds ratios only: add --measure OR")
     estimate = EffectEstimate(
         point=args.est, lo=args.lo, hi=args.hi, scale=scale, rare_outcome=args.rare
     )

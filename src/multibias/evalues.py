@@ -24,7 +24,7 @@ import math
 import sys
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Sequence
 
@@ -89,7 +89,9 @@ def to_risk_ratio(estimate: EffectEstimate) -> EffectEstimate:
         return estimate
     if estimate.scale is Scale.ODDS_RATIO:
         if estimate.rare_outcome:
-            return replace(estimate, scale=Scale.RISK_RATIO, rare_outcome=False)
+            return EffectEstimate(
+                estimate.point, estimate.lo, estimate.hi, Scale.RISK_RATIO
+            )
         return EffectEstimate(
             math.sqrt(estimate.point),
             None if estimate.lo is None else math.sqrt(estimate.lo),

@@ -5,6 +5,7 @@ from declarations import DECLARATIONS
 
 from multibias import (
     BiasKind,
+    BiasSet,
     BiasSpec,
     DuplicateBias,
     ParseError,
@@ -17,7 +18,7 @@ from multibias import (
     parameter_summary,
     selection,
 )
-from multibias.biases import parse_bias_string
+from multibias.biases import _derive, parse_bias_string
 
 
 # (name, display, latex, scale, degree) of every parameter the grammar reaches
@@ -266,3 +267,59 @@ class TestLabel:
             "confounding + selection(general, increased_risk, s_equals_u)"
             " + misclassification(exposure, rare_outcome)"
         )
+
+
+# the declarations TestValidation rejects, each with its error class
+REJECTED = [
+    ([], ParseError),
+    ([confounding(), confounding()], DuplicateBias),
+    ([misclassification("exposure")], RareOutcomeRequired),
+    ([selection("selected", risk_direction="increased")], SelectedPopulationConflict),
+    ([selection("selected", s_equals_u=True)], SelectedPopulationConflict),
+]
+
+
+class TestDerivedOnce:
+    def test_equal_declarations_give_the_same_set(self):
+        for declared in DECLARATIONS:
+            bs = build_bias_set(declared)
+            assert build_bias_set(list(declared)) is bs, bs.label
+            assert parse_bias_string(bs.label) is bs, bs.label
+
+    def test_a_lone_spec_shares_the_set_of_its_one_element_sequence(self):
+        assert build_bias_set(confounding()) is build_bias_set([confounding()])
+
+    def test_declaration_order_is_part_of_the_key(self):
+        forward = build_bias_set([selection(), misclassification("outcome")])
+        backward = build_bias_set([misclassification("outcome"), selection()])
+        assert forward is not backward
+        assert forward.parameters != backward.parameters
+
+    def test_cached_names_and_label_equal_a_fresh_derivation(self):
+        for declared in DECLARATIONS:
+            bs = build_bias_set(declared)
+            assert bs.label == " + ".join(b.describe() for b in bs.biases)
+            assert bs.parameter_names() == tuple(p.name for p in bs.parameters)
+            assert bs.parameter_names() is bs.parameter_names()
+
+    def test_cached_values_leave_equality_hashing_and_repr_to_the_fields(self):
+        bs = build_bias_set([confounding(), selection()])
+        bs.label, bs.parameter_names()  # fill both caches
+        twin = BiasSet(bs.biases, bs.parameters, bs.terms, bs.polynomial)
+        assert twin == bs and hash(twin) == hash(bs)
+        assert repr(twin) == repr(bs)
+
+    @pytest.mark.parametrize("declared, error", REJECTED)
+    def test_a_rejected_declaration_raises_on_every_call(self, declared, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                build_bias_set(declared)
+
+    def test_the_memo_holds_at_most_the_valid_declarations(self):
+        for declared in DECLARATIONS:
+            build_bias_set(declared)
+        for declared, error in REJECTED:
+            with pytest.raises(error):
+                build_bias_set(declared)
+        assert len(DECLARATIONS) == 376
+        assert _derive.cache_info().currsize <= len(DECLARATIONS)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -188,6 +189,86 @@ class TestMultiBound:
         bumped = dict(base)
         bumped[names[index]] += bump
         assert multi_bound(bs, bumped) >= multi_bound(bs, base) * (1 - 1e-12)
+
+
+CONF = build_bias_set([confounding()])
+CONF_MIS = build_bias_set([confounding(), misclassification("outcome")])
+AXES = [("RRAUc", [2.0]), ("RRUcY", [2.0])]
+BELOW_ONE = "must be a finite number at least 1, got "
+
+
+class TestValidatedValues:
+    """Error classes and texts of bad parameter mappings, names before values."""
+
+    @pytest.mark.parametrize(
+        "values, error, text",
+        [
+            # the right length with one wrong name, whatever the other value
+            ({"RRAUc": 2, "bogus": 3}, UnknownParameter, "unknown parameter(s) bogus"),
+            ({"RRAUc": 0.5, "RRUcZ": 2}, UnknownParameter, "unknown parameter(s) RRUcZ"),
+            ({"RRAUc": "two", "RRUcZ": 2}, UnknownParameter, "unknown parameter(s) RRUcZ"),
+            ({"RRUcY": 2, "aa": 1}, UnknownParameter, "unknown parameter(s) aa"),
+            (
+                {"RRAUc": 2, "RRUcY": 2, "zz": 1, "aa": 1},
+                UnknownParameter,
+                "unknown parameter(s) aa, zz",
+            ),
+            ({"RRAUc": 2}, MissingParameter, "missing value for parameter(s) RRUcY"),
+        ],
+    )
+    def test_a_wrong_name_is_reported_with_the_expected_names(self, values, error, text):
+        with pytest.raises(error) as exc:
+            multi_bound(CONF, values)
+        assert str(exc.value) == f"{text}; expected: RRAUc, RRUcY"
+
+    @pytest.mark.parametrize(
+        "values, got",
+        [
+            ({"RRUcY": 0.5, "RRAUc": math.nan}, "nan"),
+            ({"RRUcY": 0.5, "RRAUc": 0.9}, "0.9"),
+            ({"RRUcY": "x", "RRAUc": math.inf}, "inf"),
+        ],
+    )
+    def test_of_two_bad_values_the_first_in_name_order_is_reported(self, values, got):
+        with pytest.raises(DomainError) as exc:
+            multi_bound(CONF, values)
+        assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{got}"
+
+    def test_read_only_mappings_and_numpy_floats_are_accepted(self):
+        values = MappingProxyType({"RRAUc": np.float64(2.0), "RRUcY": np.float32(2.5)})
+        assert multi_bound(CONF, values) == multi_bound(CONF, {"RRAUc": 2.0, "RRUcY": 2.5})
+        with pytest.raises(DomainError, match="parameter RRAUc .*, got 0.5$"):
+            multi_bound(CONF, {**values, "RRAUc": np.float64(0.5)})
+        table = grid_table(CONF_MIS, AXES, MappingProxyType({"RRAYy": np.float64(3)}))
+        assert table.fixed == {"RRAYy": 3.0} and type(table.fixed["RRAYy"]) is float
+
+    @pytest.mark.parametrize(
+        "axes, fixed, error, text",
+        [
+            (AXES, {"RRAYy": 0.5}, DomainError, "parameter RRAYy " + BELOW_ONE + "0.5"),
+            (AXES, {"RRAYy": 2.0, "bogus": 2.0}, UnknownParameter, "unknown parameter(s) bogus"),
+            (AXES, {"bogus": 2.0}, UnknownParameter, "unknown parameter(s) bogus"),
+            (AXES, None, MissingParameter, "missing value for parameter(s) RRAYy"),
+            (
+                [("RRAUc", [0.5]), AXES[1]],
+                {"RRAYy": math.nan},
+                DomainError,
+                "parameter RRAUc " + BELOW_ONE + "0.5",
+            ),
+            (
+                [AXES[0], ("RRUcZ", [2.0])],
+                {"RRAYy": 2},
+                UnknownParameter,
+                "unknown parameter(s) RRUcZ",
+            ),
+        ],
+    )
+    def test_grid_fixed_value_errors(self, axes, fixed, error, text):
+        with pytest.raises(error) as exc:
+            grid_table(CONF_MIS, axes, fixed)
+        if error is not DomainError:
+            text += "; expected: RRAUc, RRUcY, RRAYy"
+        assert str(exc.value) == text
 
 
 class TestGrid:

@@ -354,6 +354,13 @@ class TestEvalueCommand:
         assert rc == 2
         assert "hazard" in captured.err
 
+    def test_rare_without_odds_ratio_names_the_flag_and_the_fix(self, capsys):
+        argv = ["evalue", "--biases", "confounding", "--est", "1.0", "--rare"]
+        code, out, err = _run_strict(argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --rare applies to odds ratios only: add --measure OR\n"
+
     @pytest.mark.parametrize("measure", ["rr", "or"])
     def test_lower_case_measure_names_accepted_spellings(self, measure, capsys):
         rc = main(["evalue", "--biases", "confounding", "--est", "2", "--measure", measure])

@@ -61,6 +61,20 @@ class TestToRiskRatio:
         assert rr.lo == 1.5
         assert rr.hi is None
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(None, None), (2.25, None), (None, 9.0), (2.25, 9.0)]
+    )
+    def test_each_scale_and_rare_case_gives_the_whole_estimate(self, lo, hi):
+        def rr(point, lo, hi):
+            return EffectEstimate(point, lo, hi, Scale.RISK_RATIO, False)
+
+        root = rr(2.0, lo and 1.5, hi and 3.0)
+        assert to_risk_ratio(EffectEstimate(4.0, lo, hi, Scale.RISK_RATIO)) == rr(4.0, lo, hi)
+        assert to_risk_ratio(EffectEstimate(4.0, lo, hi, Scale.ODDS_RATIO)) == root
+        assert to_risk_ratio(EffectEstimate(4.0, lo, hi, Scale.ODDS_RATIO, True)) == rr(4.0, lo, hi)
+        with pytest.raises(ParseError, match="odds ratios only"):
+            EffectEstimate(4.0, lo, hi, Scale.RISK_RATIO, True)
+
     def test_other_scales_rejected(self):
         with pytest.raises(DomainError) as exc:
             to_risk_ratio(EffectEstimate(2.0, scale="HR"))
