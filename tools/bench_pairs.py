@@ -53,20 +53,20 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> dict:
     p, c = quartiles(p_runs), quartiles(c_runs)
     worse = (p["median"] - c["median"]) if higher else (c["median"] - p["median"])
     better = sum((cv > pv) if higher else (cv < pv) for pv, cv in zip(p_runs, c_runs))
-    out = {"unit": spec["unit"], "better": spec["better"]}
-    if "bound" in spec:
-        out["bound"] = spec["bound"]
-    out.update(
-        parent=p,
-        change=c,
-        relative_worsening=round(worse / p["median"], 4),
-        parent_iqr=p["q3"] - p["q1"],
-        pairs_change_better=better,
-    )
-    if "bound" in spec:
-        out["within_bound"] = worse / p["median"] <= spec["bound"]
-    out.update(parent_runs=p_runs, change_runs=c_runs)
-    return out
+    relative = worse / p["median"]
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "parent": p,
+        "change": c,
+        "relative_worsening": round(relative, 4),
+        "parent_iqr": p["q3"] - p["q1"],
+        "pairs_change_better": better,
+        "within_bound": relative <= spec["bound"],
+        "parent_runs": p_runs,
+        "change_runs": c_runs,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
