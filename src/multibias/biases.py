@@ -6,6 +6,8 @@ sensitivity parameters of the corresponding bound and how they pair up into
 joint bounding factors. Each declaration sequence is derived once:
 :func:`build_bias_set` returns one shared, immutable :class:`BiasSet` per
 sequence, at most 376 of them, so equal declarations give the same object.
+A set also holds, computed once, the names its E-values are reported under;
+:mod:`multibias.evalues` shares one polynomial object per ``(n, k)``.
 
 Each parameter is declared once, by its display symbol, e.g. ``RR_SUs|A=1``.
 Its argument name is the symbol without ``_|=,*`` (``RRSUsA1``), its scale is
@@ -51,6 +53,10 @@ class BiasKind(enum.Enum):
     CONFOUNDING = "confounding"
     SELECTION = "selection"
     MISCLASSIFICATION = "misclassification"
+
+    # members are singletons compared by identity, and pickle and copy to
+    # themselves; the C hash spares build_bias_set's memo lookup a Python call
+    __hash__ = object.__hash__
 
 
 class Scale(enum.Enum):
@@ -238,6 +244,11 @@ class BiasSet:
 
     def parameter_names(self) -> tuple[str, ...]:
         return self._names
+
+    @cached_property
+    def _evalue_names(self) -> tuple[str, ...]:
+        """The names the set's E-values are reported under, in parameter order."""
+        return tuple(p.evalue_name for p in self.parameters)
 
 
 def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:

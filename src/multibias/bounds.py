@@ -7,7 +7,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .biases import BiasSet
-from .errors import DomainError, MissingParameter, ParseError, SizeLimitExceeded, UnknownParameter
+from .errors import (
+    DomainError,
+    MissingParameter,
+    ParseError,
+    SizeLimitExceeded,
+    UnknownParameter,
+    _read_floats,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +67,10 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
             raise _name_error(names, values)
     out: dict[str, float] = {}
     for name in names:
-        value = float(values[name])
+        try:
+            value = float(values[name])
+        except (TypeError, ValueError, OverflowError):
+            raise _out_of_domain(name, values[name]) from None
         if not 1.0 <= value < math.inf:
             raise _out_of_domain(name, values[name])
         out[name] = value
@@ -128,8 +138,8 @@ def grid_table(
     (row_name, row_values), (col_name, col_values) = vary
     if row_name == col_name:
         raise ParseError("the two varying parameters must differ")
-    rows = np.asarray(row_values, dtype=float)
-    cols = np.asarray(col_values, dtype=float)
+    rows, row_given = _read_floats(row_values)
+    cols, col_given = _read_floats(col_values)
     if rows.ndim != 1 or cols.ndim != 1 or not rows.size or not cols.size:
         raise ParseError("grid values must be non-empty sequences")
     if rows.size * cols.size > MAX_GRID_CELLS:
@@ -141,12 +151,12 @@ def grid_table(
     if overlap:
         raise ParseError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
     # names and fixed values, with each axis's first value standing in
-    checked = _validated(bias_set, {**fixed, row_name: rows[0], col_name: cols[0]})
+    checked = _validated(bias_set, {**fixed, row_name: row_given[0], col_name: col_given[0]})
     fixed = {k: v for k, v in checked.items() if k in fixed}
-    for name, axis in ((row_name, rows), (col_name, cols)):
+    for name, axis, given in ((row_name, rows, row_given), (col_name, cols, col_given)):
         bad = ~((axis >= 1.0) & (axis < math.inf))
         if bad.any():
-            raise _out_of_domain(name, axis[bad][0])
+            raise _out_of_domain(name, given[bad][0])
 
     cells = {**fixed, row_name: rows[:, None], col_name: cols[None, :]}
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
@@ -188,11 +198,20 @@ def adjust_estimate(
     estimate is at or above 1, multiplied when below.
     """
     for label, v in (("point", point), ("lo", lo), ("hi", hi)):
-        if not 0 < v < math.inf:
-            raise DomainError(f"{label} must be positive and finite, got {v}")
+        try:
+            if 0 < v < math.inf:
+                continue
+        except (TypeError, ValueError):
+            pass
+        raise DomainError(f"{label} must be positive and finite, got {v}")
     if not lo <= point <= hi:
         raise DomainError("interval must satisfy lo <= point <= hi")
     bound = multi_bound(bias_set, values)
     if point >= 1.0:
-        return ShiftedEstimate(point / bound, lo / bound, hi / bound, bound)
-    return ShiftedEstimate(point * bound, lo * bound, hi * bound, bound)
+        shifted = ShiftedEstimate(point / bound, lo / bound, hi / bound, bound)
+    else:
+        shifted = ShiftedEstimate(point * bound, lo * bound, hi * bound, bound)
+    # the shift keeps lo <= point <= hi, so the limits show any over- or underflow
+    if not (shifted.lo > 0.0 and shifted.hi < math.inf):
+        raise DomainError("the shifted interval leaves the floating-point range")
+    return shifted

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and reading numbers for their messages."""
+
+import math
 
 
 class BiasAnalysisError(Exception):
@@ -47,3 +49,28 @@ class DegenerateStratum(BiasAnalysisError, ValueError):
 
 class SizeLimitExceeded(BiasAnalysisError, ValueError):
     """A grid or curve asks for more cells or points than are evaluated at once."""
+
+
+def _read_floats(values):
+    """values as a float array, and the array an error message quotes from.
+
+    The two are one array unless numpy reads some value as no number. Then
+    that value is nan in the first, so a range check flags it, and kept as
+    given in the second, so the message names it.
+    """
+    import numpy as np
+
+    try:
+        floats = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        given = np.asarray(values, dtype=object)
+        floats = np.array([_float_or_nan(v) for v in given.flat]).reshape(given.shape)
+        return floats, given
+    return floats, floats
+
+
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan

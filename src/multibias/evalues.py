@@ -5,6 +5,9 @@ sensitivity parameters would have to take at once for the bound to reach the
 estimate (or the confidence limit nearer the null). Setting every parameter
 of a bound to x collapses the product of factors into the polynomial ratio
 x**n / (2x - 1)**k, so computing an E-value means inverting that function.
+Both are fixed by the set: evalue_polynomial returns one shared
+EValuePolynomial per (n, k), at most 15 of them, and multi_evalue reports
+the names each set holds, one tuple per set.
 
 One solver, _root, inverts it for a float or a whole array: in closed form
 when k == 0 or n == 2k, and otherwise by Newton's method in log x, which
@@ -25,11 +28,12 @@ import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import repeat
 from typing import Sequence
 
 from .biases import BiasSet, Scale
-from .errors import DomainError, ParseError, SizeLimitExceeded
+from .errors import DomainError, ParseError, SizeLimitExceeded, _read_floats
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 112
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
@@ -52,8 +56,14 @@ class EffectEstimate:
 
     def __post_init__(self) -> None:
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
-            if v is not None and not 0 < v < math.inf:
-                raise DomainError(f"{label} must be positive and finite, got {v}")
+            if v is None and label != "point":
+                continue
+            try:
+                if 0 < v < math.inf:
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise DomainError(f"{label} must be positive and finite, got {v}")
         if self.lo is not None and self.lo > self.point:
             raise DomainError("lo must not exceed the point estimate")
         if self.hi is not None and self.hi < self.point:
@@ -139,9 +149,17 @@ class EValuePolynomial:
         return value
 
 
+# an invalid (n, k) raises and is not stored, so this holds at most the 15
+# polynomials the grammar's bias sets have
+_shared_polynomial = cache(EValuePolynomial)
+
+
 def evalue_polynomial(bias_set: BiasSet) -> EValuePolynomial:
-    """Polynomial whose inverse at a bias ratio gives the E-value."""
-    return EValuePolynomial(*bias_set.polynomial)
+    """Polynomial whose inverse at a bias ratio gives the E-value.
+
+    Sets with the same ``(n, k)`` share one polynomial object.
+    """
+    return _shared_polynomial(*bias_set.polynomial)
 
 
 def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
@@ -230,7 +248,11 @@ def multi_evalue(
     null receives an E-value; the far side is reported as None. Targets at
     or below 1 need no bias at all and get an E-value of 1.
     """
-    if not 0 < true_value < math.inf:
+    try:
+        valid = 0 < true_value < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
         raise DomainError(f"true_value must be positive and finite, got {true_value}")
     rr = to_risk_ratio(estimate)
     poly = evalue_polynomial(bias_set)
@@ -261,7 +283,7 @@ def multi_evalue(
         evalue_point=evalue_point,
         evalue_lo=None if inverted else evalue_near,
         evalue_hi=evalue_near if inverted else None,
-        parameters=tuple(p.evalue_name for p in bias_set.parameters),
+        parameters=bias_set._evalue_names,
     )
 
 
@@ -299,7 +321,7 @@ def evalue_curve(
     """
     import numpy as np
 
-    rr = np.asarray(rr_values, dtype=float)
+    rr, given = _read_floats(rr_values)
     if rr.ndim != 1:
         raise ParseError("risk ratios must be a one-dimensional sequence")
     if len(bias_sets) * rr.size > MAX_CURVE_POINTS:
@@ -309,7 +331,7 @@ def evalue_curve(
         )
     bad = ~((rr > 0.0) & (rr < math.inf))
     if bad.any():
-        raise DomainError(f"risk ratios must be positive and finite, got {rr[bad][0]}")
+        raise DomainError(f"risk ratios must be positive and finite, got {given[bad][0]}")
     # protective ratios are inverted, as multi_evalue does; checked first,
     # so that an overflowing inverse raises no numpy warning
     if rr.min(initial=1.0) <= _UNINVERTIBLE:

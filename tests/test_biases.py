@@ -1,5 +1,8 @@
 """Bias declaration and parameter derivation tests."""
 
+import copy
+import pickle
+
 import pytest
 from declarations import DECLARATIONS
 
@@ -301,6 +304,17 @@ class TestDerivedOnce:
             assert bs.label == " + ".join(b.describe() for b in bs.biases)
             assert bs.parameter_names() == tuple(p.name for p in bs.parameters)
             assert bs.parameter_names() is bs.parameter_names()
+            assert bs._evalue_names == tuple(p.evalue_name for p in bs.parameters)
+            assert bs._evalue_names is build_bias_set(list(declared))._evalue_names
+
+    def test_specs_built_apart_with_equal_fields_give_the_same_set(self):
+        for declared in DECLARATIONS:
+            apart = [BiasSpec(**vars(spec)) for spec in declared]
+            assert all(a is not b and a == b for a, b in zip(apart, declared))
+            assert build_bias_set(apart) is build_bias_set(declared)
+            thawed = pickle.loads(pickle.dumps(apart))
+            assert build_bias_set(thawed) is build_bias_set(declared)
+            assert build_bias_set(copy.deepcopy(apart)) is build_bias_set(declared)
 
     def test_cached_values_leave_equality_hashing_and_repr_to_the_fields(self):
         bs = build_bias_set([confounding(), selection()])
@@ -323,3 +337,16 @@ class TestDerivedOnce:
                 build_bias_set(declared)
         assert len(DECLARATIONS) == 376
         assert _derive.cache_info().currsize <= len(DECLARATIONS)
+
+
+class TestBiasKind:
+    """The identity hash keeps what members did with the name hash."""
+
+    @pytest.mark.parametrize("kind", list(BiasKind))
+    def test_hash_equality_pickle_and_copy(self, kind):
+        assert hash(kind) == hash(BiasKind(kind.value)) == hash(BiasKind[kind.name])
+        assert kind == BiasKind(kind.value) and kind != kind.value
+        assert [k for k in BiasKind if k == kind] == [kind]
+        for twin in (pickle.loads(pickle.dumps(kind)), copy.copy(kind), copy.deepcopy(kind)):
+            assert twin is kind and hash(twin) == hash(kind)
+        assert {k: k.value for k in BiasKind}[pickle.loads(pickle.dumps(kind))] == kind.value

@@ -227,12 +227,24 @@ class TestValidatedValues:
             ({"RRUcY": 0.5, "RRAUc": math.nan}, "nan"),
             ({"RRUcY": 0.5, "RRAUc": 0.9}, "0.9"),
             ({"RRUcY": "x", "RRAUc": math.inf}, "inf"),
+            ({"RRUcY": 0.5, "RRAUc": None}, "None"),
+            ({"RRUcY": None, "RRAUc": "abc"}, "abc"),
         ],
     )
     def test_of_two_bad_values_the_first_in_name_order_is_reported(self, values, got):
         with pytest.raises(DomainError) as exc:
             multi_bound(CONF, values)
         assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{got}"
+
+    @pytest.mark.parametrize(
+        "value", ["abc", None, [2.0], 2 + 0j, np.array([2.0, 3.0]), 10**400],
+        ids=["text", "none", "list", "complex", "array", "huge_int"],
+    )
+    def test_a_value_that_is_no_number_is_a_domain_error(self, value):
+        # each raised ValueError, TypeError or OverflowError from float()
+        with pytest.raises(DomainError) as exc:
+            multi_bound(CONF, {"RRAUc": value, "RRUcY": 2})
+        assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{value}"
 
     def test_read_only_mappings_and_numpy_floats_are_accepted(self):
         values = MappingProxyType({"RRAUc": np.float64(2.0), "RRUcY": np.float32(2.5)})
@@ -260,6 +272,37 @@ class TestValidatedValues:
                 {"RRAYy": 2},
                 UnknownParameter,
                 "unknown parameter(s) RRUcZ",
+            ),
+            # values numpy reads as no number, names still first
+            (
+                [("RRAUc", ["a", 2]), ("RRUcY", [2])],
+                {"RRAYy": 2},
+                DomainError,
+                "parameter RRAUc " + BELOW_ONE + "a",
+            ),
+            (
+                [("RRAUc", ["a", 2]), ("RRUcZ", [2])],
+                {"RRAYy": 2},
+                UnknownParameter,
+                "unknown parameter(s) RRUcZ",
+            ),
+            (
+                [AXES[0], ("RRUcY", [2, "b"])],
+                {"RRAYy": 0.5},
+                DomainError,
+                "parameter RRAYy " + BELOW_ONE + "0.5",
+            ),
+            (
+                [AXES[0], ("RRUcY", [2, 0.5, "b"])],
+                {"RRAYy": 2},
+                DomainError,
+                "parameter RRUcY " + BELOW_ONE + "0.5",
+            ),
+            (
+                [AXES[0], ("RRUcY", [2, [3, 4], 5])],
+                {"RRAYy": 2},
+                DomainError,
+                "parameter RRUcY " + BELOW_ONE + "[3, 4]",
             ),
         ],
     )
@@ -381,3 +424,29 @@ class TestAdjustEstimate:
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError):
             adjust_estimate(bs, {"RRAUc": 2, "RRUcY": 2}, point=-1.0, lo=-2.0, hi=0.5)
+
+    @pytest.mark.parametrize("label, limits", [("point", (None, 0.5, 2.0)), ("hi", (1.0, 0.5, "2"))])
+    def test_limits_that_are_no_numbers_are_domain_errors(self, label, limits):
+        bs = build_bias_set(misclassification("outcome"))
+        with pytest.raises(DomainError, match=f"^{label} must be positive and finite"):
+            adjust_estimate(bs, {"RRAYy": 2.0}, *limits)
+
+    @pytest.mark.parametrize(
+        "value, limits",
+        [
+            (1e308, (0.5, 0.4, 2.0)),  # hi * bound overflows to inf
+            (1e10, (2.0, 1e-320, 3.0)),  # lo / bound underflows to 0
+        ],
+        ids=["inf", "zero"],
+    )
+    def test_a_shifted_limit_beyond_the_float_range_is_a_domain_error(self, value, limits):
+        bs = build_bias_set(misclassification("outcome"))
+        with pytest.raises(DomainError, match="floating-point range"):
+            adjust_estimate(bs, {"RRAYy": value}, *limits)
+
+    def test_shifted_limits_at_the_edge_of_the_float_range_are_kept(self):
+        bs = build_bias_set(misclassification("outcome"))
+        shifted = adjust_estimate(bs, {"RRAYy": 2.0}, 2.0, 1e-300, 3.0)
+        assert shifted.lo == 5e-301
+        shifted = adjust_estimate(bs, {"RRAYy": 1e300}, 0.5, 0.4, 1.5)
+        assert shifted.hi == 1.5e300

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from declarations import DECLARATIONS
 from multibias import (
+    BiasSet,
     CurvePoint,
     DomainError,
     EffectEstimate,
@@ -31,9 +32,13 @@ from multibias import (
     solve_polynomial,
     to_risk_ratio,
 )
-from multibias.evalues import MAX_CURVE_POINTS, odds_ratio, risk_ratio
+from multibias.evalues import MAX_CURVE_POINTS, _shared_polynomial, odds_ratio, risk_ratio
 from roots import bisect_root, decimal_root
 
+# the shared polynomial of each (n, k) the grammar can reach
+SHARED_BY_POLYNOMIAL = {
+    bs.polynomial: evalue_polynomial(bs) for bs in map(build_bias_set, DECLARATIONS)
+}
 # one bias set for each polynomial the grammar can reach
 SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATIONS)}
 # one bias set for each bound the grammar can reach: declarations with the
@@ -97,6 +102,15 @@ class TestToRiskRatio:
         with pytest.raises(DomainError):
             EffectEstimate(*limits)
 
+    @pytest.mark.parametrize(
+        "limits, label",
+        [((None,), "point"), (("2",), "point"), ((2.0, 2 + 0j), "lo"), ((2.0, None, [3.0]), "hi")],
+    )
+    def test_an_estimate_that_is_no_number_is_a_domain_error(self, limits, label):
+        # a None point constructed, and the others raised TypeError
+        with pytest.raises(DomainError, match=f"^{label} must be positive and finite"):
+            EffectEstimate(*limits)
+
 
 class TestPolynomialAccounting:
     CASES = [
@@ -158,6 +172,28 @@ class TestPolynomialAccounting:
             EValuePolynomial(1, 1)  # decreasing near 1
         with pytest.raises(DomainError):
             EValuePolynomial(0, 0)
+
+    def test_sets_with_one_n_and_k_share_one_polynomial(self):
+        for declared in DECLARATIONS:
+            bs = build_bias_set(declared)
+            poly = evalue_polynomial(bs)
+            assert poly is evalue_polynomial(build_bias_set(declared))
+            assert poly == EValuePolynomial(*bs.polynomial)
+            assert poly is SHARED_BY_POLYNOMIAL[bs.polynomial]
+        assert len(SHARED_BY_POLYNOMIAL) == 15
+        assert _shared_polynomial.cache_info().currsize <= 15
+
+    def test_an_invalid_pair_raises_on_every_call_and_is_not_stored(self):
+        bs = build_bias_set(confounding())
+        hand_built = BiasSet(bs.biases, bs.parameters, bs.terms, (1, 1))
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"polynomial \(1, 1\)"):
+                evalue_polynomial(hand_built)
+        with pytest.raises(DomainError):
+            multi_evalue(hand_built, risk_ratio(2.0))
+        stored = _shared_polynomial.cache_info().currsize
+        evalue_polynomial(bs)
+        assert _shared_polynomial.cache_info().currsize == stored
 
 
 class TestSolve:
@@ -323,10 +359,11 @@ class TestMultiEvalue:
         residual = 8 * math.log(x) - 3 * math.log(2 * x - 1) - math.log(1e300)
         assert abs(residual) <= 1e-12 * math.log(1e300)
 
-    def test_true_value_must_be_positive(self):
+    @pytest.mark.parametrize("true_value", [0.0, "1", None])
+    def test_true_value_must_be_positive(self, true_value):
         bs = build_bias_set([confounding()])
-        with pytest.raises(DomainError):
-            multi_evalue(bs, risk_ratio(2.0), true_value=0.0)
+        with pytest.raises(DomainError, match="^true_value must be positive and finite"):
+            multi_evalue(bs, risk_ratio(2.0), true_value=true_value)
 
     def test_evalue_names_use_risk_ratio_forms(self):
         bs = build_bias_set(
@@ -428,6 +465,14 @@ class TestCurve:
     def test_rejects_ratios_that_are_not_positive_and_finite(self, bad):
         with pytest.raises(DomainError):
             evalue_curve([build_bias_set([confounding()])], [2.0, bad])
+
+    @pytest.mark.parametrize(
+        "ratios, got", [(["x"], "x"), ([2.0, "x"], "x"), ([0.5, [2, 3]], "[2, 3]"), ([10**400], "1" + "0" * 400)]
+    )
+    def test_rejects_ratios_that_are_no_numbers(self, ratios, got):
+        with pytest.raises(DomainError) as exc:
+            evalue_curve([build_bias_set([confounding()])], ratios)
+        assert str(exc.value) == f"risk ratios must be positive and finite, got {got}"
 
     def test_rejects_ratios_that_are_not_one_dimensional(self):
         with pytest.raises(ParseError, match="one-dimensional"):

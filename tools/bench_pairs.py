@@ -13,6 +13,11 @@ slow drift of the machine's speed falls on all workloads alike. The metric
 names, their direction and bounds, and the default run length are read from
 ``BENCHMARK.json`` in the change's tree.
 
+Before the first run, the output records for each tree whether
+``src/multibias/__pycache__`` exists, and a warning is printed when the two
+differ: the ``cli_oneshot`` children run with ``PYTHONDONTWRITEBYTECODE=1``,
+so a tree without it compiles the package from source in every call.
+
 For each metric the output lists every run, the quartiles of each side
 (linear interpolation, as numpy's default percentile), relative_worsening,
 which is (change - parent) / parent for lower-is-better metrics and
@@ -84,6 +89,17 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
+    trees = {"parent": args.parent, "change": args.change}
+    bytecode_cached = {
+        side: (tree / "src" / "multibias" / "__pycache__").is_dir()
+        for side, tree in trees.items()
+    }
+    if bytecode_cached["parent"] != bytecode_cached["change"]:
+        print(
+            f"warning: src/multibias/__pycache__ exists in one tree only {bytecode_cached}; "
+            "cli_oneshot compiles the package from source in the other",
+            file=sys.stderr,
+        )
     records: dict[str, dict[str, list[dict]]] = {
         w: {"parent": [], "change": []} for w in workloads
     }
@@ -91,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in workloads:
             for side in order:
-                tree = args.parent if side == "parent" else args.change
-                record = run(tree, workload, seed, seconds)
+                record = run(trees[side], workload, seed, seconds)
                 records[workload][side].append(record)
                 print(seed, workload, side, json.dumps(record["metrics"]), flush=True)
 
@@ -125,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             "one run after the other, odd seeds running the parent first; "
             "see tools/bench_pairs.py"
         ),
+        "bytecode_cached_before_first_run": bytecode_cached,
         "end_to_end": end_to_end,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
