@@ -13,6 +13,7 @@ from .errors import (
     ParseError,
     SizeLimitExceeded,
     UnknownParameter,
+    _FLOAT_MAX,
     _read_floats,
 )
 
@@ -30,7 +31,7 @@ def g(a: float, b: float) -> float:
     Symmetric, between 1 and a*b, nondecreasing in both arguments, and equal
     to 1 exactly when either argument is 1.
     """
-    if not (1.0 <= a < math.inf and 1.0 <= b < math.inf):
+    if not (1.0 <= a <= _FLOAT_MAX and 1.0 <= b <= _FLOAT_MAX):
         raise DomainError(f"g is defined for finite arguments >= 1, got ({a}, {b})")
     return _g(a, b)
 
@@ -133,26 +134,9 @@ def grid_table(
     """
     import numpy as np
 
-    if len(vary) != 2:
-        raise ParseError("exactly two parameters must vary")
-    (row_name, row_values), (col_name, col_values) = vary
-    if row_name == col_name:
-        raise ParseError("the two varying parameters must differ")
-    rows, row_given = _read_floats(row_values)
-    cols, col_given = _read_floats(col_values)
-    if rows.ndim != 1 or cols.ndim != 1 or not rows.size or not cols.size:
-        raise ParseError("grid values must be non-empty sequences")
-    if rows.size * cols.size > MAX_GRID_CELLS:
-        raise SizeLimitExceeded(
-            f"a {rows.size} x {cols.size} grid exceeds {MAX_GRID_CELLS} cells"
-        )
-    fixed = dict(fixed or {})
-    overlap = sorted({row_name, col_name} & set(fixed))
-    if overlap:
-        raise ParseError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
-    # names and fixed values, with each axis's first value standing in
-    checked = _validated(bias_set, {**fixed, row_name: row_given[0], col_name: col_given[0]})
-    fixed = {k: v for k, v in checked.items() if k in fixed}
+    (row_name, rows, row_given), (col_name, cols, col_given), fixed = _checked_grid(
+        bias_set, vary, fixed, _read_axis
+    )
     for name, axis, given in ((row_name, rows, row_given), (col_name, cols, col_given)):
         bad = ~((axis >= 1.0) & (axis < math.inf))
         if bad.any():
@@ -162,7 +146,7 @@ def grid_table(
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
         table = _product(bias_set.terms, cells)
     if table.max() == math.inf:
-        raise DomainError("the bound overflows the floating-point range in the grid")
+        raise _grid_overflow()
     table.setflags(write=False)
     return GridTable(
         bias_set,
@@ -173,6 +157,49 @@ def grid_table(
         fixed,
         table,
     )
+
+
+def _read_axis(values):
+    """An axis as grid_table reads it: _read_floats, one-dimensional and non-empty."""
+    floats, given = _read_floats(values)
+    if floats.ndim != 1 or not floats.size:
+        raise ParseError("grid values must be non-empty sequences")
+    return floats, given
+
+
+def _checked_grid(bias_set: BiasSet, vary, fixed, read):
+    """A grid's two axes, each as (name, values, given), and its fixed values.
+
+    Checks everything but the axes' own values, which are the caller's to
+    check: two axes with distinct names, each read into (values, given) by
+    ``read``; at most MAX_GRID_CELLS cells; no parameter both varied and
+    fixed; and the names and fixed values, each axis's first given value
+    standing in for the axis.
+    """
+    if len(vary) != 2:
+        raise ParseError("exactly two parameters must vary")
+    (row_name, row_values), (col_name, col_values) = vary
+    if row_name == col_name:
+        raise ParseError("the two varying parameters must differ")
+    (rows, row_given), (cols, col_given) = read(row_values), read(col_values)
+    if len(rows) * len(cols) > MAX_GRID_CELLS:
+        raise SizeLimitExceeded(
+            f"a {len(rows)} x {len(cols)} grid exceeds {MAX_GRID_CELLS} cells"
+        )
+    fixed = dict(fixed or {})
+    overlap = sorted({row_name, col_name} & set(fixed))
+    if overlap:
+        raise ParseError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
+    checked = _validated(bias_set, {**fixed, row_name: row_given[0], col_name: col_given[0]})
+    return (
+        (row_name, rows, row_given),
+        (col_name, cols, col_given),
+        {k: v for k, v in checked.items() if k in fixed},
+    )
+
+
+def _grid_overflow() -> DomainError:
+    return DomainError("the bound overflows the floating-point range in the grid")
 
 
 @dataclass(frozen=True)
@@ -199,7 +226,7 @@ def adjust_estimate(
     """
     for label, v in (("point", point), ("lo", lo), ("hi", hi)):
         try:
-            if 0 < v < math.inf:
+            if 0 < v <= _FLOAT_MAX:
                 continue
         except (TypeError, ValueError):
             pass

@@ -19,13 +19,9 @@ import argparse
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .biases import NAMED_BIAS_SETS, Scale, parameter_summary, parse_bias_string
 from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _fmt(x: float) -> str:
@@ -183,12 +179,10 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
-    import numpy as np
-
+def _parse_vary(pairs: list[str]) -> list[tuple[str, list[float]]]:
     from .bounds import MAX_GRID_CELLS
 
-    vary: list[tuple[str, np.ndarray]] = []
+    vary: list[tuple[str, list[float]]] = []
     for pair in pairs:
         name, raw = _split_name(pair, "NAME=START:STOP:STEP or NAME=v1,v2,...")
         if ":" in raw:
@@ -209,55 +203,86 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, np.ndarray]]:
                 raise SizeLimitExceeded(
                     f"{name}: {count} grid values exceed {MAX_GRID_CELLS}"
                 )
-            values = start + step * np.arange(int(steps) + 1)
+            values = [start + step * i for i in range(int(steps) + 1)]
         else:
-            values = np.array(
-                [_parse_float(p, name) for p in raw.split(",") if p.strip()]
-            )
-        if values.size == 0:
+            values = [_parse_float(p, name) for p in raw.split(",") if p.strip()]
+        if not values:
             raise ParseError(f"{name}: no grid values")
         vary.append((name, values))
     return vary
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from .bounds import grid_table
+    from .bounds import _checked_grid, _grid_overflow, _out_of_domain, _product
 
     bias_set = parse_bias_string(args.biases)
     vary = _parse_vary(args.vary)
-    fixed = _parse_assignments(args.param)
-    table = grid_table(bias_set, vary, fixed=fixed or None)
+    (row_name, row_values, _), (col_name, col_values, _), fixed = _checked_grid(
+        bias_set, vary, _parse_assignments(args.param), lambda values: (values, values)
+    )
+    for name, axis in ((row_name, row_values), (col_name, col_values)):
+        for value in axis:
+            if not 1.0 <= value < math.inf:
+                raise _out_of_domain(name, value)
+    # cell by cell, the same operations in the same order as grid_table's arrays
+    table = [
+        [_product(bias_set.terms, {**fixed, row_name: r, col_name: c}) for c in col_values]
+        for r in row_values
+    ]
+    if any(math.inf in row for row in table):
+        raise _grid_overflow()
     if args.format == "csv":
         _print_csv(
-            [["", *table.col_values]]
-            + [[value, *row] for value, row in zip(table.row_values, table.values.tolist())]
+            [["", *col_values]] + [[value, *row] for value, row in zip(row_values, table)]
         )
     elif args.format == "json":
         _print_json(
             {
                 "schema_version": 1,
                 "biases": bias_set.label,
-                "row_parameter": table.row_name,
-                "col_parameter": table.col_name,
-                "row_values": table.row_values,
-                "col_values": table.col_values,
-                "fixed": dict(table.fixed),
-                "values": table.values.tolist(),
+                "row_parameter": row_name,
+                "col_parameter": col_name,
+                "row_values": row_values,
+                "col_values": col_values,
+                "fixed": fixed,
+                "values": table,
             }
         )
     else:
-        rows = [[""] + [f"{v:g}" for v in table.col_values]]
-        for value, row in zip(table.row_values, table.values):
+        rows = [[""] + [f"{v:g}" for v in col_values]]
+        for value, row in zip(row_values, table):
             rows.append([f"{value:g}"] + [f"{cell:.6f}" for cell in row])
-        print(f"rows: {table.row_name}, columns: {table.col_name}")
+        print(f"rows: {row_name}, columns: {col_name}")
         print(_format_table(rows))
     return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) for num >= 2, bit for bit, as a list.
 
-    from .evalues import MAX_CURVE_POINTS, evalue_curve
+    Point i is start + i * step, or start + i / (num - 1) * (stop - start)
+    when step underflows to 0; the last point is stop, even where computing
+    it would overflow.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        values = [start + i / div * delta for i in range(num)]
+    else:
+        values = [start + i * step for i in range(num)]
+    values[-1] = stop
+    return values
+
+
+def _cmd_curve(args: argparse.Namespace) -> int:
+    from .evalues import (
+        MAX_CURVE_POINTS,
+        _check_curve_size,
+        _check_invertible,
+        evalue_polynomial,
+        solve_polynomial,
+    )
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -268,25 +293,29 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     if args.points > MAX_CURVE_POINTS:
         raise SizeLimitExceeded(f"{args.points} points exceed {MAX_CURVE_POINTS}")
-    # linspace pins the last point to rr-max, but may first overflow computing
-    # it; an inf among the rest fails evalue_curve's finiteness check
-    with np.errstate(over="ignore"):
-        rr_values = np.linspace(args.rr_min, args.rr_max, args.points)
-    points = evalue_curve(bias_sets, rr_values)
+    _check_curve_size(len(bias_sets), args.points)
+    # every point lies in [rr-min, rr-max], so rr-min is the one to check
+    _check_invertible(args.rr_min)
+    rr_values = _linspace(args.rr_min, args.rr_max, args.points)
+    points = []
+    for bias_set in bias_sets:
+        poly = evalue_polynomial(bias_set)
+        # multi_evalue(bias_set, risk_ratio(rr)).evalue_point, exactly
+        points += [
+            (rr, bias_set.label, solve_polynomial(poly, max(rr, 1.0 / rr))) for rr in rr_values
+        ]
     if args.format == "json":
         payload = {
             "schema_version": 1,
-            "points": [
-                {"rr": p.rr, "biases": p.biases, "evalue": p.evalue} for p in points
-            ],
+            "points": [{"rr": rr, "biases": label, "evalue": e} for rr, label, e in points],
         }
         _print_json(payload)
     elif args.format == "csv":
-        _print_csv([["rr", "biases", "evalue"]] + [[p.rr, p.biases, p.evalue] for p in points])
+        _print_csv([["rr", "biases", "evalue"], *points])
     else:
         rows = [["rr", "biases", "evalue"]]
-        for p in points:
-            rows.append([_fmt(p.rr), p.biases, _fmt(p.evalue)])
+        for rr, label, e in points:
+            rows.append([_fmt(rr), label, _fmt(e)])
         print(_format_table(rows, right_from=2))
     return 0
 

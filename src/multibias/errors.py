@@ -1,6 +1,11 @@
 """Exception types shared across the package, and reading numbers for their messages."""
 
 import math
+import sys
+
+# range checks compare with this, not with inf, so that an int beyond the
+# float range fails them instead of overflowing when first used as a float
+_FLOAT_MAX = sys.float_info.max
 
 
 class BiasAnalysisError(Exception):

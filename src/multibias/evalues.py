@@ -24,7 +24,6 @@ descriptor, so no point runs the frozen dataclass __init__.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -33,7 +32,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .biases import BiasSet, Scale
-from .errors import DomainError, ParseError, SizeLimitExceeded, _read_floats
+from .errors import _FLOAT_MAX, DomainError, ParseError, SizeLimitExceeded, _read_floats
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 112
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
@@ -41,7 +40,7 @@ from .errors import DomainError, ParseError, SizeLimitExceeded, _read_floats
 MAX_CURVE_POINTS = 100_000
 
 # 1.0 / x overflows for every positive x at or below this, and for no other
-_UNINVERTIBLE = 1.0 / sys.float_info.max
+_UNINVERTIBLE = 1.0 / _FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class EffectEstimate:
             if v is None and label != "point":
                 continue
             try:
-                if 0 < v < math.inf:
+                if 0 < v <= _FLOAT_MAX:
                     continue
             except (TypeError, ValueError):
                 pass
@@ -169,7 +168,7 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
     (see _root). The root is within 1e-13 relative of the exact one, so
     the residual satisfies |f(x) - target| <= 1e-9 * target.
     """
-    if not 1.0 <= target < math.inf:
+    if not 1.0 <= target <= _FLOAT_MAX:
         raise DomainError(f"target must be a finite number at least 1, got {target}")
     if target == 1.0:
         return 1.0
@@ -249,7 +248,7 @@ def multi_evalue(
     or below 1 need no bias at all and get an E-value of 1.
     """
     try:
-        valid = 0 < true_value < math.inf
+        valid = 0 < true_value <= _FLOAT_MAX
     except (TypeError, ValueError):
         valid = False
     if not valid:
@@ -260,8 +259,7 @@ def multi_evalue(
     if inverted:
         # checked first, as evalue_curve does; hi >= point, so its inverse
         # is finite whenever the point's is
-        if rr.point <= _UNINVERTIBLE:
-            raise DomainError("a risk ratio's inverse exceeds the floating-point range")
+        _check_invertible(rr.point)
         point = 1.0 / rr.point
         near = None if rr.hi is None else 1.0 / rr.hi
     else:
@@ -324,18 +322,13 @@ def evalue_curve(
     rr, given = _read_floats(rr_values)
     if rr.ndim != 1:
         raise ParseError("risk ratios must be a one-dimensional sequence")
-    if len(bias_sets) * rr.size > MAX_CURVE_POINTS:
-        raise SizeLimitExceeded(
-            f"{len(bias_sets)} curves of {rr.size} points exceed "
-            f"{MAX_CURVE_POINTS} points"
-        )
+    _check_curve_size(len(bias_sets), rr.size)
     bad = ~((rr > 0.0) & (rr < math.inf))
     if bad.any():
         raise DomainError(f"risk ratios must be positive and finite, got {given[bad][0]}")
     # protective ratios are inverted, as multi_evalue does; checked first,
     # so that an overflowing inverse raises no numpy warning
-    if rr.min(initial=1.0) <= _UNINVERTIBLE:
-        raise DomainError("a risk ratio's inverse exceeds the floating-point range")
+    _check_invertible(rr.min(initial=1.0))
     ratios = np.maximum(rr, 1.0 / rr)
     rr_list = rr.tolist()
     points: list[CurvePoint] = []
@@ -347,3 +340,17 @@ def evalue_curve(
             evalues = _evalues(n, k, ratios, np, np.any)
         points += _curve_points(rr_list, bias_set.label, evalues.tolist())
     return points
+
+
+def _check_curve_size(curves: int, points: int) -> None:
+    """SizeLimitExceeded if curves of points points exceed MAX_CURVE_POINTS."""
+    if curves * points > MAX_CURVE_POINTS:
+        raise SizeLimitExceeded(
+            f"{curves} curves of {points} points exceed {MAX_CURVE_POINTS} points"
+        )
+
+
+def _check_invertible(smallest: float) -> None:
+    """DomainError if 1 / smallest, for the smallest positive ratio, overflows."""
+    if smallest <= _UNINVERTIBLE:
+        raise DomainError("a risk ratio's inverse exceeds the floating-point range")

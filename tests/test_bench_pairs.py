@@ -57,3 +57,32 @@ class TestSummarise:
         assert out["parent_runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert out["change_runs"] == [5.0, 4.0, 3.0, 2.0, 1.0]
         assert out["pairs_change_better"] == 2
+
+
+class TestGainShown:
+    PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # IQR 0.45
+
+    @pytest.mark.parametrize("better, sign", [("lower", -1.0), ("higher", 1.0)])
+    def test_nine_of_ten_pairs_better_by_more_than_the_iqr_is_a_gain(self, better, sign):
+        change = [v + sign * 1.0 for v in self.PARENT[:9]] + [self.PARENT[9] - sign * 1.0]
+        out = _summary(better, self.PARENT, change)
+        assert out["pairs_change_better"] == 9
+        assert out["gain_shown"]
+
+    def test_a_tie_counts_for_neither_side(self):
+        # eight better, one tie, one worse: 8 of 10 falls short of nine tenths
+        change = [v - 1.0 for v in self.PARENT[:8]] + [self.PARENT[8], self.PARENT[9] + 1.0]
+        out = _summary("lower", self.PARENT, change)
+        assert out["pairs_change_better"] == 8
+        assert not out["gain_shown"]
+
+    def test_a_median_gap_within_the_parent_iqr_is_no_gain(self):
+        change = [v - 0.2 for v in self.PARENT]  # better in every pair, by less than 0.45
+        out = _summary("lower", self.PARENT, change)
+        assert out["pairs_change_better"] == 10
+        assert out["parent_iqr"] == pytest.approx(0.45)
+        assert not out["gain_shown"]
+
+    def test_a_gap_in_the_worse_direction_is_no_gain(self):
+        out = _summary("higher", self.PARENT, [v - 1.0 for v in self.PARENT])
+        assert not out["gain_shown"]

@@ -41,7 +41,9 @@ class TestG:
     @pytest.mark.parametrize(
         "a, b",
         [(0.99, 2), (2, 0.5), (2, math.inf), (1, math.inf), (math.inf, 2)]
-        + [(math.nan, 2), (2, math.nan)],
+        + [(math.nan, 2), (2, math.nan)]
+        # ints beyond the float range raised OverflowError
+        + [pytest.param(10**400, 2, id="int-a"), pytest.param(2, 10**400, id="int-b")],
     )
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
@@ -425,7 +427,12 @@ class TestAdjustEstimate:
         with pytest.raises(DomainError):
             adjust_estimate(bs, {"RRAUc": 2, "RRUcY": 2}, point=-1.0, lo=-2.0, hi=0.5)
 
-    @pytest.mark.parametrize("label, limits", [("point", (None, 0.5, 2.0)), ("hi", (1.0, 0.5, "2"))])
+    @pytest.mark.parametrize(
+        "label, limits",
+        [("point", (None, 0.5, 2.0)), ("hi", (1.0, 0.5, "2"))]
+        # ints beyond the float range raised OverflowError
+        + [pytest.param("point", (10**400, 1.0, 10**401), id="int-beyond-float-range")],
+    )
     def test_limits_that_are_no_numbers_are_domain_errors(self, label, limits):
         bs = build_bias_set(misclassification("outcome"))
         with pytest.raises(DomainError, match=f"^{label} must be positive and finite"):

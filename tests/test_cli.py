@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from declarations import DECLARATIONS
-from multibias import build_bias_set, grid_table
+import multibias.cli
+from multibias import build_bias_set, grid_table, multi_evalue, risk_ratio
 from multibias.biases import NAMED_BIAS_SETS
 from multibias.cli import main, parse_bias_string
-from multibias.errors import ParseError
+from multibias.errors import BiasAnalysisError, ParseError
 
 HIV = "confounding + selection(general, increased_risk)"
 LEUK = "confounding + misclassification(exposure, rare_outcome)"
@@ -784,8 +785,8 @@ class TestRobustness:
         def refuse(*args, **kwargs):
             raise AssertionError("sweep values allocated before the size check")
 
-        monkeypatch.setattr(np, "linspace", refuse)
-        monkeypatch.setattr(np, "arange", refuse)
+        # the CLI builds grid axes and curve ratios as lists over range()
+        monkeypatch.setattr(multibias.cli, "range", refuse, raising=False)
         assert main(argv) == 2
         assert "exceed" in capsys.readouterr().err
 
@@ -991,6 +992,13 @@ def _argv(draw) -> list[str]:
     return draw(st.sampled_from(COMMANDS))(draw)
 
 
+@st.composite
+def _sweep_json(draw) -> list[str]:
+    """A grid or curve argv of _argv's kind, in JSON."""
+    argv = draw(st.sampled_from([_grid, _curve]))(draw)
+    return (argv[:-2] if argv[-2] == "--format" else argv) + ["--format", "json"]
+
+
 class TestGeneratedArgv:
     @given(_argv())
     @example(LINSPACE_OVERFLOW[0])
@@ -1007,3 +1015,32 @@ class TestGeneratedArgv:
         if argv[0] == "verify" or argv[-2:] == ["--format", "json"]:
             for line in out.splitlines():
                 _strict_json(line)
+
+    @given(_sweep_json())
+    @example(LINSPACE_OVERFLOW[0] + ["--format", "json"])
+    @example(LINSPACE_OVERFLOW[1] + ["--format", "json"])
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    def test_grid_and_curve_equal_the_library_bit_for_bit(self, argv):
+        code, out, err = _run_strict(argv)
+        if USAGE_ERROR.fullmatch(err):
+            return
+        args = multibias.cli._build_parser().parse_args(argv)
+        if argv[0] == "grid":
+            try:
+                table = grid_table(
+                    parse_bias_string(args.biases),
+                    multibias.cli._parse_vary(args.vary),
+                    multibias.cli._parse_assignments(args.param) or None,
+                )
+            except BiasAnalysisError as exc:
+                assert (code, out, err) == (2, "", f"error: {exc}\n")
+                return
+            assert _strict_json(out)["values"] == table.values.tolist()
+        elif code == 0:
+            points = _strict_json(out)["points"]
+            with np.errstate(over="ignore"):
+                rr = np.linspace(args.rr_min, args.rr_max, args.points).tolist()
+            assert [p["rr"] for p in points] == rr * (len(points) // len(rr))
+            for p in points:
+                bias_set = parse_bias_string(p["biases"])
+                assert p["evalue"] == multi_evalue(bias_set, risk_ratio(p["rr"])).evalue_point

@@ -222,6 +222,13 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_polynomial(EValuePolynomial(7, 3), math.inf)
 
+    # the k == 0 and n == 2k forms raised OverflowError, and Newton's method
+    # returned 1.41e200 for (3, 1)
+    @pytest.mark.parametrize("nk", [(1, 0), (2, 1), (3, 1)])
+    def test_an_int_target_beyond_the_float_range_is_rejected(self, nk):
+        with pytest.raises(DomainError, match="^target must be a finite number at least 1"):
+            solve_polynomial(EValuePolynomial(*nk), 10**400)
+
     def test_overflowing_root_is_a_domain_error(self):
         # the (2, 1) root is about twice the target
         with pytest.raises(DomainError, match="floating-point range"):
@@ -338,6 +345,13 @@ class TestMultiEvalue:
         assert result.evalue_point > 1.0
         assert result.evalue_lo == 1.0
 
+    @pytest.mark.parametrize("make", [risk_ratio, odds_ratio])
+    def test_an_int_estimate_beyond_the_float_range_is_a_domain_error(self, make):
+        # multi_evalue raised OverflowError dividing by the true value
+        bs = build_bias_set([confounding()])
+        with pytest.raises(DomainError, match="^point must be positive and finite"):
+            multi_evalue(bs, make(10**400))
+
     def test_point_at_true_value_needs_no_bias(self):
         bs = build_bias_set([confounding()])
         assert multi_evalue(bs, risk_ratio(1.0)).evalue_point == 1.0
@@ -359,7 +373,9 @@ class TestMultiEvalue:
         residual = 8 * math.log(x) - 3 * math.log(2 * x - 1) - math.log(1e300)
         assert abs(residual) <= 1e-12 * math.log(1e300)
 
-    @pytest.mark.parametrize("true_value", [0.0, "1", None])
+    @pytest.mark.parametrize(
+        "true_value", [0.0, "1", None, pytest.param(10**400, id="int-beyond-float-range")]
+    )
     def test_true_value_must_be_positive(self, true_value):
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError, match="^true_value must be positive and finite"):

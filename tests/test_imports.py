@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import multibias
+import multibias.cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BOUND = ["bound", "--biases", "confounding", "--param", "RRAUc=2", "--param", "RRUcY=3"]
@@ -45,11 +46,12 @@ def _fresh(code: str) -> list[str]:
         (["evalue", "--biases", "confounding", "--est", "0.5", "--measure", "OR"]
          + ["--hi", "0.9", "--true", "0.8", "--format", "json"], ["multibias.evalues", "json"]),
         (["summary", "--biases", "confounding + misclassification(outcome)", "--latex"], []),
-        (GRID, ["multibias.bounds", "numpy"]),
-        (GRID + ["--format", "csv"], ["multibias.bounds", "numpy", "csv"]),
-        (GRID + ["--format", "json"], ["multibias.bounds", "numpy", "json"]),
-        (CURVE, ["multibias.evalues", "numpy"]),
-        (CURVE + ["--format", "csv"], ["multibias.evalues", "numpy", "csv"]),
+        (GRID, ["multibias.bounds"]),
+        (GRID + ["--format", "csv"], ["multibias.bounds", "csv"]),
+        (GRID + ["--format", "json"], ["multibias.bounds", "json"]),
+        (CURVE, ["multibias.evalues"]),
+        (CURVE + ["--format", "csv"], ["multibias.evalues", "csv"]),
+        (CURVE + ["--format", "json"], ["multibias.evalues", "json"]),
         (["verify", "--structure", "result1", "--worlds", "2"],
          ["multibias.bounds", "multibias.oracle", "json"]),
         (["--help"], []),
@@ -63,6 +65,25 @@ def test_each_command_loads_only_what_it_uses(argv, loaded):
         f"print(rc, *(m for m in {OPTIONAL!r} if m in sys.modules))"
     )
     assert _fresh(code) == ["0", *loaded]
+
+
+def test_no_command_loads_numpy():
+    # every subcommand, in every format it has, in one interpreter
+    parser = multibias.cli._build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    argvs = {"bound": BOUND, "evalue": EVALUE, "summary": ["summary", "--biases", "selection"]}
+    argvs |= {"grid": GRID, "curve": CURVE, "verify": ["verify", "--structure", "result3"]}
+    assert set(argvs) == set(sub.choices)
+    runs = []
+    for command, argv in argvs.items():
+        (fmt,) = [a for a in sub.choices[command]._actions if a.dest == "format"] or [None]
+        runs += [argv + ["--format", f] for f in fmt.choices] if fmt else [argv]
+    code = (
+        "import io, sys, multibias.cli; sys.stdout = io.StringIO(); "
+        f"codes = [multibias.cli.main(argv) for argv in {runs!r}]; sys.stdout = sys.__stdout__; "
+        "print(len(codes), set(codes), 'numpy' in sys.modules)"
+    )
+    assert _fresh(code) == [str(len(runs)), "{0}", "False"]
 
 
 def test_importing_the_package_loads_only_its_errors():

@@ -23,6 +23,9 @@ For each metric the output lists every run, the quartiles of each side
 which is (change - parent) / parent for lower-is-better metrics and
 (parent - change) / parent for higher-is-better ones (so a negative value is
 an improvement), and the number of pairs in which the change read better.
+gain_shown holds when the change read better in at least nine tenths of the
+pairs, ties counting for neither side, and its median is better than the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> dict:
     worse = (p["median"] - c["median"]) if higher else (c["median"] - p["median"])
     better = sum((cv > pv) if higher else (cv < pv) for pv, cv in zip(p_runs, c_runs))
     relative = worse / p["median"]
+    parent_iqr = p["q3"] - p["q1"]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -66,9 +70,10 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> dict:
         "parent": p,
         "change": c,
         "relative_worsening": round(relative, 4),
-        "parent_iqr": p["q3"] - p["q1"],
+        "parent_iqr": parent_iqr,
         "pairs_change_better": better,
         "within_bound": relative <= spec["bound"],
+        "gain_shown": 10 * better >= 9 * len(p_runs) and -worse > parent_iqr,
         "parent_runs": p_runs,
         "change_runs": c_runs,
     }
