@@ -13,7 +13,8 @@ from .errors import (
     ParseError,
     SizeLimitExceeded,
     UnknownParameter,
-    _FLOAT_MAX,
+    _numpy,
+    _read_float,
     _read_floats,
 )
 
@@ -31,9 +32,7 @@ def g(a: float, b: float) -> float:
     Symmetric, between 1 and a*b, nondecreasing in both arguments, and equal
     to 1 exactly when either argument is 1.
     """
-    if not (1.0 <= a <= _FLOAT_MAX and 1.0 <= b <= _FLOAT_MAX):
-        raise DomainError(f"g is defined for finite arguments >= 1, got ({a}, {b})")
-    return _g(a, b)
+    return _g(_read_float(a, "a"), _read_float(b, "b"))
 
 
 def _g(a, b):
@@ -68,12 +67,9 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
             raise _name_error(names, values)
     out: dict[str, float] = {}
     for name in names:
-        try:
-            value = float(values[name])
-        except (TypeError, ValueError, OverflowError):
-            raise _out_of_domain(name, values[name]) from None
-        if not 1.0 <= value < math.inf:
-            raise _out_of_domain(name, values[name])
+        value = values[name]
+        if not (type(value) is float and 1.0 <= value < math.inf):
+            value = _read_float(value, f"parameter {name}")
         out[name] = value
     return out
 
@@ -92,10 +88,6 @@ def _name_error(
     return MissingParameter(
         f"missing value for parameter(s) {', '.join(missing)}; expected: {expected}"
     )
-
-
-def _out_of_domain(name: str, value: Any) -> DomainError:
-    return DomainError(f"parameter {name} must be a finite number at least 1, got {value}")
 
 
 def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
@@ -132,16 +124,8 @@ def grid_table(
     ``vary`` holds two (name, values) pairs giving the row and the column
     parameter; ``fixed`` holds values for every remaining parameter.
     """
-    import numpy as np
-
-    (row_name, rows, row_given), (col_name, cols, col_given), fixed = _checked_grid(
-        bias_set, vary, fixed, _read_axis
-    )
-    for name, axis, given in ((row_name, rows, row_given), (col_name, cols, col_given)):
-        bad = ~((axis >= 1.0) & (axis < math.inf))
-        if bad.any():
-            raise _out_of_domain(name, given[bad][0])
-
+    np = _numpy()
+    (row_name, rows), (col_name, cols), fixed = _checked_grid(bias_set, vary, fixed, _read_axis)
     cells = {**fixed, row_name: rows[:, None], col_name: cols[None, :]}
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
         table = _product(bias_set.terms, cells)
@@ -164,17 +148,16 @@ def _read_axis(values):
     floats, given = _read_floats(values)
     if floats.ndim != 1 or not floats.size:
         raise ParseError("grid values must be non-empty sequences")
-    return floats, given
+    return floats, given.tolist()
 
 
 def _checked_grid(bias_set: BiasSet, vary, fixed, read):
-    """A grid's two axes, each as (name, values, given), and its fixed values.
+    """A grid's two axes, each as (name, values), and its fixed values.
 
-    Checks everything but the axes' own values, which are the caller's to
-    check: two axes with distinct names, each read into (values, given) by
-    ``read``; at most MAX_GRID_CELLS cells; no parameter both varied and
-    fixed; and the names and fixed values, each axis's first given value
-    standing in for the axis.
+    Checks two axes with distinct names, each read by ``read`` into its
+    values and the list of values as given; at most MAX_GRID_CELLS cells; no
+    parameter both varied and fixed; the names and fixed values, each axis's
+    first given value standing in for the axis; and then each given value.
     """
     if len(vary) != 2:
         raise ParseError("exactly two parameters must vary")
@@ -191,11 +174,11 @@ def _checked_grid(bias_set: BiasSet, vary, fixed, read):
     if overlap:
         raise ParseError(f"parameter(s) {', '.join(overlap)} are both varied and fixed")
     checked = _validated(bias_set, {**fixed, row_name: row_given[0], col_name: col_given[0]})
-    return (
-        (row_name, rows, row_given),
-        (col_name, cols, col_given),
-        {k: v for k, v in checked.items() if k in fixed},
-    )
+    for name, given in ((row_name, row_given), (col_name, col_given)):
+        for value in given:
+            if not (type(value) is float and 1.0 <= value < math.inf):
+                _read_float(value, f"parameter {name}")
+    return (row_name, rows), (col_name, cols), {k: v for k, v in checked.items() if k in fixed}
 
 
 def _grid_overflow() -> DomainError:
@@ -224,15 +207,13 @@ def adjust_estimate(
     The whole interval moves by the bound's factor: divided when the point
     estimate is at or above 1, multiplied when below.
     """
-    for label, v in (("point", point), ("lo", lo), ("hi", hi)):
-        try:
-            if 0 < v <= _FLOAT_MAX:
-                continue
-        except (TypeError, ValueError):
-            pass
-        raise DomainError(f"{label} must be positive and finite, got {v}")
-    if not lo <= point <= hi:
-        raise DomainError("interval must satisfy lo <= point <= hi")
+    if not (type(point) is type(lo) is type(hi) is float and 0.0 < lo <= point <= hi < math.inf):
+        point, lo, hi = (
+            _read_float(v, label, positive=True)
+            for label, v in (("point", point), ("lo", lo), ("hi", hi))
+        )
+        if not lo <= point <= hi:
+            raise DomainError("interval must satisfy lo <= point <= hi")
     bound = multi_bound(bias_set, values)
     if point >= 1.0:
         shifted = ShiftedEstimate(point / bound, lo / bound, hi / bound, bound)

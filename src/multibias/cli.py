@@ -213,17 +213,13 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, list[float]]]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from .bounds import _checked_grid, _grid_overflow, _out_of_domain, _product
+    from .bounds import _checked_grid, _grid_overflow, _product
 
     bias_set = parse_bias_string(args.biases)
     vary = _parse_vary(args.vary)
-    (row_name, row_values, _), (col_name, col_values, _), fixed = _checked_grid(
+    (row_name, row_values), (col_name, col_values), fixed = _checked_grid(
         bias_set, vary, _parse_assignments(args.param), lambda values: (values, values)
     )
-    for name, axis in ((row_name, row_values), (col_name, col_values)):
-        for value in axis:
-            if not 1.0 <= value < math.inf:
-                raise _out_of_domain(name, value)
     # cell by cell, the same operations in the same order as grid_table's arrays
     table = [
         [_product(bias_set.terms, {**fixed, row_name: r, col_name: c}) for c in col_values]

@@ -1,11 +1,6 @@
-"""Exception types shared across the package, and reading numbers for their messages."""
+"""Exception types shared across the package, and the one reader of numeric input."""
 
 import math
-import sys
-
-# range checks compare with this, not with inf, so that an int beyond the
-# float range fails them instead of overflowing when first used as a float
-_FLOAT_MAX = sys.float_info.max
 
 
 class BiasAnalysisError(Exception):
@@ -56,26 +51,57 @@ class SizeLimitExceeded(BiasAnalysisError, ValueError):
     """A grid or curve asks for more cells or points than are evaluated at once."""
 
 
+def _as_float(value) -> float:
+    """value as float() converts it, or nan: text, None, complex and containers are no number."""
+    try:
+        return math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _read_float(value, name: str, positive: bool = False) -> float:
+    """value as a finite float at least 1, or only positive; else a DomainError quoting it."""
+    v = _as_float(value)
+    if (0.0 < v if positive else 1.0 <= v) and v < math.inf:
+        return v
+    raise _domain_error(name, value, positive)
+
+
+def _domain_error(name: str, value, positive: bool = False) -> DomainError:
+    """The error for a value of that name outside the range _read_float reads."""
+    rule = "positive and finite" if positive else "a finite number at least 1"
+    try:
+        shown = str(value)
+    except ValueError:  # an int, or a container of one, past the digit limit of str()
+        shown = f"a {type(value).__name__} too long to show"
+        if isinstance(value, int):
+            shown = f"an int of {value.bit_length()} bits"
+    return DomainError(f"{name} must be {rule}, got {shown}")
+
+
+def _numpy():
+    """numpy, which only grid_table and evalue_curve need, or an ImportError naming its extra."""
+    try:
+        import numpy
+    except ImportError:
+        raise ImportError("grid_table and evalue_curve need numpy (multibias[arrays])") from None
+    return numpy
+
+
 def _read_floats(values):
     """values as a float array, and the array an error message quotes from.
 
-    The two are one array unless numpy reads some value as no number. Then
-    that value is nan in the first, so a range check flags it, and kept as
-    given in the second, so the message names it.
+    The two are one array when numpy reads every value as a number. Else
+    each value is read by _as_float into the first, so a range check flags
+    nan, and kept as given in the second, so the message names it.
     """
-    import numpy as np
-
+    np = _numpy()
     try:
-        floats = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        given = np.asarray(values, dtype=object)
-        floats = np.array([_float_or_nan(v) for v in given.flat]).reshape(given.shape)
-        return floats, given
-    return floats, floats
-
-
-def _float_or_nan(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
+        floats = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        floats = np.asarray(values, dtype=object)
+    if floats.dtype.kind in "biuf":
+        floats = floats.astype(float, copy=False)
+        return floats, floats
+    given = np.asarray(values, dtype=object)
+    return np.array([_as_float(v) for v in given.flat]).reshape(given.shape), given

@@ -24,6 +24,7 @@ descriptor, so no point runs the frozen dataclass __init__.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -32,7 +33,8 @@ from itertools import repeat
 from typing import Sequence
 
 from .biases import BiasSet, Scale
-from .errors import _FLOAT_MAX, DomainError, ParseError, SizeLimitExceeded, _read_floats
+from .errors import DomainError, ParseError, SizeLimitExceeded, _domain_error, _read_float
+from .errors import _numpy, _read_floats
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 112
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
@@ -40,7 +42,7 @@ from .errors import _FLOAT_MAX, DomainError, ParseError, SizeLimitExceeded, _rea
 MAX_CURVE_POINTS = 100_000
 
 # 1.0 / x overflows for every positive x at or below this, and for no other
-_UNINVERTIBLE = 1.0 / _FLOAT_MAX
+_UNINVERTIBLE = 1.0 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,10 @@ class EffectEstimate:
 
     def __post_init__(self) -> None:
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
-            if v is None and label != "point":
-                continue
-            try:
-                if 0 < v <= _FLOAT_MAX:
-                    continue
-            except (TypeError, ValueError):
-                pass
-            raise DomainError(f"{label} must be positive and finite, got {v}")
+            # any other value is replaced by the float it reads as, so arithmetic sees a float
+            valid = type(v) is float and 0.0 < v < math.inf
+            if not valid and (v is not None or label == "point"):
+                object.__setattr__(self, label, _read_float(v, label, positive=True))
         if self.lo is not None and self.lo > self.point:
             raise DomainError("lo must not exceed the point estimate")
         if self.hi is not None and self.hi < self.point:
@@ -137,8 +135,8 @@ class EValuePolynomial:
         Taken as k joint factors x / (2 - 1/x) and n - 2k lone x, each at
         least 1: none overflows unless the value does.
         """
-        if not 1.0 <= x < math.inf:
-            raise DomainError(f"x must be a finite number at least 1, got {x}")
+        if not (type(x) is float and 1.0 <= x < math.inf):
+            x = _read_float(x, "x")
         try:
             value = (x / (2.0 - 1.0 / x)) ** self.k * x ** (self.n - 2 * self.k)
         except OverflowError:
@@ -168,8 +166,8 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
     (see _root). The root is within 1e-13 relative of the exact one, so
     the residual satisfies |f(x) - target| <= 1e-9 * target.
     """
-    if not 1.0 <= target <= _FLOAT_MAX:
-        raise DomainError(f"target must be a finite number at least 1, got {target}")
+    if not (type(target) is float and 1.0 <= target < math.inf):
+        target = _read_float(target, "target")
     if target == 1.0:
         return 1.0
     return _evalues(polynomial.n, polynomial.k, target, math, bool)
@@ -247,12 +245,8 @@ def multi_evalue(
     null receives an E-value; the far side is reported as None. Targets at
     or below 1 need no bias at all and get an E-value of 1.
     """
-    try:
-        valid = 0 < true_value <= _FLOAT_MAX
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise DomainError(f"true_value must be positive and finite, got {true_value}")
+    if not (type(true_value) is float and 0.0 < true_value < math.inf):
+        true_value = _read_float(true_value, "true_value", positive=True)
     rr = to_risk_ratio(estimate)
     poly = evalue_polynomial(bias_set)
     inverted = rr.point < 1.0
@@ -317,15 +311,14 @@ def evalue_curve(
     beyond, where numpy's log and exp round differently from math's) and
     is exactly 1 at rr == 1; each bias set's ratios are solved as one array.
     """
-    import numpy as np
-
+    np = _numpy()
     rr, given = _read_floats(rr_values)
     if rr.ndim != 1:
         raise ParseError("risk ratios must be a one-dimensional sequence")
     _check_curve_size(len(bias_sets), rr.size)
     bad = ~((rr > 0.0) & (rr < math.inf))
     if bad.any():
-        raise DomainError(f"risk ratios must be positive and finite, got {given[bad][0]}")
+        raise _domain_error("risk ratios", given[bad][0], positive=True)
     # protective ratios are inverted, as multi_evalue does; checked first,
     # so that an overflowing inverse raises no numpy warning
     _check_invertible(rr.min(initial=1.0))

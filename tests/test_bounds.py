@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -13,6 +15,7 @@ from multibias import (
     DomainError,
     MissingParameter,
     ParseError,
+    ShiftedEstimate,
     SizeLimitExceeded,
     UnknownParameter,
     adjust_estimate,
@@ -42,12 +45,28 @@ class TestG:
         "a, b",
         [(0.99, 2), (2, 0.5), (2, math.inf), (1, math.inf), (math.inf, 2)]
         + [(math.nan, 2), (2, math.nan)]
-        # ints beyond the float range raised OverflowError
-        + [pytest.param(10**400, 2, id="int-a"), pytest.param(2, 10**400, id="int-b")],
+        # ints beyond the float range raised OverflowError, and text and None TypeError
+        + [pytest.param(10**400, 2, id="int-a"), pytest.param(2, 10**400, id="int-b")]
+        + [pytest.param("x", 2, id="text"), pytest.param(2, None, id="none")],
     )
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             g(a, b)
+
+    # each argument is reported on its own, no longer as "(a, b)" together
+    @pytest.mark.parametrize(
+        "a, b, text",
+        [
+            (0.5, 2, "a must be a finite number at least 1, got 0.5"),
+            (2, "2", "b must be a finite number at least 1, got 2"),
+            (10**5000, 0.5, "a must be a finite number at least 1, got an int of 16610 bits"),
+        ],
+        ids=["a", "b-text", "a-int-past-str-limit"],
+    )
+    def test_the_first_bad_argument_is_reported_by_name(self, a, b, text):
+        with pytest.raises(DomainError) as exc:
+            g(a, b)
+        assert str(exc.value) == text
 
     @given(ratios, ratios)
     def test_between_one_and_product(self, a, b):
@@ -457,3 +476,62 @@ class TestAdjustEstimate:
         assert shifted.lo == 5e-301
         shifted = adjust_estimate(bs, {"RRAYy": 1e300}, 0.5, 0.4, 1.5)
         assert shifted.hi == 1.5e300
+
+
+PAST_STR_LIMIT = 10**5000  # an int str() refuses: more than 4,300 digits
+PAST_STR_TEXT = "an int of 16610 bits"
+
+
+class TestNumericInput:
+    """One reader for every value: what counts as a number, and its message."""
+
+    # each raised a plain ValueError from str() while building the message
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda v: multi_bound(CONF, {"RRAUc": v, "RRUcY": 2}), "parameter RRAUc "),
+            (lambda v: grid_table(CONF, [("RRAUc", [2, v]), ("RRUcY", [2])]), "parameter RRAUc "),
+            (lambda v: grid_table(CONF_MIS, AXES, {"RRAYy": v}), "parameter RRAYy "),
+            (lambda v: g(2, v), "b "),
+        ],
+        ids=["multi_bound", "grid_table-axis", "grid_table-fixed", "g"],
+    )
+    def test_an_int_past_the_digit_limit_of_str_is_quoted_by_its_size(self, call, text):
+        with pytest.raises(DomainError) as exc:
+            call(PAST_STR_LIMIT)
+        assert str(exc.value) == text + BELOW_ONE + PAST_STR_TEXT
+
+    def test_an_int_past_the_digit_limit_of_str_is_a_bad_limit(self):
+        with pytest.raises(DomainError) as exc:
+            adjust_estimate(CONF, {"RRAUc": 2, "RRUcY": 2}, 2.0, 1.0, PAST_STR_LIMIT)
+        assert str(exc.value) == "hi must be positive and finite, got " + PAST_STR_TEXT
+
+    # float() reads numeric text, so these were accepted before text
+    # counted as no number (grid_table's axes through numpy)
+    @pytest.mark.parametrize("text", ["2", " 3.5 ", b"2"], ids=["str", "spaces", "bytes"])
+    def test_numeric_text_is_no_number(self, text):
+        with pytest.raises(DomainError) as exc:
+            multi_bound(CONF, {"RRAUc": text, "RRUcY": 2})
+        assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{text}"
+        with pytest.raises(DomainError) as exc:
+            grid_table(CONF, [("RRAUc", [2, text]), ("RRUcY", [2])])
+        assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{text}"
+
+    @pytest.mark.parametrize(
+        "a, b", [(Fraction(5, 2), Fraction(3)), (Decimal("2.5"), Decimal(3)), (np.float32(2.5), 3)]
+    )
+    def test_exact_numbers_give_the_results_of_the_equal_floats(self, a, b):
+        values, floats = {"RRAUc": a, "RRUcY": b}, {"RRAUc": 2.5, "RRUcY": 3.0}
+        assert g(a, b) == g(2.5, 3.0)
+        assert multi_bound(CONF, values) == multi_bound(CONF, floats)
+        table = grid_table(CONF, [("RRAUc", [a, b]), ("RRUcY", [b])])
+        same = grid_table(CONF, [("RRAUc", [2.5, 3.0]), ("RRUcY", [3.0])])
+        assert table.values.tolist() == same.values.tolist()
+        shifted = adjust_estimate(CONF, values, a, a, b)
+        assert shifted == adjust_estimate(CONF, floats, 2.5, 2.5, 3.0)
+
+    def test_an_estimate_at_one_is_divided_by_the_bound(self):
+        # "divided when the point estimate is at or above 1"; multiplying at
+        # exactly 1 would give the same point but other limits
+        shifted = adjust_estimate(CONF, {"RRAUc": 2.0, "RRUcY": 3.0}, 1.0, 0.5, 2.0)
+        assert shifted == ShiftedEstimate(1.0 / 1.5, 0.5 / 1.5, 2.0 / 1.5, 1.5)

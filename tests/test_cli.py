@@ -1,6 +1,7 @@
 """Command line interface tests, driven through main(argv)."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,8 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from declarations import DECLARATIONS
 import multibias.cli
-from multibias import build_bias_set, grid_table, multi_evalue, risk_ratio
+from multibias import (
+    EffectEstimate,
+    EValuePolynomial,
+    adjust_estimate,
+    build_bias_set,
+    evalue_curve,
+    g,
+    grid_table,
+    multi_bound,
+    multi_evalue,
+    odds_ratio,
+    risk_ratio,
+    solve_polynomial,
+)
 from multibias.biases import NAMED_BIAS_SETS
 from multibias.cli import main, parse_bias_string
 from multibias.errors import BiasAnalysisError, ParseError
@@ -1044,3 +1060,91 @@ class TestGeneratedArgv:
             for p in points:
                 bias_set = parse_bias_string(p["biases"])
                 assert p["evalue"] == multi_evalue(bias_set, risk_ratio(p["rr"])).evalue_point
+
+
+# any value a caller might pass where a number is expected: floats with nan
+# and both infinities, ints out to 10**5000 (past the float range and past
+# the 4,300 digits str() gives an int), text (numeric text too), None,
+# complex numbers, Fraction, Decimal (nan and sNaN too), numpy scalars, and
+# lists of these
+_SCALARS = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+    st.builds(pow, st.just(10), st.integers(300, 5000)),
+    st.text(max_size=4),
+    st.sampled_from(["2", " 3.5 ", "inf", "nan", b"2", bytearray(b"2"), None, 2 + 0j]),
+    st.complex_numbers(max_magnitude=1e3),
+    st.fractions(),
+    st.builds(Fraction, st.builds(pow, st.just(10), st.integers(300, 5000))),
+    st.decimals(),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))
+
+_CONF = parse_bias_string("confounding")
+_CONF_MIS = parse_bias_string("confounding + misclassification(outcome)")
+_PARAMS = {"RRAUc": 2.0, "RRUcY": 3.0}
+
+
+def _estimate_numbers(estimate: EffectEstimate) -> list:
+    return [v for v in (estimate.point, estimate.lo, estimate.hi) if v is not None]
+
+
+def _evalue_numbers(result) -> list:
+    values = [result.true_value, result.evalue_point, result.evalue_lo, result.evalue_hi]
+    return _estimate_numbers(result.estimate) + [v for v in values if v is not None]
+
+
+def _shifted_numbers(point, lo, hi) -> list:
+    return list(dataclasses.astuple(adjust_estimate(_CONF, _PARAMS, point, lo, hi)))
+
+
+def _grid_numbers(table) -> list:
+    given = [*table.row_values, *table.col_values, *table.fixed.values()]
+    return given + table.values.ravel().tolist()
+
+
+# each public scalar entry point with the value in one argument, and the
+# numbers it returns; grid_table and evalue_curve on one-element axes
+LIBRARY_CALLS = {
+    "g a": lambda v: [g(v, 2.0)],
+    "g b": lambda v: [g(2.0, v)],
+    "multi_bound": lambda v: [multi_bound(_CONF, {**_PARAMS, "RRUcY": v})],
+    "risk_ratio": lambda v: _estimate_numbers(risk_ratio(v)),
+    "odds_ratio": lambda v: _estimate_numbers(odds_ratio(v)),
+    "EffectEstimate lo": lambda v: _estimate_numbers(EffectEstimate(2.0, lo=v)),
+    "EffectEstimate hi": lambda v: _estimate_numbers(EffectEstimate(0.5, hi=v)),
+    "adjust_estimate point": lambda v: _shifted_numbers(v, 1e-3, 1e3),
+    "adjust_estimate lo": lambda v: _shifted_numbers(2.0, v, 1e3),
+    "adjust_estimate hi": lambda v: _shifted_numbers(0.5, 1e-3, v),
+    "multi_evalue point": lambda v: _evalue_numbers(multi_evalue(_CONF, risk_ratio(v))),
+    "multi_evalue lo": lambda v: _evalue_numbers(multi_evalue(_CONF, risk_ratio(1e3, lo=v))),
+    "multi_evalue hi": lambda v: _evalue_numbers(multi_evalue(_CONF, risk_ratio(1e-3, hi=v))),
+    "multi_evalue true_value": lambda v: _evalue_numbers(multi_evalue(_CONF, risk_ratio(2.0), v)),
+    "EValuePolynomial.value": lambda v: [EValuePolynomial(3, 1).value(v)],
+    "solve_polynomial": lambda v: [solve_polynomial(EValuePolynomial(3, 1), v)],
+    "grid_table axis": lambda v: _grid_numbers(
+        grid_table(_CONF, [("RRAUc", [v]), ("RRUcY", [2.0])])
+    ),
+    "grid_table fixed": lambda v: _grid_numbers(
+        grid_table(_CONF_MIS, [("RRAUc", [2.0]), ("RRUcY", [2.0])], {"RRAYy": v})
+    ),
+    "evalue_curve": lambda v: [x for p in evalue_curve([_CONF], [v]) for x in (p.rr, p.evalue)],
+}
+
+
+class TestGeneratedLibraryInput:
+    @pytest.mark.parametrize("call", sorted(LIBRARY_CALLS))
+    @given(value=_VALUES)
+    @example(value=10**5000)
+    @example(value="x")
+    @example(value=Decimal("2"))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_finite_floats_or_a_typed_error(self, call, value):
+        try:
+            numbers = LIBRARY_CALLS[call](value)
+        except BiasAnalysisError:
+            return
+        assert all(type(x) is float and math.isfinite(x) for x in numbers), numbers

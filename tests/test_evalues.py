@@ -6,6 +6,8 @@ import math
 import pickle
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -543,3 +545,63 @@ class TestRoundTrip:
             trips.append((bound, evalue))
         for (b1, e1), (b2, e2) in zip(trips, trips[1:]):
             assert b1 <= b2 and e1 <= e2
+
+
+PAST_STR_LIMIT = 10**5000  # an int str() refuses: more than 4,300 digits
+PAST_STR_TEXT = "an int of 16610 bits"
+CONF = build_bias_set([confounding()])
+POLY = EValuePolynomial(3, 1)
+POSITIVE, AT_LEAST_ONE = "must be positive and finite", "must be a finite number at least 1"
+
+
+class TestNumericInput:
+    """One reader for every value: what counts as a number, and its message."""
+
+    # each raised a plain ValueError from str() while building the message,
+    # except value, which reported the polynomial's value as past the float range
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (risk_ratio, "point " + POSITIVE),
+            (lambda v: odds_ratio(2.0, hi=v), "hi " + POSITIVE),
+            (lambda v: multi_evalue(CONF, risk_ratio(2.0), v), "true_value " + POSITIVE),
+            (POLY.value, "x " + AT_LEAST_ONE),
+            (lambda v: solve_polynomial(POLY, v), "target " + AT_LEAST_ONE),
+            (lambda v: evalue_curve([CONF], [2.0, v]), "risk ratios " + POSITIVE),
+        ],
+        ids=["risk_ratio", "odds_ratio-hi", "true_value", "value", "solve", "evalue_curve"],
+    )
+    def test_an_int_past_the_digit_limit_of_str_is_quoted_by_its_size(self, call, text):
+        with pytest.raises(DomainError) as exc:
+            call(PAST_STR_LIMIT)
+        assert str(exc.value) == f"{text}, got {PAST_STR_TEXT}"
+
+    @pytest.mark.parametrize(
+        "call", [POLY.value, lambda v: solve_polynomial(POLY, v)], ids=["value", "solve"]
+    )
+    def test_text_is_no_number(self, call):
+        with pytest.raises(DomainError, match=f"{AT_LEAST_ONE}, got x$"):
+            call("x")  # raised TypeError
+
+    def test_numeric_text_is_no_risk_ratio_of_a_curve(self):
+        # numpy reads "2" as 2.0, so the curve accepted it
+        with pytest.raises(DomainError) as exc:
+            evalue_curve([CONF], [2.0, "2"])
+        assert str(exc.value) == "risk ratios must be positive and finite, got 2"
+
+    @pytest.mark.parametrize(
+        "est, lo, true",
+        [
+            (Fraction(5, 2), Fraction(3, 2), Fraction(5, 4)),
+            (Decimal("2.5"), Decimal("1.5"), Decimal("1.25")),
+        ],
+        ids=["Fraction", "Decimal"],
+    )
+    def test_exact_numbers_give_the_results_of_the_equal_floats(self, est, lo, true):
+        # a Decimal passed the checks, then raised TypeError in arithmetic
+        assert risk_ratio(est, lo) == risk_ratio(2.5, 1.5)
+        result = multi_evalue(CONF, risk_ratio(est, lo), true)
+        assert result == multi_evalue(CONF, risk_ratio(2.5, 1.5), 1.25)
+        assert POLY.value(est) == POLY.value(2.5)
+        assert solve_polynomial(POLY, est) == solve_polynomial(POLY, 2.5)
+        assert evalue_curve([CONF], [est, lo]) == evalue_curve([CONF], [2.5, 1.5])

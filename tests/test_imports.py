@@ -7,6 +7,7 @@ this test process has long since imported all of them.
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,47 @@ def test_no_command_loads_numpy():
         "print(len(codes), set(codes), 'numpy' in sys.modules)"
     )
     assert _fresh(code) == [str(len(runs)), "{0}", "False"]
+
+
+def test_everything_but_the_grid_and_the_curve_runs_without_numpy():
+    # numpy is the arrays extra: with it missing, every subcommand, the scalar
+    # API and the oracle still run, and grid_table and evalue_curve name the extra
+    parser = multibias.cli._build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    argvs = [BOUND, EVALUE, ["summary", "--biases", "selection"], GRID, CURVE]
+    argvs.append(["verify", "--structure", "result3", "--worlds", "3"])
+    assert {argv[0] for argv in argvs} == set(sub.choices)
+    code = textwrap.dedent(
+        f"""
+        import io, sys
+        sys.modules["numpy"] = None
+        import multibias as mb, multibias.cli
+        sys.stdout = io.StringIO()
+        codes = {{multibias.cli.main(argv) for argv in {argvs!r}}}
+        sys.stdout = sys.__stdout__
+        bs = mb.build_bias_set([mb.confounding(), mb.selection()])
+        values = dict.fromkeys(bs.parameter_names(), 2.0)
+        mb.g(2, 3)
+        mb.multi_bound(bs, values)
+        mb.adjust_estimate(bs, values, 2.0, 1.5, 3.0)
+        mb.multi_evalue(bs, mb.odds_ratio(2.0, 1.5, 3.0), 1.2)
+        mb.solve_polynomial(mb.evalue_polynomial(bs), 4.0)
+        config, structure = mb.STRUCTURES["result1"]
+        mb.verify_bound(mb.generate_world(config, 0), structure)
+        conf = mb.build_bias_set([mb.confounding()])
+        errors = set()
+        grid = lambda: mb.grid_table(conf, [("RRAUc", [2.0]), ("RRUcY", [2.0])])
+        for call in (grid, lambda: mb.evalue_curve([conf], [2.0])):
+            try:
+                call()
+            except ImportError as exc:
+                errors.add(str(exc))
+        print(codes, *errors)
+        """
+    )
+    assert " ".join(_fresh(code)) == (
+        "{0} grid_table and evalue_curve need numpy (multibias[arrays])"
+    )
 
 
 def test_importing_the_package_loads_only_its_errors():
