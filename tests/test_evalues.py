@@ -106,7 +106,9 @@ class TestToRiskRatio:
 
     @pytest.mark.parametrize(
         "limits, label",
-        [((None,), "point"), (("2",), "point"), ((2.0, 2 + 0j), "lo"), ((2.0, None, [3.0]), "hi")],
+        [((None,), "point"), (("2",), "point"), ((2.0, 2 + 0j), "lo"), ((2.0, None, [3.0]), "hi")]
+        + [pytest.param((10**5000,), "point", id="int-past-str-limit")]
+        + [pytest.param((2.0, None, 10**5000), "hi", id="int-past-str-limit-hi")],
     )
     def test_an_estimate_that_is_no_number_is_a_domain_error(self, limits, label):
         # a None point constructed, and the others raised TypeError
@@ -157,9 +159,16 @@ class TestPolynomialAccounting:
         assert poly.value(1.0) == 1.0
         assert poly.value(2.0) == pytest.approx(128 / 27, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.5, 0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "x",
+        [0.5, 0.0, -1.0, math.inf, math.nan, "x"]
+        + [pytest.param(10**400, id="int-beyond-float-range")]
+        + [pytest.param(10**5000, id="int-past-str-limit")],
+    )
     def test_value_outside_its_domain_rejected(self, x):
-        # unchecked, 0.5 raised ZeroDivisionError and inf and nan gave nan
+        # unchecked, 0.5 raised ZeroDivisionError and inf and nan gave nan;
+        # checked, "x" raised TypeError, and ints past the float range were
+        # reported as a value past the float range
         with pytest.raises(DomainError, match="at least 1"):
             EValuePolynomial(7, 3).value(x)
 
@@ -230,6 +239,15 @@ class TestSolve:
     def test_an_int_target_beyond_the_float_range_is_rejected(self, nk):
         with pytest.raises(DomainError, match="^target must be a finite number at least 1"):
             solve_polynomial(EValuePolynomial(*nk), 10**400)
+
+    # "x" and None raised TypeError, and an int past the digit limit of
+    # str() a plain ValueError from the message
+    @pytest.mark.parametrize(
+        "target", ["x", None, pytest.param(10**5000, id="int-past-str-limit")]
+    )
+    def test_a_target_that_is_no_number_is_rejected(self, target):
+        with pytest.raises(DomainError, match="^target must be a finite number at least 1"):
+            solve_polynomial(EValuePolynomial(3, 1), target)
 
     def test_overflowing_root_is_a_domain_error(self):
         # the (2, 1) root is about twice the target
@@ -376,7 +394,9 @@ class TestMultiEvalue:
         assert abs(residual) <= 1e-12 * math.log(1e300)
 
     @pytest.mark.parametrize(
-        "true_value", [0.0, "1", None, pytest.param(10**400, id="int-beyond-float-range")]
+        "true_value",
+        [0.0, "1", None, pytest.param(10**400, id="int-beyond-float-range")]
+        + [pytest.param(10**5000, id="int-past-str-limit")],
     )
     def test_true_value_must_be_positive(self, true_value):
         bs = build_bias_set([confounding()])
@@ -485,7 +505,10 @@ class TestCurve:
             evalue_curve([build_bias_set([confounding()])], [2.0, bad])
 
     @pytest.mark.parametrize(
-        "ratios, got", [(["x"], "x"), ([2.0, "x"], "x"), ([0.5, [2, 3]], "[2, 3]"), ([10**400], "1" + "0" * 400)]
+        "ratios, got",
+        [(["x"], "x"), ([2.0, "x"], "x"), ([0.5, [2, 3]], "[2, 3]"), ([10**400], "1" + "0" * 400)]
+        # numpy reads "2" as 2.0, and str() refuses an int past 4,300 digits
+        + [([2.0, "2"], "2"), ([10**5000], "an int of 16610 bits")],
     )
     def test_rejects_ratios_that_are_no_numbers(self, ratios, got):
         with pytest.raises(DomainError) as exc:
@@ -547,48 +570,11 @@ class TestRoundTrip:
             assert b1 <= b2 and e1 <= e2
 
 
-PAST_STR_LIMIT = 10**5000  # an int str() refuses: more than 4,300 digits
-PAST_STR_TEXT = "an int of 16610 bits"
 CONF = build_bias_set([confounding()])
 POLY = EValuePolynomial(3, 1)
-POSITIVE, AT_LEAST_ONE = "must be positive and finite", "must be a finite number at least 1"
 
 
-class TestNumericInput:
-    """One reader for every value: what counts as a number, and its message."""
-
-    # each raised a plain ValueError from str() while building the message,
-    # except value, which reported the polynomial's value as past the float range
-    @pytest.mark.parametrize(
-        "call, text",
-        [
-            (risk_ratio, "point " + POSITIVE),
-            (lambda v: odds_ratio(2.0, hi=v), "hi " + POSITIVE),
-            (lambda v: multi_evalue(CONF, risk_ratio(2.0), v), "true_value " + POSITIVE),
-            (POLY.value, "x " + AT_LEAST_ONE),
-            (lambda v: solve_polynomial(POLY, v), "target " + AT_LEAST_ONE),
-            (lambda v: evalue_curve([CONF], [2.0, v]), "risk ratios " + POSITIVE),
-        ],
-        ids=["risk_ratio", "odds_ratio-hi", "true_value", "value", "solve", "evalue_curve"],
-    )
-    def test_an_int_past_the_digit_limit_of_str_is_quoted_by_its_size(self, call, text):
-        with pytest.raises(DomainError) as exc:
-            call(PAST_STR_LIMIT)
-        assert str(exc.value) == f"{text}, got {PAST_STR_TEXT}"
-
-    @pytest.mark.parametrize(
-        "call", [POLY.value, lambda v: solve_polynomial(POLY, v)], ids=["value", "solve"]
-    )
-    def test_text_is_no_number(self, call):
-        with pytest.raises(DomainError, match=f"{AT_LEAST_ONE}, got x$"):
-            call("x")  # raised TypeError
-
-    def test_numeric_text_is_no_risk_ratio_of_a_curve(self):
-        # numpy reads "2" as 2.0, so the curve accepted it
-        with pytest.raises(DomainError) as exc:
-            evalue_curve([CONF], [2.0, "2"])
-        assert str(exc.value) == "risk ratios must be positive and finite, got 2"
-
+class TestExactNumbers:
     @pytest.mark.parametrize(
         "est, lo, true",
         [
