@@ -64,10 +64,10 @@ def _read_float(value, name: str, positive: bool = False) -> float:
     v = _as_float(value)
     if (0.0 < v if positive else 1.0 <= v) and v < math.inf:
         return v
-    raise _domain_error(name, value, positive)
+    raise _domain_error(value, name, positive)
 
 
-def _domain_error(name: str, value, positive: bool = False) -> DomainError:
+def _domain_error(value, name: str, positive: bool = False) -> DomainError:
     """The error for a value of that name outside the range _read_float reads."""
     rule = "positive and finite" if positive else "a finite number at least 1"
     try:

@@ -318,7 +318,7 @@ def evalue_curve(
     _check_curve_size(len(bias_sets), rr.size)
     bad = ~((rr > 0.0) & (rr < math.inf))
     if bad.any():
-        raise _domain_error("risk ratios", given[bad][0], positive=True)
+        raise _domain_error(given[bad][0], "risk ratios", positive=True)
     # protective ratios are inverted, as multi_evalue does; checked first,
     # so that an overflowing inverse raises no numpy warning
     _check_invertible(rr.min(initial=1.0))
