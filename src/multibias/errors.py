@@ -52,9 +52,17 @@ class SizeLimitExceeded(BiasAnalysisError, ValueError):
 
 
 def _as_float(value) -> float:
-    """value as float() converts it, or nan: text, None, complex and containers are no number."""
+    """value as float() converts it, or nan: text, None, complex and containers are no number.
+
+    A number's type has __float__ or __index__ and is no str or bytes, as numpy's
+    str_ and bytes_ are; float() parses bytearray, memoryview and array.array as text.
+    """
+    kind = type(value)
+    number = hasattr(kind, "__float__") or hasattr(kind, "__index__")
+    if not number or issubclass(kind, (str, bytes)):
+        return math.nan
     try:
-        return math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         return math.nan
 
@@ -95,13 +103,19 @@ def _read_floats(values):
     each value is read by _as_float into the first, so a range check flags
     nan, and kept as given in the second, so the message names it.
     """
+    import array
+
     np = _numpy()
+    bytes_like = (bytearray, memoryview, array.array)  # numpy reads each as a row of its bytes
     try:
         floats = np.asarray(values)
     except ValueError:  # a ragged sequence
         floats = np.asarray(values, dtype=object)
-    if floats.dtype.kind in "biuf":
+    if floats.dtype.kind not in "biuf":
+        given = np.asarray(values, dtype=object)
+    elif floats.ndim < 2 or not any(isinstance(v, bytes_like) for v in values):
         floats = floats.astype(float, copy=False)
         return floats, floats
-    given = np.asarray(values, dtype=object)
+    else:  # each bytes-like value is one value, which _as_float reads as text
+        given = np.fromiter(values, dtype=object, count=len(values))
     return np.array([_as_float(v) for v in given.flat]).reshape(given.shape), given

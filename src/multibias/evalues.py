@@ -135,8 +135,7 @@ class EValuePolynomial:
         Taken as k joint factors x / (2 - 1/x) and n - 2k lone x, each at
         least 1: none overflows unless the value does.
         """
-        if not (type(x) is float and 1.0 <= x < math.inf):
-            x = _read_float(x, "x")
+        x = _read_float(x, "x")
         try:
             value = (x / (2.0 - 1.0 / x)) ** self.k * x ** (self.n - 2 * self.k)
         except OverflowError:

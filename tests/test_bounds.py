@@ -1,5 +1,6 @@
 """Bound construction, evaluation, grids, and estimate shifting."""
 
+import array
 import math
 import warnings
 from decimal import Decimal
@@ -508,16 +509,22 @@ class TestNumericInput:
             call(PAST_STR_LIMIT)
         assert str(exc.value) == text + BELOW_ONE + PAST_STR_TEXT
 
-    # float() reads numeric text, so these were accepted before text
-    # counted as no number (grid_table's axes through numpy)
-    @pytest.mark.parametrize("text", ["2", " 3.5 ", b"2"], ids=["str", "spaces", "bytes"])
+    # float() reads numeric text and buffers of digits, so these were
+    # accepted before text counted as no number (grid_table's axes through
+    # numpy); numpy reads a lone buffer in an axis as a row of its bytes
+    @pytest.mark.parametrize(
+        "text",
+        ["2", " 3.5 ", b"2", bytearray(b"2"), memoryview(b"2"), array.array("b", b"2")],
+        ids=["str", "spaces", "bytes", "bytearray", "memoryview", "array"],
+    )
     def test_numeric_text_is_no_number(self, text):
         with pytest.raises(DomainError) as exc:
             multi_bound(CONF, {"RRAUc": text, "RRUcY": 2})
         assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{text}"
-        with pytest.raises(DomainError) as exc:
-            grid_table(CONF, [("RRAUc", [2, text]), ("RRUcY", [2])])
-        assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{text}"
+        for axis in ([2, text], [text]):
+            with pytest.raises(DomainError) as exc:
+                grid_table(CONF, [("RRAUc", axis), ("RRUcY", [2])])
+            assert str(exc.value) == f"parameter RRAUc {BELOW_ONE}{text}"
 
     @pytest.mark.parametrize(
         "a, b", [(Fraction(5, 2), Fraction(3)), (Decimal("2.5"), Decimal(3)), (np.float32(2.5), 3)]

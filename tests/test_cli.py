@@ -1,5 +1,6 @@
 """Command line interface tests, driven through main(argv)."""
 
+import array
 import csv
 import dataclasses
 import io
@@ -1064,15 +1065,16 @@ class TestGeneratedArgv:
 
 # any value a caller might pass where a number is expected: floats with nan
 # and both infinities, ints out to 10**5000 (past the float range and past
-# the 4,300 digits str() gives an int), text (numeric text too), None,
-# complex numbers, Fraction, Decimal (nan and sNaN too), numpy scalars, and
-# lists of these
+# the 4,300 digits str() gives an int), text (numeric text and buffers of
+# digits too), None, complex numbers, Fraction, Decimal (nan and sNaN
+# too), numpy scalars, and lists of these
 _SCALARS = st.one_of(
     st.floats(),
     st.integers(-(10**6), 10**6),
     st.builds(pow, st.just(10), st.integers(300, 5000)),
     st.text(max_size=4),
     st.sampled_from(["2", " 3.5 ", "inf", "nan", b"2", bytearray(b"2"), None, 2 + 0j]),
+    st.sampled_from([memoryview(b"2"), array.array("b", b"2"), np.str_("2")]),
     st.complex_numbers(max_magnitude=1e3),
     st.fractions(),
     st.builds(Fraction, st.builds(pow, st.just(10), st.integers(300, 5000))),
