@@ -101,9 +101,9 @@ def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
     return bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridTable:
-    """The bound over a grid of two parameters, the others held fixed."""
+    """The bound over a grid of two parameters, the others held fixed; equal only to itself."""
 
     bias_set: BiasSet
     row_name: str

@@ -18,7 +18,7 @@ table from these tuples as their reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from math import fsum
 from operator import add, mul, truediv
@@ -27,12 +27,11 @@ from typing import Callable, Iterable
 
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
-from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch
+from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
 _MAX_REDRAWS = 1000
-_ONE = 1.0  # map(_ONE.__sub__, xs) yields 1 - x for each x
 _RARE_OUTCOME_CEILING = 0.01  # stratum risk limit where the bound assumes rare outcomes
 _CONFOUNDING, _SELECTION = BiasKind.CONFOUNDING, BiasKind.SELECTION  # enum lookups are slow
 
@@ -49,6 +48,9 @@ class WorldConfig:
     rare_outcome_ceiling: float | None = None  # upper limit for every stratum risk
 
     def __post_init__(self) -> None:
+        for flag in (self.confounding, self.selection):
+            if not isinstance(flag, bool):
+                raise InfeasibleConfig(f"confounding and selection must be bools, got {flag!r}")
         if self.misclassification not in (None, "outcome", "exposure"):
             raise InfeasibleConfig(
                 f"misclassification must be None, 'outcome' or 'exposure', "
@@ -57,13 +59,15 @@ class WorldConfig:
         for levels in (self.confounder_levels, self.selection_levels):
             if not (isinstance(levels, int) and levels in (2, 3)):
                 raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
-        if self.rare_outcome_ceiling is not None and not (
-            1e-6 <= self.rare_outcome_ceiling <= 1.0
-        ):
-            raise InfeasibleConfig(
-                "rare_outcome_ceiling must lie in [1e-6, 1] to keep outcome "
-                "probabilities positive at machine precision"
-            )
+        if self.rare_outcome_ceiling is not None:
+            # a number is held as a float; text and other non-numbers read as nan
+            ceiling = _as_float(self.rare_outcome_ceiling)
+            if not 1e-6 <= ceiling <= 1.0:
+                raise InfeasibleConfig(
+                    "rare_outcome_ceiling must be a number in [1e-6, 1] to keep outcome "
+                    "probabilities positive at machine precision"
+                )
+            object.__setattr__(self, "rare_outcome_ceiling", ceiling)
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,13 @@ class World:
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Draw a random world with the configured mechanisms active.
 
-    Each seed, a nonnegative int, names one ``random.Random`` stream. When
-    misclassification is active the exposure labels are chosen so the
-    outcome risk comparison among the selected runs in the causative
-    direction, and classification rates are redrawn until the differential
-    factor is at least 1: the misclassification part of the bound is
-    one-sided, and these pure relabelings/redraws put the world on the side
-    it covers without touching any structural assumption.
+    Each seed, a nonnegative int, names one ``random.Random`` stream. With
+    misclassification, the tables are drawn, exposure is relabelled so the
+    outcome risk among the selected runs in the causative direction, the
+    classification rates are redrawn until the differential factor is at
+    least 1, and only then is the one World built: the misclassification
+    part of the bound is one-sided, and this pure relabeling and these
+    redraws put the world on the side it covers, keeping every assumption.
     """
     if not isinstance(seed, int) or seed < 0:
         raise InfeasibleConfig(f"seed must be a nonnegative int, got {seed!r}")
@@ -126,16 +130,16 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     else:
         p_s = ((1.0,) * ns,) * 2
 
-    world = World(config, p_u, p_a, p_y, p_s, _draw_rates(rng, config.misclassification))
-    if config.misclassification is not None:
-        world = _orient(world)
+    p_m = _draw_rates(rng, config.misclassification)
+    if p_m is not None:
+        p_a, p_y, p_s, p_m = _orient(config, p_u, p_a, p_y, p_s, p_m)
         for _ in range(_MAX_REDRAWS):
-            if _differential_factor(world) >= 1.0:
+            if _differential_factor(config.misclassification, p_m) >= 1.0:
                 break
-            world = replace(world, p_m=_draw_rates(rng, config.misclassification))
+            p_m = _draw_rates(rng, config.misclassification)
         else:  # pragma: no cover - each redraw succeeds with fair probability
             raise InfeasibleConfig("could not draw classification rates")
-    return world
+    return World(config, p_u, p_a, p_y, p_s, p_m)
 
 
 def _uniform(rng: Random, lo: float, hi: float, n: int) -> tuple:
@@ -152,18 +156,15 @@ def _draw_rates(rng: Random, kind: str | None) -> tuple | None:
     return tuple(zip(low, high))  # row y: P(A*=1 | A=0), P(A*=1 | A=1)
 
 
-def _orient(world: World) -> World:
-    """Relabel exposure so the selected outcome risk is higher under A=1."""
-    if _oriented(_Tables(world)):
-        return world
-    p_m = world.p_m
-    if p_m is not None:
-        p_m = tuple(row[::-1] for row in p_m)
-        if world.config.misclassification == "exposure":
-            # the recorded copy's labels flip with the true ones
-            p_m = tuple(tuple(map(_ONE.__sub__, row)) for row in p_m)
-    p_a = tuple(map(_ONE.__sub__, world.p_a))
-    return World(world.config, world.p_u, p_a, world.p_y[::-1], world.p_s[::-1], p_m)
+def _orient(config: WorldConfig, p_u, p_a, p_y, p_s, p_m) -> tuple:
+    """p_a, p_y, p_s and p_m, exposure relabelled so the selected risk is higher under A=1."""
+    if _oriented(_Tables(config, p_u, p_a, p_y, p_s)):
+        return p_a, p_y, p_s, p_m
+    p_m = tuple(row[::-1] for row in p_m)
+    if config.misclassification == "exposure":
+        # the recorded copy's labels flip with the true ones
+        p_m = tuple(tuple([1 - x for x in row]) for row in p_m)
+    return tuple([1 - x for x in p_a]), p_y[::-1], p_s[::-1], p_m
 
 
 def _oriented(t: _Tables) -> bool:
@@ -171,38 +172,37 @@ def _oriented(t: _Tables) -> bool:
     return t.cases[1] / t.total[1] >= t.cases[0] / t.total[0]
 
 
-def _differential_factor(world: World) -> float:
-    """The misclassification bounding factor implied by the error rates."""
-    rates = world.p_m
-    if world.config.misclassification == "outcome":
+def _differential_factor(kind: str, rates: tuple) -> float:
+    """The misclassification bounding factor implied by the error rates of a kind's copy."""
+    if kind == "outcome":
         return max(rates[1][1] / rates[1][0], rates[0][1] / rates[0][0])
     s1, s0 = rates[1][1], rates[0][1]  # P(A*=1 | Y=y, A=1) for y = 1, 0
     f1, f0 = rates[1][0], rates[0][0]  # P(A*=1 | Y=y, A=0) for y = 1, 0
-    false_positive = (f1 / f0) / ((1.0 - f1) / (1.0 - f0))
-    sensitivity = (s1 / s0) / ((1.0 - s1) / (1.0 - s0))
-    correct = (s1 / s0) / ((1.0 - f1) / (1.0 - f0))
-    incorrect = (f1 / f0) / ((1.0 - s1) / (1.0 - s0))
+    false_positive = (f1 / f0) / ((1 - f1) / (1 - f0))
+    sensitivity = (s1 / s0) / ((1 - s1) / (1 - s0))
+    correct = (s1 / s0) / ((1 - f1) / (1 - f0))
+    incorrect = (f1 / f0) / ((1 - s1) / (1 - s0))
     return max(false_positive, sensitivity, correct, incorrect)
 
 
 class _Tables:
-    """A world's tables, with the masses all results share.
+    """A world's tables, with the masses and the factor all results share.
 
     Masses are lists per exposure arm a over the world's cells: ``mass[a]``
     is P(A=a, Uc, Us), ``sel[a]`` its selected part (S=1), ``total[a]`` is
-    P(A=a, S=1) and ``cases[a]`` is P(A=a, Y=1, S=1).
+    P(A=a, S=1) and ``cases[a]`` is P(A=a, Y=1, S=1). ``factor`` is the
+    differential factor of the classification rates p_m, or None without them.
     """
 
-    __slots__ = ("world", "ns", "p_u", "p_y", "p_s", "mass", "sel", "total", "cases")
+    __slots__ = ("mis", "ns", "p_u", "p_y", "p_s", "p_m", "factor", "mass", "sel", "total", "cases")
 
-    def __init__(self, world: World) -> None:
-        nc, self.ns = world.config.confounder_levels, world.config.selection_levels
-        self.world = world
-        self.p_u = p_u = world.p_u
-        self.p_y = p_y = world.p_y
-        self.p_s = p_s = world.p_s
-        exposed = [x for x in world.p_a for _ in range(self.ns)]  # P(A=1 | Uc)
-        unexposed = list(map(_ONE.__sub__, exposed))
+    def __init__(self, config: WorldConfig, p_u, p_a, p_y, p_s, p_m=None) -> None:
+        nc, self.ns = config.confounder_levels, config.selection_levels
+        self.mis = mis = config.misclassification
+        self.p_u, self.p_y, self.p_s, self.p_m = p_u, p_y, p_s, p_m
+        self.factor = None if p_m is None else _differential_factor(mis, p_m)
+        exposed = [x for x in p_a for _ in range(self.ns)]  # P(A=1 | Uc)
+        unexposed = [1 - x for x in exposed]
         self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
         self.sel = sel = [list(map(mul, m, chance * nc)) for m, chance in zip(mass, p_s)]
         self.total = list(map(fsum, sel))
@@ -240,7 +240,7 @@ def _selection(t: _Tables, a: int) -> dict[str, float]:
     columns = [slice(u, None, t.ns) for u in range(t.ns)]  # Us levels
     by_level, spread = _levels(t.mass[a], t.p_y[a], columns)
     kept = _normalized(list(map(mul, by_level, t.p_s[a])), a, 1)
-    dropped = _normalized(list(map(mul, by_level, map(_ONE.__sub__, t.p_s[a]))), a, 0)
+    dropped = _normalized([m * (1 - s) for m, s in zip(by_level, t.p_s[a])], a, 0)
     # the reweighting runs toward S=1 in the exposed arm, S=0 in the unexposed
     num, den = (kept, dropped) if a == 1 else (dropped, kept)
     return {f"RR_UsY|A={a}": spread, f"RR_SUs|A={a}": max(map(truediv, num, den))}
@@ -253,7 +253,7 @@ def _selected_population(t: _Tables) -> dict[str, float]:
 
 
 def _misclassification(t: _Tables) -> dict[str, float]:
-    return dict.fromkeys(_MISCLASSIFIED, _differential_factor(t.world))
+    return dict.fromkeys(_MISCLASSIFIED, t.factor)
 
 
 _EXPOSED, _UNEXPOSED = partial(_selection, a=1), partial(_selection, a=0)
@@ -352,28 +352,27 @@ def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
         raise InfeasibleConfig(bad[0])
     if abs(fsum(world.p_u) - 1.0) > 1e-9:
         raise InfeasibleConfig(f"p_u must sum to 1, got {fsum(world.p_u)!r}")
-    t = _Tables(world)
+    t = _Tables(config, world.p_u, world.p_a, p_y, p_s, p_m)
     # the misclassification bound is one-sided: a world must lie on the side it
     # covers, where generate_world puts it (_orient and the redraw)
     if p_m is not None and not _oriented(t):
         r0, r1 = map(truediv, t.cases, t.total)
         raise InfeasibleConfig(f"selected outcome risk {r1!r} at A=1 is below {r0!r} at A=0")
-    if p_m is not None and (factor := _differential_factor(world)) < 1.0:
-        raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {factor!r}")
+    if p_m is not None and t.factor < 1.0:
+        raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {t.factor!r}")
     return t, extractors
 
 
 def _risk_ratios(t: _Tables, selected: bool) -> tuple[float, float]:
-    mis = t.world.config.misclassification
     num, den = t.cases, t.total
-    if mis is not None:
-        rates = t.world.p_m  # P(copy=1 | y, a), indexed [y][a]
-        controls = [_dot(sel, map(_ONE.__sub__, ys)) for sel, ys in zip(t.sel, t.p_y)]
-        if mis == "outcome":
+    if t.mis is not None:
+        rates = t.p_m  # P(copy=1 | y, a), indexed [y][a]
+        controls = [_dot(sel, [1 - y for y in ys]) for sel, ys in zip(t.sel, t.p_y)]
+        if t.mis == "outcome":
             num = [num[a] * rates[1][a] + controls[a] * rates[0][a] for a in (0, 1)]
         else:
             # the recorded copy is the exposure; chance[m][y][a] is P(A*=m | y, a)
-            chance = ([[1.0 - r for r in row] for row in rates], rates)
+            chance = ([[1 - r for r in row] for row in rates], rates)
             num = [_dot(t.cases, chance[m][1]) for m in (0, 1)]
             den = [n + _dot(controls, c[0]) for n, c in zip(num, chance)]
     if min(den) < _MIN_MASS or min(num) <= 0.0:

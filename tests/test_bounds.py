@@ -418,6 +418,20 @@ class TestGrid:
             grid_table(bs, [("RRAUc", [2.0]), ("RRUcY", [2.0])])
 
 
+class TestGridTableIdentity:
+    def test_tables_compare_and_hash_by_identity(self):
+        # equal calls give equal arrays, which have no single truth value, and
+        # the fixed values are a dict, which has no hash
+        bs = build_bias_set([confounding(), misclassification("outcome")])
+        args = (bs, [("RRAUc", [2.0, 3.0]), ("RRUcY", [2.0])], {"RRAYy": 1.5})
+        a, b = grid_table(*args), grid_table(*args)
+        assert (a == b) is False
+        assert a == a
+        assert hash(a) == hash(a)
+        assert a not in [b]
+        assert a in [b, a]
+
+
 class TestAdjustEstimate:
     def test_harmful_estimate_divided(self):
         bs = build_bias_set([confounding(), selection(risk_direction="increased")])

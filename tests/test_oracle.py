@@ -6,8 +6,12 @@ code cannot hide. A world's tables are tuples, cells (c, u) in row order;
 the tests reshape them into numpy arrays to build that joint table.
 """
 
+import math
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from operator import is_
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from multibias import (
     generate_world,
     misclassification,
     multi_bound,
+    oracle,
     selection,
     verify_bound,
     world_config,
@@ -107,6 +112,32 @@ class TestWorldConfig:
             WorldConfig(rare_outcome_ceiling=0.0)
         with pytest.raises(InfeasibleConfig):
             WorldConfig(rare_outcome_ceiling=1.5)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{"confounding": "yes"}, {"selection": 1}, {"confounding": None}, {"selection": np.True_}],
+    )
+    def test_rejects_mechanism_flags_that_are_not_bools(self, flags):
+        # a truthy flag used to be accepted here and fail later as a StructureMismatch
+        with pytest.raises(InfeasibleConfig, match="confounding and selection must be bools"):
+            WorldConfig(**flags)
+
+    @pytest.mark.parametrize(
+        "ceiling",
+        ["0.5", b"0.5", [0.5], 0.5j, math.nan, 10**5000],
+        ids=["str", "bytes", "list", "complex", "nan", "int_past_floats"],
+    )
+    def test_rejects_ceilings_that_are_no_numbers(self, ceiling):
+        # text used to escape as a TypeError from the range comparison
+        with pytest.raises(InfeasibleConfig, match="must be a number in"):
+            WorldConfig(rare_outcome_ceiling=ceiling)
+
+    @pytest.mark.parametrize("ceiling", [Fraction(1, 2), Decimal("0.5"), np.float32(0.5), 0.5])
+    def test_a_numeric_ceiling_is_held_as_a_float(self, ceiling):
+        config = WorldConfig(rare_outcome_ceiling=ceiling)
+        assert type(config.rare_outcome_ceiling) is float
+        assert config == WorldConfig(rare_outcome_ceiling=0.5)
+        assert generate_world(config, 1) == generate_world(WorldConfig(rare_outcome_ceiling=0.5), 1)
 
 
 # each structure's world mechanisms, written out: equal configs draw equal
@@ -216,7 +247,9 @@ class TestOrient:
             ((0.4, 0.5), (0.6, 0.7)),
             ((0.1, 0.2), (0.7, 0.9)),
         )
-        oriented = _orient(world)
+        config, p_u = world.config, world.p_u
+        tables = world.p_a, world.p_y, world.p_s, world.p_m
+        oriented = World(config, p_u, *_orient(config, p_u, *tables))
         assert oriented.config == world.config
         assert oriented.p_u == world.p_u
         assert oriented.p_a == (1 - 0.3, 1 - 0.6)
@@ -228,7 +261,8 @@ class TestOrient:
         else:
             # the copy is the exposure, so its labels flip with the true ones
             assert oriented.p_m == ((1 - 0.2, 1 - 0.1), (1 - 0.9, 1 - 0.7))
-        assert _orient(oriented) is oriented
+        tables = oriented.p_a, oriented.p_y, oriented.p_s, oriented.p_m
+        assert all(map(is_, _orient(config, p_u, *tables), tables))
 
 
 class TestConditionalIndependence:
@@ -579,6 +613,14 @@ class TestHandBuiltWorlds:
         with pytest.raises(DegenerateStratum):
             verify_bound(everyone, bias_set)
 
+    def test_a_small_stratum_above_the_mass_floor_is_kept(self):
+        # the unselected strata hold about 1e-6 of each arm: a world the
+        # oracle must check, which a floor of 1e-4 would reject as degenerate
+        config, bias_set = STRUCTURES["selection"]
+        w = generate_world(config, 3)
+        world = World(config, w.p_u, w.p_a, w.p_y, ((1 - 1e-6,) * 2,) * 2, None)
+        assert verify_bound(world, bias_set).holds
+
     def test_analysis_cell_without_mass_raises(self):
         # the exposed arm is too small to observe, yet large enough for the
         # confounding extractor's ratios, which run first
@@ -784,6 +826,31 @@ class TestVerify:
         for seed in range(40):
             report = verify_bound(generate_world(config, seed), bias_set)
             assert report.holds, (structure, seed, report)
+
+    @pytest.mark.parametrize("structure", ["result1", "result2"])
+    def test_each_world_is_built_once_and_its_factor_derived_once(self, structure, monkeypatch):
+        config, bias_set = STRUCTURES[structure]
+        built, factors = [], []
+        derive = oracle._differential_factor
+
+        class Counted(World):
+            def __init__(self, *tables):
+                super().__init__(*tables)
+                built.append(self)
+
+        def counted(kind, rates):
+            factors.append(rates)
+            return derive(kind, rates)
+
+        monkeypatch.setattr(oracle, "World", Counted)
+        monkeypatch.setattr(oracle, "_differential_factor", counted)
+        for seed in range(20):
+            world = generate_world(config, seed)
+            assert len(built) == 1 and built[0] is world
+            factors.clear()
+            verify_bound(world, bias_set)
+            assert len(factors) == 1
+            built.clear()
 
     def test_report_fields(self):
         config, bias_set = STRUCTURES["result1"]
