@@ -16,6 +16,7 @@ from .errors import (
     _numpy,
     _read_float,
     _read_floats,
+    _record,
 )
 
 if TYPE_CHECKING:
@@ -132,14 +133,15 @@ def grid_table(
     if table.max() == math.inf:
         raise _grid_overflow()
     table.setflags(write=False)
-    return GridTable(
-        bias_set,
-        row_name,
-        col_name,
-        tuple(rows.tolist()),
-        tuple(cols.tolist()),
-        fixed,
-        table,
+    return _record(
+        GridTable,
+        bias_set=bias_set,
+        row_name=row_name,
+        col_name=col_name,
+        row_values=tuple(rows.tolist()),
+        col_values=tuple(cols.tolist()),
+        fixed=fixed,
+        values=table,
     )
 
 
@@ -216,10 +218,10 @@ def adjust_estimate(
             raise DomainError("interval must satisfy lo <= point <= hi")
     bound = multi_bound(bias_set, values)
     if point >= 1.0:
-        shifted = ShiftedEstimate(point / bound, lo / bound, hi / bound, bound)
+        point, lo, hi = point / bound, lo / bound, hi / bound
     else:
-        shifted = ShiftedEstimate(point * bound, lo * bound, hi * bound, bound)
+        point, lo, hi = point * bound, lo * bound, hi * bound
     # the shift keeps lo <= point <= hi, so the limits show any over- or underflow
-    if not (shifted.lo > 0.0 and shifted.hi < math.inf):
+    if not (lo > 0.0 and hi < math.inf):
         raise DomainError("the shifted interval leaves the floating-point range")
-    return shifted
+    return _record(ShiftedEstimate, point=point, lo=lo, hi=hi, bound=bound)

@@ -1,4 +1,18 @@
-"""Exception types shared across the package, and the one reader of numeric input."""
+"""Exception types shared across the package, the one reader of numeric input,
+and the one way the library builds a frozen record without its __init__.
+
+A frozen dataclass's generated __init__ stores each field through
+object.__setattr__, which costs more than the rest of a small result's
+work. _record fills a new instance's __dict__ instead. The library uses it
+only for records it fills from values it has already checked and whose
+class has no __post_init__: EValueResult, ShiftedEstimate, GridTable and
+BoundReport, and the risk-ratio view to_risk_ratio makes of an odds ratio,
+whose fields are copies or square roots of an estimate that passed every
+rule. Such a record holds the same __dict__ that __init__ would store, so
+equality, hashing, repr, pickling, copying, dataclasses.replace and the
+frozen __setattr__ all treat it as one built by __init__. Every constructor
+a user calls, and World, still runs __init__ and __post_init__.
+"""
 
 import math
 
@@ -85,6 +99,13 @@ def _domain_error(value, name: str, positive: bool = False) -> DomainError:
         if isinstance(value, int):
             shown = f"an int of {value.bit_length()} bits"
     return DomainError(f"{name} must be {rule}, got {shown}")
+
+
+def _record(cls, /, **fields):
+    """A new instance of the frozen dataclass cls whose fields hold fields; no __init__ runs."""
+    record = object.__new__(cls)
+    vars(record).update(fields)
+    return record
 
 
 def _numpy():

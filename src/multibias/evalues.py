@@ -16,9 +16,14 @@ curves share one solve path, _evalues, which adds the one overflow rule. A
 ratio at or below 1 is raised or inverted to at least 1, and gets the
 E-value 1 from the solver, not from a mask.
 
-evalue_curve builds its points in C: _curve_points allocates them with
-object.__new__ and stores each field's column through that field's slot
-descriptor, so no point runs the frozen dataclass __init__.
+No record the library fills from checked values runs the frozen dataclass
+__init__ (see errors). multi_evalue builds its EValueResult, and
+to_risk_ratio its view of an odds ratio, with errors._record; evalue_curve
+builds its points in C: _curve_points allocates them with object.__new__
+and stores each field's column through that field's slot descriptor.
+EffectEstimate itself runs __init__, and its __post_init__ accepts the
+common estimate (floats with 0 < lo <= point <= hi < inf and a Scale) in
+one test before any per-value check.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Sequence
 
 from .biases import BiasSet, Scale
 from .errors import DomainError, ParseError, SizeLimitExceeded, _domain_error, _read_float
-from .errors import _numpy, _read_floats
+from .errors import _numpy, _read_floats, _record
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 112
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
@@ -56,6 +61,16 @@ class EffectEstimate:
     rare_outcome: bool = False
 
     def __post_init__(self) -> None:
+        point = self.point
+        lo = point if self.lo is None else self.lo
+        hi = point if self.hi is None else self.hi
+        if (
+            type(point) is type(lo) is type(hi) is float
+            and 0.0 < lo <= point <= hi < math.inf
+            and type(self.scale) is Scale
+            and (self.scale is Scale.ODDS_RATIO or not self.rare_outcome)
+        ):
+            return  # the common case, which every check below accepts unchanged
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
             # any other value is replaced by the float it reads as, so arithmetic sees a float
             valid = type(v) is float and 0.0 < v < math.inf
@@ -65,7 +80,15 @@ class EffectEstimate:
             raise DomainError("lo must not exceed the point estimate")
         if self.hi is not None and self.hi < self.point:
             raise DomainError("hi must not be below the point estimate")
-        if self.rare_outcome and self.scale is not Scale.ODDS_RATIO:
+        try:  # a member or its value, "RR" or "OR", as the CLI reads --measure
+            scale = Scale(self.scale)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"cannot convert scale {self.scale!r} to a risk ratio; hazard "
+                "ratios and other measures are not supported"
+            ) from None
+        object.__setattr__(self, "scale", scale)
+        if self.rare_outcome and scale is not Scale.ODDS_RATIO:
             raise ParseError("rare_outcome applies to odds ratios only")
 
 
@@ -89,25 +112,18 @@ def to_risk_ratio(estimate: EffectEstimate) -> EffectEstimate:
     """Express an estimate on the risk ratio scale.
 
     Rare-outcome odds ratios pass through unchanged; other odds ratios are
-    replaced by their square root, a conservative risk ratio. Anything else
-    (hazard ratios in particular) is rejected.
+    replaced by their square root, a conservative risk ratio. Every other
+    measure (hazard ratios in particular) is rejected by EffectEstimate.
     """
     if estimate.scale is Scale.RISK_RATIO:
         return estimate
-    if estimate.scale is Scale.ODDS_RATIO:
-        if estimate.rare_outcome:
-            return EffectEstimate(
-                estimate.point, estimate.lo, estimate.hi, Scale.RISK_RATIO
-            )
-        return EffectEstimate(
-            math.sqrt(estimate.point),
-            None if estimate.lo is None else math.sqrt(estimate.lo),
-            None if estimate.hi is None else math.sqrt(estimate.hi),
-            Scale.RISK_RATIO,
-        )
-    raise DomainError(
-        f"cannot convert scale {estimate.scale!r} to a risk ratio; hazard "
-        "ratios and other measures are not supported"
+    point, lo, hi = estimate.point, estimate.lo, estimate.hi
+    if not estimate.rare_outcome:  # square roots keep 0 < lo <= point <= hi < inf
+        point = math.sqrt(point)
+        lo = None if lo is None else math.sqrt(lo)
+        hi = None if hi is None else math.sqrt(hi)
+    return _record(
+        EffectEstimate, point=point, lo=lo, hi=hi, scale=Scale.RISK_RATIO, rare_outcome=False
     )
 
 
@@ -266,7 +282,8 @@ def multi_evalue(
         )
     evalue_point = solve_polynomial(poly, max(target, 1.0))
     evalue_near = None if near is None else solve_polynomial(poly, max(near / true_value, 1.0))
-    return EValueResult(
+    return _record(
+        EValueResult,
         bias_set=bias_set,
         estimate=rr,
         true_value=true_value,

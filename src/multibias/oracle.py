@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import fsum
-from operator import add, mul, truediv
+from operator import add, index, mul, truediv
 from random import Random
 from typing import Callable, Iterable
 
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
-from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float
+from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _record
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
@@ -56,9 +56,12 @@ class WorldConfig:
                 f"misclassification must be None, 'outcome' or 'exposure', "
                 f"got {self.misclassification!r}"
             )
-        for levels in (self.confounder_levels, self.selection_levels):
-            if not (isinstance(levels, int) and levels in (2, 3)):
+        for name in ("confounder_levels", "selection_levels"):
+            levels = getattr(self, name)
+            count = _as_int(levels)
+            if count not in (2, 3):
                 raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
+            object.__setattr__(self, name, count)
         if self.rare_outcome_ceiling is not None:
             # a number is held as a float; text and other non-numbers read as nan
             ceiling = _as_float(self.rare_outcome_ceiling)
@@ -68,6 +71,16 @@ class WorldConfig:
                     "probabilities positive at machine precision"
                 )
             object.__setattr__(self, "rare_outcome_ceiling", ceiling)
+
+
+def _as_int(value) -> int | None:
+    """value as the plain int operator.index reads, as from a numpy integer; None for a bool."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return int(index(value))
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,8 @@ class World:
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Draw a random world with the configured mechanisms active.
 
-    Each seed, a nonnegative int, names one ``random.Random`` stream. With
+    Each seed, a nonnegative integer other than a bool, names one
+    ``random.Random`` stream, a numpy integer that of the equal int. With
     misclassification, the tables are drawn, exposure is relabelled so the
     outcome risk among the selected runs in the causative direction, the
     classification rates are redrawn until the differential factor is at
@@ -103,9 +117,10 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     part of the bound is one-sided, and this pure relabeling and these
     redraws put the world on the side it covers, keeping every assumption.
     """
-    if not isinstance(seed, int) or seed < 0:
+    stream = _as_int(seed)
+    if stream is None or stream < 0:
         raise InfeasibleConfig(f"seed must be a nonnegative int, got {seed!r}")
-    rng = Random(seed)
+    rng = Random(stream)
     nc, ns = config.confounder_levels, config.selection_levels
 
     for _ in range(_MAX_REDRAWS):  # Dirichlet(1, ..., 1) over the cells
@@ -415,8 +430,16 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
     prevalence = max(map(max, t.p_y))
-    return BoundReport(
-        ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence, params, rr_obs, rr_true
+    return _record(
+        BoundReport,
+        ratio=ratio,
+        bound=bound,
+        holds=ratio <= bound + _SLACK,
+        slack=bound - ratio,
+        prevalence=prevalence,
+        parameters=params,
+        rr_obs=rr_obs,
+        rr_true=rr_true,
     )
 
 

@@ -29,6 +29,7 @@ from multibias import (
     selection,
 )
 from multibias.bounds import MAX_GRID_CELLS
+from records import assert_as_constructed
 
 ratios = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 GRIDDABLE = [d for d in DECLARATIONS if len(build_bias_set(d).parameters) >= 2]
@@ -431,6 +432,12 @@ class TestGridTableIdentity:
         assert a not in [b]
         assert a in [b, a]
 
+    @pytest.mark.parametrize("bs, fixed", [(CONF_MIS, {"RRAYy": 1.5}), (CONF, None)])
+    def test_table_behaves_as_a_constructed_table(self, bs, fixed):
+        table = grid_table(bs, [("RRAUc", [2.0, 3.0]), ("RRUcY", [2.0])], fixed)
+        assert_as_constructed(table)
+        assert table.values.flags.writeable is False
+
 
 class TestAdjustEstimate:
     def test_harmful_estimate_divided(self):
@@ -456,6 +463,13 @@ class TestAdjustEstimate:
         # exactly 1 would give the same point but other limits
         shifted = adjust_estimate(CONF, {"RRAUc": 2.0, "RRUcY": 3.0}, 1.0, 0.5, 2.0)
         assert shifted == ShiftedEstimate(1.0 / 1.5, 0.5 / 1.5, 2.0 / 1.5, 1.5)
+
+    @pytest.mark.parametrize(
+        "limits", [(6.75, 2.79, 16.31), (0.51, 0.3, 0.89), (1.0, 0.5, 2.0), (2.0, 2.0, 2.0)]
+    )
+    def test_shifted_estimate_behaves_as_a_constructed_one(self, limits):
+        shifted = adjust_estimate(CONF, {"RRAUc": 2.0, "RRUcY": 3.0}, *limits)
+        assert_as_constructed(shifted)
 
     def test_interval_ordering_enforced(self):
         bs = build_bias_set([confounding()])

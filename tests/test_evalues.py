@@ -35,6 +35,7 @@ from multibias import (
     to_risk_ratio,
 )
 from multibias.evalues import MAX_CURVE_POINTS, _shared_polynomial, odds_ratio, risk_ratio
+from records import assert_as_constructed
 from roots import bisect_root, decimal_root
 
 # the shared polynomial of each (n, k) the grammar can reach
@@ -87,6 +88,31 @@ class TestToRiskRatio:
             to_risk_ratio(EffectEstimate(2.0, scale="HR"))
         assert "hazard" in str(exc.value)
 
+    @pytest.mark.parametrize("lo, hi", [(None, None), (2.25, None), (None, 9.0), (2.25, 9.0)])
+    @pytest.mark.parametrize("rare", [False, True])
+    def test_odds_ratio_view_behaves_as_a_constructed_estimate(self, lo, hi, rare):
+        assert_as_constructed(to_risk_ratio(odds_ratio(4.0, lo, hi, rare_outcome=rare)))
+
+    def test_odds_ratio_view_equals_the_risk_ratio_built_from_its_roots(self):
+        view = to_risk_ratio(odds_ratio(4.0, 2.25, 9.0))
+        assert view == EffectEstimate(2.0, 1.5, 3.0, Scale.RISK_RATIO)
+        assert repr(view) == repr(EffectEstimate(2.0, 1.5, 3.0, Scale.RISK_RATIO))
+
+    @pytest.mark.parametrize("scale", ["RR", "OR"])
+    def test_scale_values_are_read_as_their_members(self, scale):
+        # the values --measure takes; both constructed, and failed in multi_evalue
+        member = Scale(scale)
+        est = EffectEstimate(4.0, 2.25, 9.0, scale)
+        assert est.scale is member
+        assert est == EffectEstimate(4.0, 2.25, 9.0, member)
+        assert multi_evalue(CONF, est) == multi_evalue(CONF, EffectEstimate(4.0, 2.25, 9.0, member))
+
+    @pytest.mark.parametrize("scale", [None, "rr", "HR", "RISK_RATIO", 1])
+    def test_scales_other_than_rr_and_or_are_refused_when_built(self, scale):
+        text = f"cannot convert scale {scale!r} to a risk ratio; hazard ratios"
+        with pytest.raises(DomainError, match=f"^{text}"):
+            EffectEstimate(2.0, scale=scale)
+
     def test_estimate_validation(self):
         with pytest.raises(DomainError):
             EffectEstimate(-2.0)
@@ -114,6 +140,53 @@ class TestToRiskRatio:
         # a None point constructed, and the others raised TypeError
         with pytest.raises(DomainError, match=f"^{label} must be positive and finite"):
             EffectEstimate(*limits)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, stored",
+        [
+            ((2.0, 2.0, 3.0), {}, (2.0, 2.0, 3.0)),
+            ((2.0, 1.5, 2.0), {}, (2.0, 1.5, 2.0)),
+            ((2.0, None, None), {}, (2.0, None, None)),
+            ((2, 1, 3), {}, (2.0, 1.0, 3.0)),
+            ((Fraction(5, 2), Fraction(3, 2), Fraction(7, 2)), {}, (2.5, 1.5, 3.5)),
+            ((Decimal("2.5"), Decimal("1.5"), Decimal("3.5")), {}, (2.5, 1.5, 3.5)),
+            ((np.float64(2.5), np.float64(1.5), np.float64(3.5)), {}, (2.5, 1.5, 3.5)),
+            ((5e-324,), {}, (5e-324, None, None)),
+            ((5e-324, 5e-324, 1.0), {}, (5e-324, 5e-324, 1.0)),
+            ((math.nan,), {}, (DomainError, "point must be positive and finite, got nan")),
+            ((2.0, math.nan), {}, (DomainError, "lo must be positive and finite, got nan")),
+            ((2.0, 1.5, math.inf), {}, (DomainError, "hi must be positive and finite, got inf")),
+            ((math.inf,), {}, (DomainError, "point must be positive and finite, got inf")),
+            ((2.0, -math.inf), {}, (DomainError, "lo must be positive and finite, got -inf")),
+            ((0.0,), {}, (DomainError, "point must be positive and finite, got 0.0")),
+            ((2.0, 0.0), {}, (DomainError, "lo must be positive and finite, got 0.0")),
+            ((2.0, 3.0), {}, (DomainError, "lo must not exceed the point estimate")),
+            ((2.0, None, 1.5), {}, (DomainError, "hi must not be below the point estimate")),
+            (
+                (2.0, 1.5, 3.0),
+                {"rare_outcome": True},
+                (ParseError, "rare_outcome applies to odds ratios only"),
+            ),
+        ],
+        ids=[
+            "lo-is-point", "hi-is-point", "no-limits", "int", "Fraction", "Decimal",
+            "float64", "subnormal", "subnormal-lo", "nan", "nan-lo", "inf-hi", "inf",
+            "minus-inf-lo", "zero", "zero-lo", "lo-above-point", "hi-below-point",
+            "rare-risk-ratio",
+        ],
+    )
+    def test_each_estimate_is_stored_or_refused_as_pinned(self, args, kwargs, stored):
+        # the stored floats and the messages of the per-value checks
+        if isinstance(stored[0], type):
+            error, text = stored
+            with pytest.raises(error) as exc:
+                EffectEstimate(*args, **kwargs)
+            assert type(exc.value) is error and str(exc.value) == text
+        else:
+            est = EffectEstimate(*args, **kwargs)
+            assert (est.point, est.lo, est.hi) == stored
+            assert [type(v) for v in (est.point, est.lo, est.hi)] == [type(v) for v in stored]
+            assert est.scale is Scale.RISK_RATIO and est.rare_outcome is False
 
 
 class TestPolynomialAccounting:
@@ -402,6 +475,21 @@ class TestMultiEvalue:
         bs = build_bias_set([confounding()])
         with pytest.raises(DomainError, match="^true_value must be positive and finite"):
             multi_evalue(bs, risk_ratio(2.0), true_value=true_value)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            risk_ratio(2.0, 1.5, 3.0),
+            risk_ratio(0.5, 0.25, 0.8),
+            risk_ratio(1.8),
+            odds_ratio(4.0, 2.25, 9.0),
+            odds_ratio(0.51, 0.3, 0.89, rare_outcome=True),
+        ],
+        ids=["causative", "protective", "point-only", "odds-ratio", "rare-odds-ratio"],
+    )
+    def test_result_behaves_as_a_constructed_result(self, estimate):
+        bs = build_bias_set([confounding(), misclassification("exposure", rare_outcome=True)])
+        assert_as_constructed(multi_evalue(bs, estimate, 1.25))
 
     def test_evalue_names_use_risk_ratio_forms(self):
         bs = build_bias_set(

@@ -36,6 +36,7 @@ from multibias import (
 )
 from multibias.biases import NAMED_BIAS_SETS, parse_bias_string
 from multibias.oracle import STRUCTURES, _orient
+from records import assert_as_constructed
 
 
 def world_of(structure, seed=0):
@@ -106,6 +107,14 @@ class TestWorldConfig:
     def test_rejects_level_counts_that_are_not_ints(self, levels):
         with pytest.raises(InfeasibleConfig, match="2 or 3 levels"):
             WorldConfig(**levels)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_level_counts_give_the_config_of_the_int(self, integer):
+        # "2 or 3 levels, got np.int64(2)" was raised for a count of 2
+        config = WorldConfig(True, True, None, integer(2), integer(3))
+        assert config == WorldConfig(True, True, None, 2, 3)
+        assert type(config.confounder_levels) is type(config.selection_levels) is int
+        assert generate_world(config, 4) == generate_world(WorldConfig(True, True, None, 2, 3), 4)
 
     def test_rejects_bad_ceiling(self):
         with pytest.raises(InfeasibleConfig):
@@ -181,6 +190,18 @@ class TestGeneration:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(InfeasibleConfig, match="seed must be a nonnegative int"):
+            generate_world(WorldConfig(), seed)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint32])
+    def test_a_numpy_integer_seed_gives_the_world_of_the_int(self, integer):
+        # it raised "seed must be a nonnegative int, got np.int64(3)"
+        config = STRUCTURES["result2"][0]
+        assert generate_world(config, integer(3)) == generate_world(config, 3)
+
+    @pytest.mark.parametrize("seed", [True, False, np.int64(-1)])
+    def test_bools_and_negative_numpy_integers_are_refused_as_seeds(self, seed):
+        # True gave the world of seed 1
         with pytest.raises(InfeasibleConfig, match="seed must be a nonnegative int"):
             generate_world(WorldConfig(), seed)
 
@@ -851,6 +872,12 @@ class TestVerify:
             verify_bound(world, bias_set)
             assert len(factors) == 1
             built.clear()
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_report_behaves_as_a_constructed_report(self, structure):
+        for seed in range(3):
+            world, bias_set = world_of(structure, seed)
+            assert_as_constructed(verify_bound(world, bias_set))
 
     def test_report_fields(self):
         config, bias_set = STRUCTURES["result1"]
