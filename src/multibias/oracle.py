@@ -74,11 +74,11 @@ class WorldConfig:
 
 
 def _as_int(value) -> int | None:
-    """value as the plain int operator.index reads, as from a numpy integer; None for a bool."""
+    """value as the int operator.index reads, as from a numpy integer; None for a bool."""
     if isinstance(value, bool):
         return None
     try:
-        return int(index(value))
+        return index(value)  # an int of exact type int, from Python 3.10
     except TypeError:
         return None
 

@@ -142,29 +142,28 @@ class TestToRiskRatio:
             EffectEstimate(*limits)
 
     @pytest.mark.parametrize(
-        "args, kwargs, stored",
+        "args, stored",
         [
-            ((2.0, 2.0, 3.0), {}, (2.0, 2.0, 3.0)),
-            ((2.0, 1.5, 2.0), {}, (2.0, 1.5, 2.0)),
-            ((2.0, None, None), {}, (2.0, None, None)),
-            ((2, 1, 3), {}, (2.0, 1.0, 3.0)),
-            ((Fraction(5, 2), Fraction(3, 2), Fraction(7, 2)), {}, (2.5, 1.5, 3.5)),
-            ((Decimal("2.5"), Decimal("1.5"), Decimal("3.5")), {}, (2.5, 1.5, 3.5)),
-            ((np.float64(2.5), np.float64(1.5), np.float64(3.5)), {}, (2.5, 1.5, 3.5)),
-            ((5e-324,), {}, (5e-324, None, None)),
-            ((5e-324, 5e-324, 1.0), {}, (5e-324, 5e-324, 1.0)),
-            ((math.nan,), {}, (DomainError, "point must be positive and finite, got nan")),
-            ((2.0, math.nan), {}, (DomainError, "lo must be positive and finite, got nan")),
-            ((2.0, 1.5, math.inf), {}, (DomainError, "hi must be positive and finite, got inf")),
-            ((math.inf,), {}, (DomainError, "point must be positive and finite, got inf")),
-            ((2.0, -math.inf), {}, (DomainError, "lo must be positive and finite, got -inf")),
-            ((0.0,), {}, (DomainError, "point must be positive and finite, got 0.0")),
-            ((2.0, 0.0), {}, (DomainError, "lo must be positive and finite, got 0.0")),
-            ((2.0, 3.0), {}, (DomainError, "lo must not exceed the point estimate")),
-            ((2.0, None, 1.5), {}, (DomainError, "hi must not be below the point estimate")),
+            ((2.0, 2.0, 3.0), (2.0, 2.0, 3.0)),
+            ((2.0, 1.5, 2.0), (2.0, 1.5, 2.0)),
+            ((2.0, None, None), (2.0, None, None)),
+            ((2, 1, 3), (2.0, 1.0, 3.0)),
+            ((Fraction(5, 2), Fraction(3, 2), Fraction(7, 2)), (2.5, 1.5, 3.5)),
+            ((Decimal("2.5"), Decimal("1.5"), Decimal("3.5")), (2.5, 1.5, 3.5)),
+            ((np.float64(2.5), np.float64(1.5), np.float64(3.5)), (2.5, 1.5, 3.5)),
+            ((5e-324,), (5e-324, None, None)),
+            ((5e-324, 5e-324, 1.0), (5e-324, 5e-324, 1.0)),
+            ((math.nan,), (DomainError, "point must be positive and finite, got nan")),
+            ((2.0, math.nan), (DomainError, "lo must be positive and finite, got nan")),
+            ((2.0, 1.5, math.inf), (DomainError, "hi must be positive and finite, got inf")),
+            ((math.inf,), (DomainError, "point must be positive and finite, got inf")),
+            ((2.0, -math.inf), (DomainError, "lo must be positive and finite, got -inf")),
+            ((0.0,), (DomainError, "point must be positive and finite, got 0.0")),
+            ((2.0, 0.0), (DomainError, "lo must be positive and finite, got 0.0")),
+            ((2.0, 3.0), (DomainError, "lo must not exceed the point estimate")),
+            ((2.0, None, 1.5), (DomainError, "hi must not be below the point estimate")),
             (
-                (2.0, 1.5, 3.0),
-                {"rare_outcome": True},
+                (2.0, 1.5, 3.0, Scale.RISK_RATIO, True),
                 (ParseError, "rare_outcome applies to odds ratios only"),
             ),
         ],
@@ -175,15 +174,15 @@ class TestToRiskRatio:
             "rare-risk-ratio",
         ],
     )
-    def test_each_estimate_is_stored_or_refused_as_pinned(self, args, kwargs, stored):
+    def test_each_estimate_is_stored_or_refused_as_pinned(self, args, stored):
         # the stored floats and the messages of the per-value checks
         if isinstance(stored[0], type):
             error, text = stored
             with pytest.raises(error) as exc:
-                EffectEstimate(*args, **kwargs)
+                EffectEstimate(*args)
             assert type(exc.value) is error and str(exc.value) == text
         else:
-            est = EffectEstimate(*args, **kwargs)
+            est = EffectEstimate(*args)
             assert (est.point, est.lo, est.hi) == stored
             assert [type(v) for v in (est.point, est.lo, est.hi)] == [type(v) for v in stored]
             assert est.scale is Scale.RISK_RATIO and est.rare_outcome is False
