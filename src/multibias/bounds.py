@@ -133,15 +133,8 @@ def grid_table(
     if table.max() == math.inf:
         raise _grid_overflow()
     table.setflags(write=False)
-    return _record(
-        GridTable,
-        bias_set=bias_set,
-        row_name=row_name,
-        col_name=col_name,
-        row_values=tuple(rows.tolist()),
-        col_values=tuple(cols.tolist()),
-        fixed=fixed,
-        values=table,
+    return GridTable(
+        bias_set, row_name, col_name, tuple(rows.tolist()), tuple(cols.tolist()), fixed, table
     )
 
 

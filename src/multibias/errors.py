@@ -2,16 +2,17 @@
 and the one way the library builds a frozen record without its __init__.
 
 A frozen dataclass's generated __init__ stores each field through
-object.__setattr__, which costs more than the rest of a small result's
-work. _record fills a new instance's __dict__ instead. The library uses it
-only for records it fills from values it has already checked and whose
-class has no __post_init__: EValueResult, ShiftedEstimate, GridTable and
-BoundReport, and the risk-ratio view to_risk_ratio makes of an odds ratio,
-whose fields are copies or square roots of an estimate that passed every
-rule. Such a record holds the same __dict__ that __init__ would store, so
-equality, hashing, repr, pickling, copying, dataclasses.replace and the
-frozen __setattr__ all treat it as one built by __init__. Every constructor
-a user calls, and World, still runs __init__ and __post_init__.
+object.__setattr__, a measurable share of a scalar call's work. _record
+fills a new instance's __dict__ instead. The library uses it only on the
+scalar path, for records it fills from values it has already checked
+and whose class has no __post_init__: the EValueResult of multi_evalue, the
+ShiftedEstimate of adjust_estimate, and the risk-ratio view to_risk_ratio
+makes of an odds ratio, whose fields are copies or square roots of an
+estimate that passed every rule. Such a record holds the same __dict__ that
+__init__ would store, so equality, hashing, repr, pickling, copying,
+dataclasses.replace and the frozen __setattr__ all treat it as one built by
+__init__. GridTable, BoundReport, World and every constructor a user calls
+still run __init__, and __post_init__ where the class has one.
 """
 
 import math

@@ -16,14 +16,14 @@ curves share one solve path, _evalues, which adds the one overflow rule. A
 ratio at or below 1 is raised or inverted to at least 1, and gets the
 E-value 1 from the solver, not from a mask.
 
-No record the library fills from checked values runs the frozen dataclass
-__init__ (see errors). multi_evalue builds its EValueResult, and
-to_risk_ratio its view of an odds ratio, with errors._record; evalue_curve
-builds its points in C: _curve_points allocates them with object.__new__
-and stores each field's column through that field's slot descriptor.
-EffectEstimate itself runs __init__, and its __post_init__ accepts the
-common estimate (floats with 0 < lo <= point <= hi < inf and a Scale) in
-one test before any per-value check.
+The records of the scalar path skip the frozen dataclass __init__ (see
+errors): multi_evalue builds its EValueResult, and to_risk_ratio its view of
+an odds ratio, with errors._record. evalue_curve builds its points in C:
+_curve_points allocates them with object.__new__ and stores each field's
+column through that field's slot descriptor. EffectEstimate itself runs
+__init__, and its __post_init__ accepts the common estimate (floats with
+0 < lo <= point <= hi < inf, a Scale and a bool rare_outcome set only on an
+odds ratio) in one test before any per-value check.
 """
 
 from __future__ import annotations
@@ -68,7 +68,10 @@ class EffectEstimate:
             type(point) is type(lo) is type(hi) is float
             and 0.0 < lo <= point <= hi < math.inf
             and type(self.scale) is Scale
-            and (self.scale is Scale.ODDS_RATIO or not self.rare_outcome)
+            and (
+                self.rare_outcome is False
+                or (self.rare_outcome is True and self.scale is Scale.ODDS_RATIO)
+            )
         ):
             return  # the common case, which every check below accepts unchanged
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
@@ -88,6 +91,8 @@ class EffectEstimate:
                 "ratios and other measures are not supported"
             ) from None
         object.__setattr__(self, "scale", scale)
+        if not isinstance(self.rare_outcome, bool):
+            raise ParseError(f"rare_outcome must be a bool, got {self.rare_outcome!r}")
         if self.rare_outcome and scale is not Scale.ODDS_RATIO:
             raise ParseError("rare_outcome applies to odds ratios only")
 

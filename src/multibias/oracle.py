@@ -18,7 +18,7 @@ table from these tuples as their reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from math import fsum
 from operator import add, index, mul, truediv
@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
-from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _record
+from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
@@ -408,7 +408,8 @@ class BoundReport:
     holds: bool  # ratio <= bound + 1e-12
     slack: float  # bound - ratio; negative means the bound was violated
     prevalence: float  # largest stratum outcome risk (how rare the outcome is)
-    parameters: dict[str, float] | None = None  # exact values, by argument name
+    # exact values, by argument name; left out of the hash, since a dict has none
+    parameters: dict[str, float] | None = field(default=None, hash=False)
     rr_obs: float | None = None  # observable risk ratio
     rr_true: float | None = None  # causal risk ratio it may distort
 
@@ -430,16 +431,8 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
     prevalence = max(map(max, t.p_y))
-    return _record(
-        BoundReport,
-        ratio=ratio,
-        bound=bound,
-        holds=ratio <= bound + _SLACK,
-        slack=bound - ratio,
-        prevalence=prevalence,
-        parameters=params,
-        rr_obs=rr_obs,
-        rr_true=rr_true,
+    return BoundReport(
+        ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence, params, rr_obs, rr_true
     )
 
 

@@ -77,6 +77,13 @@ LINSPACE_OVERFLOW = [
     ["curve", "--bias-sets", "confounding + selection(general)"]
     + ["--rr-min", "1e308", "--rr-max", "1.7976931348623157e308"],
 ]
+# a subnormal curve range whose step underflows to 0, so np.linspace scales
+# each point's fraction of the span
+LINSPACE_UNDERFLOW = (
+    ["curve", "--bias-sets", "confounding + misclassification(outcome)"]
+    + ["--rr-min", "6e-309", "--rr-max", "6.000000000000006e-309", "--points", "3"]
+    + ["--format", "json"]
+)
 
 
 class TestParseBiasString:
@@ -1056,6 +1063,7 @@ class TestGeneratedArgv:
     @given(_sweep_json())
     @example(LINSPACE_OVERFLOW[0] + ["--format", "json"])
     @example(LINSPACE_OVERFLOW[1] + ["--format", "json"])
+    @example(LINSPACE_UNDERFLOW)
     @settings(max_examples=250, derandomize=True, deadline=None)
     def test_grid_and_curve_equal_the_library_bit_for_bit(self, argv):
         code, out, err = _run_strict(argv)

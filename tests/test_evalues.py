@@ -166,12 +166,19 @@ class TestToRiskRatio:
                 (2.0, 1.5, 3.0, Scale.RISK_RATIO, True),
                 (ParseError, "rare_outcome applies to odds ratios only"),
             ),
+        ]
+        + [
+            (
+                (4.0, None, None, Scale.ODDS_RATIO, rare),
+                (ParseError, f"rare_outcome must be a bool, got {rare!r}"),
+            )
+            for rare in ("no", 1, None, np.True_)
         ],
         ids=[
             "lo-is-point", "hi-is-point", "no-limits", "int", "Fraction", "Decimal",
             "float64", "subnormal", "subnormal-lo", "nan", "nan-lo", "inf-hi", "inf",
             "minus-inf-lo", "zero", "zero-lo", "lo-above-point", "hi-below-point",
-            "rare-risk-ratio",
+            "rare-risk-ratio", "rare-str", "rare-int", "rare-None", "rare-numpy-bool",
         ],
     )
     def test_each_estimate_is_stored_or_refused_as_pinned(self, args, stored):
@@ -248,7 +255,9 @@ class TestPolynomialAccounting:
         # x**7 alone exceeds the float range at 1e50, and raised OverflowError
         assert EValuePolynomial(7, 3).value(1e50) == pytest.approx(1e200 / 8, rel=1e-12)
         with pytest.raises(DomainError, match="floating-point range"):
-            EValuePolynomial(7, 3).value(1e100)
+            EValuePolynomial(7, 3).value(1e100)  # the product overflows
+        with pytest.raises(DomainError, match="floating-point range"):
+            EValuePolynomial(7, 3).value(1e150)  # the power raises OverflowError
 
     def test_invalid_polynomial_rejected(self):
         with pytest.raises(DomainError):

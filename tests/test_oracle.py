@@ -883,6 +883,13 @@ class TestVerify:
         rebuilt = BoundReport(report.ratio, report.bound, True, report.slack, report.prevalence)
         assert (rebuilt.parameters, rebuilt.rr_obs, rebuilt.rr_true) == (None, None, None)
 
+    def test_equal_reports_hash_equal(self):
+        config, bias_set = STRUCTURES["result1"]
+        world = generate_world(config, 0)
+        report, again = verify_bound(world, bias_set), verify_bound(world, bias_set)
+        assert report == again and report is not again and hash(report) == hash(again)
+        assert {report, again} == {report}
+
     @pytest.mark.parametrize("structure, levels", WIDE)
     def test_report_assembles_its_parts(self, structure, levels):
         for seed, world, bias_set in wide_worlds(structure, levels):
