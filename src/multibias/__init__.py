@@ -73,7 +73,6 @@ _PUBLIC = {
         "WorldConfig",
         "generate_world",
         "verify_bound",
-        "world_config",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

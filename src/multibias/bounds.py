@@ -156,7 +156,10 @@ def _checked_grid(bias_set: BiasSet, vary, fixed, read):
     """
     if len(vary) != 2:
         raise ParseError("exactly two parameters must vary")
-    (row_name, row_values), (col_name, col_values) = vary
+    try:
+        (row_name, row_values), (col_name, col_values) = vary
+    except (TypeError, ValueError):
+        raise ParseError("vary must be two (name, values) pairs") from None
     if row_name == col_name:
         raise ParseError("the two varying parameters must differ")
     (rows, row_given), (cols, col_given) = read(row_values), read(col_values)

@@ -272,13 +272,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .evalues import (
-        MAX_CURVE_POINTS,
-        _check_curve_size,
-        _check_invertible,
-        evalue_polynomial,
-        solve_polynomial,
-    )
+    from .evalues import _check_curve_size, _check_invertible, evalue_polynomial, solve_polynomial
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -287,8 +281,6 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ParseError(f"--bias-sets {args.bias_sets!r}: {exc}") from None
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
-    if args.points > MAX_CURVE_POINTS:
-        raise SizeLimitExceeded(f"{args.points} points exceed {MAX_CURVE_POINTS}")
     _check_curve_size(len(bias_sets), args.points)
     # every point lies in [rr-min, rr-max], so rr-min is the one to check
     _check_invertible(args.rr_min)

@@ -38,39 +38,48 @@ _CONFOUNDING, _SELECTION = BiasKind.CONFOUNDING, BiasKind.SELECTION  # enum look
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Which bias mechanisms a generated world contains; see :func:`world_config`."""
+    """The worlds a bias set's bound must hold in.
 
-    confounding: bool = False
-    selection: bool = False
-    misclassification: str | None = None  # "outcome" or "exposure"
+    The set's declarations give the read-only mechanism fields, the
+    misclassified variable being "outcome", "exposure" or None. A ceiling of
+    None becomes 0.01 for exposure misclassification, whose bound assumes
+    rare outcomes, and 1 otherwise. Raises StructureMismatch for the
+    declarations no world satisfies: those with a parameter no extractor
+    measures (starred selection symbols, ``RR_SY...``, ``RR_YA*|a...``), and
+    those that bound selection in one exposure arm only.
+    """
+
+    bias_set: BiasSet
     confounder_levels: int = 2
     selection_levels: int = 2
     rare_outcome_ceiling: float | None = None  # upper limit for every stratum risk
+    confounding: bool = field(init=False)
+    selection: bool = field(init=False)
+    misclassification: str | None = field(init=False)
 
     def __post_init__(self) -> None:
-        for flag in (self.confounding, self.selection):
-            if not isinstance(flag, bool):
-                raise InfeasibleConfig(f"confounding and selection must be bools, got {flag!r}")
-        if self.misclassification not in (None, "outcome", "exposure"):
-            raise InfeasibleConfig(
-                f"misclassification must be None, 'outcome' or 'exposure', "
-                f"got {self.misclassification!r}"
-            )
+        if not isinstance(self.bias_set, BiasSet):
+            raise InfeasibleConfig(f"bias_set must be a BiasSet, got {self.bias_set!r}")
+        mechanisms = _mechanisms(self.bias_set)[:3]
+        for name, value in zip(("confounding", "selection", "misclassification"), mechanisms):
+            object.__setattr__(self, name, value)
         for name in ("confounder_levels", "selection_levels"):
             levels = getattr(self, name)
             count = _as_int(levels)
             if count not in (2, 3):
                 raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
             object.__setattr__(self, name, count)
-        if self.rare_outcome_ceiling is not None:
-            # a number is held as a float; text and other non-numbers read as nan
-            ceiling = _as_float(self.rare_outcome_ceiling)
-            if not 1e-6 <= ceiling <= 1.0:
-                raise InfeasibleConfig(
-                    "rare_outcome_ceiling must be a number in [1e-6, 1] to keep outcome "
-                    "probabilities positive at machine precision"
-                )
-            object.__setattr__(self, "rare_outcome_ceiling", ceiling)
+        ceiling = self.rare_outcome_ceiling
+        if ceiling is None:
+            ceiling = _RARE_OUTCOME_CEILING if self.misclassification == "exposure" else 1.0
+        # a number is held as a float; text and other non-numbers read as nan
+        ceiling = _as_float(ceiling)
+        if not 1e-6 <= ceiling <= 1.0:
+            raise InfeasibleConfig(
+                "rare_outcome_ceiling must be a number in [1e-6, 1] to keep outcome "
+                "probabilities positive at machine precision"
+            )
+        object.__setattr__(self, "rare_outcome_ceiling", ceiling)
 
 
 def _as_int(value) -> int | None:
@@ -137,7 +146,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     else:
         p_a = _uniform(rng, 0.05, 0.95, 1) * nc
 
-    ceiling = config.rare_outcome_ceiling or 1.0
+    ceiling = config.rare_outcome_ceiling
     p_y = tuple(_uniform(rng, 0.001 * ceiling, ceiling, nc * ns) for _ in (0, 1))
 
     if config.selection:
@@ -309,20 +318,6 @@ def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, dict]:
     return conf, sel, mis, extractors
 
 
-def world_config(bias_set: BiasSet) -> WorldConfig:
-    """The mechanisms of the worlds a bias set's bound must hold in.
-
-    Exposure misclassification worlds get rare outcomes, as its bound
-    assumes. Raises StructureMismatch for the declarations no generated
-    world satisfies: those with a parameter no extractor measures (starred
-    selection symbols, ``RR_SY...`` and ``RR_YA*|a...``), and those that
-    bound selection in one exposure arm only.
-    """
-    conf, sel, mis, _ = _mechanisms(bias_set)
-    ceiling = _RARE_OUTCOME_CEILING if mis == "exposure" else None
-    return WorldConfig(conf, sel, mis, rare_outcome_ceiling=ceiling)
-
-
 def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
     """The world's tables and the bias set's extractors, once the world is found to fit it."""
     conf, sel, mis, extractors = _mechanisms(bias_set)
@@ -332,30 +327,30 @@ def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
     if config.selection != sel or config.misclassification != mis or (
         config.confounding != conf and _selected_population not in extractors
     ):
-        raise StructureMismatch(f"{config} does not fit the bias set {bias_set.label!r}")
+        raise StructureMismatch(f"{config.bias_set.label!r} worlds do not fit {bias_set.label!r}")
     # the tables must have the lengths the config gives (p_u, p_a, p_y, p_s,
     # their rows, p_m and its rows) and must not hold a mechanism it denies
     p_y, p_s, p_m = world.p_y, world.p_s, world.p_m
     if (p_m is None) != (config.misclassification is None):
-        raise InfeasibleConfig(f"p_m must be given exactly when {config} has misclassification")
+        raise InfeasibleConfig("p_m must be given exactly when the config has misclassification")
     nc, ns = config.confounder_levels, config.selection_levels
     found = (len(world.p_u), len(world.p_a), len(p_y), len(p_s), *map(len, (*p_y, *p_s)))
     want = (nc * ns, nc, 2, 2, nc * ns, nc * ns, ns, ns)
     if p_m is not None:
         found, want = found + (len(p_m), *map(len, p_m)), want + (2, 2, 2)
     if found != want:
-        raise InfeasibleConfig(f"table lengths {found} do not fit {config}, which gives {want}")
+        raise InfeasibleConfig(f"table lengths {found} do not fit the config, which gives {want}")
     if not config.confounding and len(set(world.p_a)) > 1:
-        raise InfeasibleConfig(f"p_a must be constant, since {config} has no confounding")
+        raise InfeasibleConfig("p_a must be constant, since the config has no confounding")
     if not config.selection and {*p_s[0], *p_s[1]} != {1.0}:
-        raise InfeasibleConfig(f"every p_s entry must be 1, since {config} has no selection")
+        raise InfeasibleConfig("every p_s entry must be 1, since the config has no selection")
     # every entry is a probability in its range, which NaN and inf are not
     bad = [
         f"every {name} entry must lie in (0, {top:g}{']' if closed else ')'}, got {x!r}"
         for name, rows, top, closed in (
             ("p_u", (world.p_u,), 1.0, True),
             ("p_a", (world.p_a,), 1.0, False),
-            ("p_y", p_y, config.rare_outcome_ceiling or 1.0, True),
+            ("p_y", p_y, config.rare_outcome_ceiling, True),
             ("p_s", p_s, 1.0, True),
             ("p_m", p_m or (), 1.0, False),
         )
@@ -437,6 +432,6 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
 
 
 STRUCTURES: dict[str, tuple[WorldConfig, BiasSet]] = {
-    name: (world_config(bias_set), bias_set)
+    name: (WorldConfig(bias_set), bias_set)
     for name, bias_set in zip(NAMED_BIAS_SETS, map(parse_bias_string, NAMED_BIAS_SETS.values()))
 }

@@ -86,3 +86,21 @@ class TestGainShown:
     def test_a_gap_in_the_worse_direction_is_no_gain(self):
         out = _summary("higher", self.PARENT, [v - 1.0 for v in self.PARENT])
         assert not out["gain_shown"]
+
+
+class TestMain:
+    @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+    def test_fewer_than_two_pairs_exit_2_before_any_run(self, pairs, tmp_path, monkeypatch, capsys):
+        # --pairs 1 ran every workload on both trees, then quartiles raised
+        # StatisticsError and no output was written
+        def refuse(*args):
+            raise AssertionError("a benchmark ran")
+
+        monkeypatch.setattr(bench_pairs, "run", refuse)
+        out = tmp_path / "out.json"
+        argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)]
+        with pytest.raises(SystemExit) as stopped:
+            bench_pairs.main(argv + ["--pairs", pairs])
+        assert stopped.value.code == 2
+        assert "--pairs must be at least 2" in capsys.readouterr().err
+        assert not out.exists()

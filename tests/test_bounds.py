@@ -364,10 +364,22 @@ class TestGrid:
                 cell = {**fixed, row: rv, col: cv}
                 assert table.values[i, j] == multi_bound(bs, cell)
 
-    def test_requires_exactly_two_varying(self):
+    @pytest.mark.parametrize(
+        "vary",
+        [
+            [("RRAUc", [2.0])],
+            # these four escaped as a plain ValueError or TypeError
+            {"RRAUc": [1.0], "RRUcY": [2.0]},
+            [("RRAUc",), ("RRUcY",)],
+            [("RRAUc", [1.0], "x"), ("RRUcY", [2.0], "x")],
+            [None, None],
+        ],
+        ids=["one_pair", "dict", "no_values", "three_items", "nones"],
+    )
+    def test_requires_exactly_two_varying(self, vary):
         bs = build_bias_set([confounding()])
         with pytest.raises(ParseError):
-            grid_table(bs, [("RRAUc", [2.0])])
+            grid_table(bs, vary)
 
     def test_rejects_duplicated_axis(self):
         bs = build_bias_set([confounding()])

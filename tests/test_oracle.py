@@ -8,7 +8,7 @@ the tests reshape them into numpy arrays to build that joint table.
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from operator import is_
@@ -32,7 +32,6 @@ from multibias import (
     oracle,
     selection,
     verify_bound,
-    world_config,
 )
 from multibias.biases import NAMED_BIAS_SETS, parse_bias_string
 from multibias.oracle import STRUCTURES, _orient
@@ -89,16 +88,32 @@ def joint(world):
     return np.einsum("cu,ac,yacu,sau,mya->cuaysm", p_u, pa, py, ps, pm)
 
 
+CONFOUNDING = parse_bias_string("confounding")
+
+
 class TestWorldConfig:
-    def test_rejects_unknown_misclassification(self):
-        with pytest.raises(InfeasibleConfig):
-            WorldConfig(misclassification="dose")
+    @pytest.mark.parametrize(
+        "bias_set",
+        ["confounding", None, [confounding()], confounding(), NAMED_BIAS_SETS],
+        ids=["str", "none", "list", "spec", "dict"],
+    )
+    def test_rejects_a_bias_set_that_is_no_bias_set(self, bias_set):
+        with pytest.raises(InfeasibleConfig, match="bias_set must be a BiasSet"):
+            WorldConfig(bias_set)
+
+    def test_init_fields_are_the_bias_set_levels_and_ceiling(self):
+        init = [f.name for f in fields(WorldConfig) if f.init]
+        assert init == ["bias_set", "confounder_levels", "selection_levels", "rare_outcome_ceiling"]
+        with pytest.raises(TypeError):
+            WorldConfig(CONFOUNDING, confounding=False)
+        with pytest.raises(FrozenInstanceError):
+            WorldConfig(CONFOUNDING).selection = True
 
     def test_rejects_bad_level_counts(self):
         with pytest.raises(InfeasibleConfig):
-            WorldConfig(confounder_levels=1)
+            WorldConfig(CONFOUNDING, confounder_levels=1)
         with pytest.raises(InfeasibleConfig):
-            WorldConfig(selection_levels=4)
+            WorldConfig(CONFOUNDING, selection_levels=4)
 
     @pytest.mark.parametrize(
         "levels",
@@ -106,30 +121,22 @@ class TestWorldConfig:
     )
     def test_rejects_level_counts_that_are_not_ints(self, levels):
         with pytest.raises(InfeasibleConfig, match="2 or 3 levels"):
-            WorldConfig(**levels)
+            WorldConfig(CONFOUNDING, **levels)
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_level_counts_give_the_config_of_the_int(self, integer):
         # "2 or 3 levels, got np.int64(2)" was raised for a count of 2
-        config = WorldConfig(True, True, None, integer(2), integer(3))
-        assert config == WorldConfig(True, True, None, 2, 3)
+        bias_set = parse_bias_string("confounding + selection")
+        config = WorldConfig(bias_set, integer(2), integer(3))
+        assert config == WorldConfig(bias_set, 2, 3)
         assert type(config.confounder_levels) is type(config.selection_levels) is int
-        assert generate_world(config, 4) == generate_world(WorldConfig(True, True, None, 2, 3), 4)
+        assert generate_world(config, 4) == generate_world(WorldConfig(bias_set, 2, 3), 4)
 
     def test_rejects_bad_ceiling(self):
         with pytest.raises(InfeasibleConfig):
-            WorldConfig(rare_outcome_ceiling=0.0)
+            WorldConfig(CONFOUNDING, rare_outcome_ceiling=0.0)
         with pytest.raises(InfeasibleConfig):
-            WorldConfig(rare_outcome_ceiling=1.5)
-
-    @pytest.mark.parametrize(
-        "flags",
-        [{"confounding": "yes"}, {"selection": 1}, {"confounding": None}, {"selection": np.True_}],
-    )
-    def test_rejects_mechanism_flags_that_are_not_bools(self, flags):
-        # a truthy flag used to be accepted here and fail later as a StructureMismatch
-        with pytest.raises(InfeasibleConfig, match="confounding and selection must be bools"):
-            WorldConfig(**flags)
+            WorldConfig(CONFOUNDING, rare_outcome_ceiling=1.5)
 
     @pytest.mark.parametrize(
         "ceiling",
@@ -139,41 +146,48 @@ class TestWorldConfig:
     def test_rejects_ceilings_that_are_no_numbers(self, ceiling):
         # text used to escape as a TypeError from the range comparison
         with pytest.raises(InfeasibleConfig, match="must be a number in"):
-            WorldConfig(rare_outcome_ceiling=ceiling)
+            WorldConfig(CONFOUNDING, rare_outcome_ceiling=ceiling)
 
     @pytest.mark.parametrize("ceiling", [Fraction(1, 2), Decimal("0.5"), np.float32(0.5), 0.5])
     def test_a_numeric_ceiling_is_held_as_a_float(self, ceiling):
-        config = WorldConfig(rare_outcome_ceiling=ceiling)
+        config = WorldConfig(CONFOUNDING, rare_outcome_ceiling=ceiling)
         assert type(config.rare_outcome_ceiling) is float
-        assert config == WorldConfig(rare_outcome_ceiling=0.5)
-        assert generate_world(config, 1) == generate_world(WorldConfig(rare_outcome_ceiling=0.5), 1)
+        assert config == WorldConfig(CONFOUNDING, rare_outcome_ceiling=0.5)
+        expected = generate_world(WorldConfig(CONFOUNDING, rare_outcome_ceiling=0.5), 1)
+        assert generate_world(config, 1) == expected
+
+    def test_a_given_ceiling_replaces_the_derived_one(self):
+        config, bias_set = STRUCTURES["result2"]
+        assert WorldConfig(bias_set, rare_outcome_ceiling=0.5).rare_outcome_ceiling == 0.5
+        assert replace(config, rare_outcome_ceiling=1).rare_outcome_ceiling == 1.0
 
 
-# each structure's world mechanisms, written out: equal configs draw equal
-# worlds for every seed, so `verify` output stays the same
-STRUCTURE_CONFIGS = {
-    "confounding": WorldConfig(confounding=True),
-    "selection": WorldConfig(selection=True),
-    "selection_selected": WorldConfig(selection=True),
-    "outcome_misclassification": WorldConfig(misclassification="outcome"),
-    "result1": WorldConfig(confounding=True, selection=True, misclassification="outcome"),
-    "result2": WorldConfig(
-        confounding=True,
-        selection=True,
-        misclassification="exposure",
-        rare_outcome_ceiling=0.01,
-    ),
-    "result3": WorldConfig(confounding=True, selection=True, misclassification="outcome"),
+# each structure's world mechanisms, written out as (confounding, selection,
+# misclassification, rare_outcome_ceiling): equal mechanisms draw equal
+# tables for every seed, so `verify` output stays the same
+STRUCTURE_MECHANISMS = {
+    "confounding": (True, False, None, 1.0),
+    "selection": (False, True, None, 1.0),
+    "selection_selected": (False, True, None, 1.0),
+    "outcome_misclassification": (False, False, "outcome", 1.0),
+    "result1": (True, True, "outcome", 1.0),
+    "result2": (True, True, "exposure", 0.01),
+    "result3": (True, True, "outcome", 1.0),
 }
 
 
 class TestStructures:
     def test_names(self):
-        assert sorted(STRUCTURES) == sorted(STRUCTURE_CONFIGS)
+        assert sorted(STRUCTURES) == sorted(STRUCTURE_MECHANISMS)
 
-    @pytest.mark.parametrize("structure", sorted(STRUCTURE_CONFIGS))
+    @pytest.mark.parametrize("structure", sorted(STRUCTURE_MECHANISMS))
     def test_config_unchanged(self, structure):
-        assert STRUCTURES[structure][0] == STRUCTURE_CONFIGS[structure]
+        config, bias_set = STRUCTURES[structure]
+        assert config.bias_set is bias_set
+        assert (config.confounder_levels, config.selection_levels) == (2, 2)
+        mechanisms = config.confounding, config.selection, config.misclassification
+        assert (*mechanisms, config.rare_outcome_ceiling) == STRUCTURE_MECHANISMS[structure]
+        assert type(config.rare_outcome_ceiling) is float
 
     def test_named_bias_sets_are_canonical_clauses_in_structure_order(self):
         assert all(parse_bias_string(v).label == v for v in NAMED_BIAS_SETS.values())
@@ -192,7 +206,7 @@ class TestGeneration:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, False, np.int64(-1)])
     def test_seed_must_be_a_nonnegative_int(self, seed):
         with pytest.raises(InfeasibleConfig, match="seed must be a nonnegative int"):
-            generate_world(WorldConfig(), seed)
+            generate_world(STRUCTURES["confounding"][0], seed)
 
     @pytest.mark.parametrize("integer", [np.int64, np.uint32])
     def test_a_numpy_integer_seed_gives_the_world_of_the_int(self, integer):
@@ -209,16 +223,33 @@ class TestGeneration:
             assert all(type(x) is float for table in tables for x in table), name
 
     def test_structure_flags_honored(self):
-        plain = generate_world(WorldConfig(), 5)
-        assert len(set(plain.p_a)) == 1  # no confounding: A independent of Uc
-        assert plain.p_s == ((1.0, 1.0), (1.0, 1.0))  # no selection: everyone selected
-        assert plain.p_m is None
-
-        conf = generate_world(WorldConfig(confounding=True), 5)
+        conf = world_of("confounding", seed=5)[0]
         assert len(set(conf.p_a)) > 1
+        assert conf.p_s == ((1.0, 1.0), (1.0, 1.0))  # no selection: everyone selected
+        assert conf.p_m is None
+
+        sel = world_of("selection", seed=5)[0]
+        assert len(set(sel.p_a)) == 1  # no confounding: A independent of Uc
+        assert sel.p_s != ((1.0, 1.0), (1.0, 1.0))
+        assert sel.p_m is None
+
+    @pytest.mark.parametrize(
+        "declared, reordered",
+        [
+            ("confounding + selection", "selection + confounding"),
+            (NAMED_BIAS_SETS["result1"], "selection + confounding + misclassification(outcome)"),
+        ],
+    )
+    def test_declaration_order_does_not_change_a_world(self, declared, reordered):
+        config = WorldConfig(parse_bias_string(declared))
+        other = WorldConfig(parse_bias_string(reordered))
+        assert config != other
+        for seed in range(5):
+            world = generate_world(other, seed)
+            assert replace(world, config=config) == generate_world(config, seed), seed
 
     def test_rare_ceiling_honored(self):
-        config = WorldConfig(rare_outcome_ceiling=0.01)
+        config = WorldConfig(CONFOUNDING, rare_outcome_ceiling=0.01)
         for seed in range(20):
             world = generate_world(config, seed)
             assert max(map(max, world.p_y)) <= 0.01
@@ -229,9 +260,8 @@ class TestGeneration:
             assert joint(world).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_three_level_supports(self):
-        config = WorldConfig(
-            confounding=True, selection=True, confounder_levels=3, selection_levels=3
-        )
+        bias_set = parse_bias_string("confounding + selection")
+        config = WorldConfig(bias_set, confounder_levels=3, selection_levels=3)
         world = generate_world(config, 11)
         assert len(world.p_u) == 9 and len(world.p_a) == 3
         assert [len(ys) for ys in world.p_y] == [9, 9]
@@ -253,10 +283,14 @@ class TestGeneration:
 class TestOrient:
     """A world whose selected risk is lower under A=1 gets its exposure relabelled."""
 
-    @pytest.mark.parametrize("kind", ["outcome", "exposure"])
-    def test_relabelling_swaps_arms_and_rates(self, kind):
+    @pytest.mark.parametrize(
+        "kind, structure",
+        [("outcome", "result1"), ("exposure", "result2")],
+        ids=["outcome", "exposure"],
+    )
+    def test_relabelling_swaps_arms_and_rates(self, kind, structure):
         world = World(
-            WorldConfig(confounding=True, selection=True, misclassification=kind),
+            STRUCTURES[structure][0],
             (0.1, 0.2, 0.3, 0.4),
             (0.3, 0.6),
             ((0.5, 0.6, 0.7, 0.8), (0.1, 0.2, 0.3, 0.4)),
@@ -285,8 +319,7 @@ class TestConditionalIndependence:
     """The factorization must imply the independences the bounds assume."""
 
     def joint(self, seed=9):
-        config = WorldConfig(confounding=True, selection=True, misclassification="outcome")
-        return joint(generate_world(config, seed))
+        return joint(world_of("result1", seed)[0])
 
     def test_exposure_independent_of_us_given_uc(self):
         j = self.joint()
@@ -407,12 +440,12 @@ def brute_force_parameters(world):
 
 
 def derivable(declarations):
-    """The bias sets world_config accepts, with their configs; the rest it rejects."""
+    """The bias sets WorldConfig accepts, with their configs; the rest it rejects."""
     derived = []
     for declared in declarations:
         bias_set = build_bias_set(declared)
         try:
-            derived.append((bias_set, world_config(bias_set)))
+            derived.append((bias_set, WorldConfig(bias_set)))
         except StructureMismatch:
             pass
     return derived
@@ -422,7 +455,7 @@ DERIVED = derivable(DECLARATIONS)
 
 
 def kinds():
-    """One (config, bias set) for each parameter set world_config accepts.
+    """One (config, bias set) for each parameter set WorldConfig accepts.
 
     The seven named structures come under their names, the other term sets
     under the label of the first declaration that gives them.
@@ -592,23 +625,23 @@ class TestObservedAndTrue:
         assert rr_true == pytest.approx(expected, rel=1e-12)
 
     def test_everyone_selected_means_no_selection_bias(self):
-        world = generate_world(WorldConfig(confounding=True), 31)
         bias_set = build_bias_set([confounding()])
+        world = generate_world(WorldConfig(bias_set), 31)
         report = verify_bound(world, bias_set)
         assert report.rr_obs / report.rr_true <= multi_bound(bias_set, report.parameters) + 1e-12
 
 
 class TestHandBuiltWorlds:
     def test_null_world_has_no_bias(self):
+        bias_set = build_bias_set([confounding()])
         world = World(
-            WorldConfig(confounding=True),
+            WorldConfig(bias_set),
             (0.25,) * 4,
             (0.5, 0.5),
             ((0.3,) * 4,) * 2,
             ((1.0, 1.0),) * 2,
             None,
         )
-        bias_set = build_bias_set([confounding()])
         report = verify_bound(world, bias_set)
         assert report.rr_obs == pytest.approx(1.0, abs=1e-12)
         assert report.rr_true == pytest.approx(1.0, abs=1e-12)
@@ -616,7 +649,8 @@ class TestHandBuiltWorlds:
         assert report.ratio == pytest.approx(report.bound, abs=1e-9)
 
     def test_empty_unselected_stratum_raises(self):
-        world = generate_world(WorldConfig(selection=True), 2)
+        bias_set = build_bias_set([selection()])
+        world = generate_world(WorldConfig(bias_set), 2)
         everyone = World(
             world.config,
             world.p_u,
@@ -625,7 +659,6 @@ class TestHandBuiltWorlds:
             ((1.0, 1.0),) * 2,
             None,
         )
-        bias_set = build_bias_set([selection()])
         with pytest.raises(DegenerateStratum):
             verify_bound(everyone, bias_set)
 
@@ -750,37 +783,38 @@ class TestWorldShapeChecks:
 
 class TestStructureChecks:
     def test_misdeclared_confounding_rejected(self):
-        world = generate_world(WorldConfig(), 1)
-        with pytest.raises(StructureMismatch):
-            verify_bound(world, build_bias_set([confounding()]))
+        world = world_of("selection", seed=1)[0]
+        bias_set = build_bias_set([confounding(), selection()])
+        named = "'selection(general)' worlds do not fit 'confounding + selection(general)'"
+        with pytest.raises(StructureMismatch, match=re.escape(named)):
+            verify_bound(world, bias_set)
 
     def test_misdeclared_selection_rejected(self):
-        world = generate_world(WorldConfig(selection=True), 1)
+        config = WorldConfig(build_bias_set([selection(), misclassification("outcome")]))
+        world = generate_world(config, 1)
         with pytest.raises(StructureMismatch):
             verify_bound(world, build_bias_set([misclassification("outcome")]))
 
     def test_wrong_misclassified_variable_rejected(self):
-        world = generate_world(WorldConfig(misclassification="outcome"), 1)
+        world = world_of("outcome_misclassification", seed=1)[0]
         bias_set = build_bias_set([misclassification("exposure", rare_outcome=True)])
         with pytest.raises(StructureMismatch):
             verify_bound(world, bias_set)
 
     def test_direction_simplifications_not_generated(self):
-        world = generate_world(WorldConfig(selection=True), 1)
+        world = world_of("selection", seed=1)[0]
         bias_set = build_bias_set([selection(risk_direction="increased")])
         with pytest.raises(StructureMismatch):
             verify_bound(world, bias_set)
 
     def test_misclassification_before_selection_not_generated(self):
-        world = generate_world(
-            WorldConfig(selection=True, misclassification="outcome"), 1
-        )
+        config = WorldConfig(build_bias_set([selection(), misclassification("outcome")]))
         bias_set = build_bias_set([misclassification("outcome"), selection()])
         with pytest.raises(StructureMismatch):
-            verify_bound(world, bias_set)
+            verify_bound(generate_world(config, 1), bias_set)
 
     def test_selected_population_accepts_worlds_with_confounding(self):
-        config = WorldConfig(confounding=True, selection=True)
+        config = WorldConfig(build_bias_set([confounding(), selection()]))
         bias_set = build_bias_set([selection("selected")])
         report = verify_bound(generate_world(config, 14), bias_set)
         assert report.holds
@@ -808,7 +842,7 @@ class TestWorldConfigDerivation:
     )
     def test_rejection_names_what_no_world_measures(self, clauses, named):
         with pytest.raises(StructureMismatch, match=re.escape(named)):
-            world_config(parse_bias_string(clauses))
+            WorldConfig(parse_bias_string(clauses))
 
     def test_rejections_raise_structure_mismatch(self):
         accepted = {bias_set.biases for bias_set, _ in DERIVED}
@@ -816,7 +850,7 @@ class TestWorldConfigDerivation:
         assert len(rejected) == 294
         for declared in rejected:
             with pytest.raises(StructureMismatch):
-                world_config(build_bias_set(declared))
+                WorldConfig(build_bias_set(declared))
 
     @pytest.mark.parametrize(
         "bias_set, config", DERIVED, ids=[bias_set.label for bias_set, _ in DERIVED]
