@@ -219,14 +219,16 @@ class Parameter:
         return "RR" + self.name[2:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BiasSet:
     """An ordered, validated set of bias declarations with derived parameters.
 
     The bound is the product over ``terms`` of one factor each: a lone
     parameter's value, or g of a pair of parameters. Setting every parameter
     to x turns that product into x**n / (2x - 1)**k with
-    ``(n, k) = polynomial``.
+    ``(n, k) = polynomial``. The repr names the set by its label, which
+    :func:`parse_bias_string` reads back; equality and hashing go by the
+    fields.
     """
 
     biases: tuple[BiasSpec, ...]
@@ -237,6 +239,9 @@ class BiasSet:
     @cached_property
     def label(self) -> str:
         return " + ".join(b.describe() for b in self.biases)
+
+    def __repr__(self) -> str:
+        return f"<BiasSet {self.label!r}>"
 
     @cached_property
     def _names(self) -> tuple[str, ...]:

@@ -14,6 +14,16 @@ A world keeps its factor tables as tuples of Python floats, drawn from one
 computed straight from them: with at most 18 cells a table, array calls
 would cost more than their arithmetic. The tests enumerate the full joint
 table from these tuples as their reference.
+
+One function, ``_checked``, holds the table rules, and every world meets
+them before any result is computed from it: ``generate_world`` applies them
+to each world it draws, and ``verify_bound`` to a hand-built or replaced
+world on its first check. The world then keeps the tables the rules were
+checked on (the masses every result shares, and the differential factor),
+outside its fields, so each world's tables are derived once; a config keeps
+the extractors of the bias set it was derived from. A world whose exposure
+is relabelled builds its tables twice, since relabelling writes 1 - x into
+p_a and 1 - (1 - x) is not always x.
 """
 
 from __future__ import annotations
@@ -60,8 +70,9 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.bias_set, BiasSet):
             raise InfeasibleConfig(f"bias_set must be a BiasSet, got {self.bias_set!r}")
-        mechanisms = _mechanisms(self.bias_set)[:3]
-        for name, value in zip(("confounding", "selection", "misclassification"), mechanisms):
+        # _extractors is no field: it stays out of equality, hashing and repr
+        derived = ("confounding", "selection", "misclassification", "_extractors")
+        for name, value in zip(derived, _mechanisms(self.bias_set)):
             object.__setattr__(self, name, value)
         for name in ("confounder_levels", "selection_levels"):
             levels = getattr(self, name)
@@ -112,6 +123,8 @@ class World:
     p_y: tuple  # [a][cell]: outcome risk given exposure and factors
     p_s: tuple  # [a][u]: selection chance given exposure and factor
     p_m: tuple | None  # [true y][true a]: chance the copy is 1
+    # no field: _checked stores the world's _Tables here once it meets the rules
+    _tables = None
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -125,6 +138,8 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     least 1, and only then is the one World built: the misclassification
     part of the bound is one-sided, and this pure relabeling and these
     redraws put the world on the side it covers, keeping every assumption.
+    The world is checked against the table rules and keeps the tables they
+    were checked on, for verify_bound to reuse.
     """
     stream = _as_int(seed)
     if stream is None or stream < 0:
@@ -155,15 +170,20 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         p_s = ((1.0,) * ns,) * 2
 
     p_m = _draw_rates(rng, config.misclassification)
-    if p_m is not None:
-        p_a, p_y, p_s, p_m = _orient(config, p_u, p_a, p_y, p_s, p_m)
+    if p_m is None:
+        t = _Tables(config, p_u, p_a, p_y, p_s)
+    else:
+        p_a, p_y, p_s, p_m, t = _orient(config, p_u, p_a, p_y, p_s, p_m)
         for _ in range(_MAX_REDRAWS):
-            if _differential_factor(config.misclassification, p_m) >= 1.0:
+            t.factor = _differential_factor(config.misclassification, p_m)
+            if t.factor >= 1.0:
                 break
             p_m = _draw_rates(rng, config.misclassification)
         else:  # pragma: no cover - each redraw succeeds with fair probability
             raise InfeasibleConfig("could not draw classification rates")
-    return World(config, p_u, p_a, p_y, p_s, p_m)
+    world = World(config, p_u, p_a, p_y, p_s, p_m)
+    _checked(world, t)
+    return world
 
 
 def _uniform(rng: Random, lo: float, hi: float, n: int) -> tuple:
@@ -181,14 +201,19 @@ def _draw_rates(rng: Random, kind: str | None) -> tuple | None:
 
 
 def _orient(config: WorldConfig, p_u, p_a, p_y, p_s, p_m) -> tuple:
-    """p_a, p_y, p_s and p_m, exposure relabelled so the selected risk is higher under A=1."""
-    if _oriented(_Tables(config, p_u, p_a, p_y, p_s)):
-        return p_a, p_y, p_s, p_m
+    """p_a, p_y, p_s, p_m and their tables, relabelled so the selected risk is higher under A=1.
+
+    Relabelled tables are built anew (see the module docstring).
+    """
+    t = _Tables(config, p_u, p_a, p_y, p_s)
+    if _oriented(t):
+        return p_a, p_y, p_s, p_m, t
     p_m = tuple(row[::-1] for row in p_m)
     if config.misclassification == "exposure":
         # the recorded copy's labels flip with the true ones
         p_m = tuple(tuple([1 - x for x in row]) for row in p_m)
-    return tuple([1 - x for x in p_a]), p_y[::-1], p_s[::-1], p_m
+    p_a, p_y, p_s = tuple([1 - x for x in p_a]), p_y[::-1], p_s[::-1]
+    return p_a, p_y, p_s, p_m, _Tables(config, p_u, p_a, p_y, p_s)
 
 
 def _oriented(t: _Tables) -> bool:
@@ -215,16 +240,16 @@ class _Tables:
     Masses are lists per exposure arm a over the world's cells: ``mass[a]``
     is P(A=a, Uc, Us), ``sel[a]`` its selected part (S=1), ``total[a]`` is
     P(A=a, S=1) and ``cases[a]`` is P(A=a, Y=1, S=1). ``factor`` is the
-    differential factor of the classification rates p_m, or None without them.
+    differential factor of the world's classification rates, which its
+    deriver sets, or None without them.
     """
 
-    __slots__ = ("mis", "ns", "p_u", "p_y", "p_s", "p_m", "factor", "mass", "sel", "total", "cases")
+    __slots__ = ("mis", "ns", "p_u", "p_y", "p_s", "factor", "mass", "sel", "total", "cases")
 
-    def __init__(self, config: WorldConfig, p_u, p_a, p_y, p_s, p_m=None) -> None:
+    def __init__(self, config: WorldConfig, p_u, p_a, p_y, p_s) -> None:
         nc, self.ns = config.confounder_levels, config.selection_levels
-        self.mis = mis = config.misclassification
-        self.p_u, self.p_y, self.p_s, self.p_m = p_u, p_y, p_s, p_m
-        self.factor = None if p_m is None else _differential_factor(mis, p_m)
+        self.mis = config.misclassification
+        self.p_u, self.p_y, self.p_s, self.factor = p_u, p_y, p_s, None
         exposed = [x for x in p_a for _ in range(self.ns)]  # P(A=1 | Uc)
         unexposed = [1 - x for x in exposed]
         self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
@@ -318,16 +343,26 @@ def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, dict]:
     return conf, sel, mis, extractors
 
 
-def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
-    """The world's tables and the bias set's extractors, once the world is found to fit it."""
+def _extractors(config: WorldConfig, bias_set: BiasSet) -> dict:
+    """The bias set's extractors, once the config's worlds are found to fit it."""
+    if bias_set is config.bias_set:  # the set the config was derived from
+        return config._extractors
     conf, sel, mis, extractors = _mechanisms(bias_set)
-    config = world.config
     # a selected-population set covers confounding whether or not it is
     # present, since its parameters range over the joint factor
     if config.selection != sel or config.misclassification != mis or (
         config.confounding != conf and _selected_population not in extractors
     ):
         raise StructureMismatch(f"{config.bias_set.label!r} worlds do not fit {bias_set.label!r}")
+    return extractors
+
+
+def _checked(world: World, t: _Tables | None = None) -> _Tables:
+    """The world's tables, stored with it once it meets every table rule.
+
+    generate_world gives t, built from the world's entries, with its factor.
+    """
+    config = world.config
     # the tables must have the lengths the config gives (p_u, p_a, p_y, p_s,
     # their rows, p_m and its rows) and must not hold a mechanism it denies
     p_y, p_s, p_m = world.p_y, world.p_s, world.p_m
@@ -362,7 +397,10 @@ def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
         raise InfeasibleConfig(bad[0])
     if abs(fsum(world.p_u) - 1.0) > 1e-9:
         raise InfeasibleConfig(f"p_u must sum to 1, got {fsum(world.p_u)!r}")
-    t = _Tables(config, world.p_u, world.p_a, p_y, p_s, p_m)
+    if t is None:
+        t = _Tables(config, world.p_u, world.p_a, p_y, p_s)
+        if p_m is not None:
+            t.factor = _differential_factor(config.misclassification, p_m)
     # the misclassification bound is one-sided: a world must lie on the side it
     # covers, where generate_world puts it (_orient and the redraw)
     if p_m is not None and not _oriented(t):
@@ -370,13 +408,13 @@ def _check_structure(world: World, bias_set: BiasSet) -> tuple[_Tables, dict]:
         raise InfeasibleConfig(f"selected outcome risk {r1!r} at A=1 is below {r0!r} at A=0")
     if p_m is not None and t.factor < 1.0:
         raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {t.factor!r}")
-    return t, extractors
+    object.__setattr__(world, "_tables", t)
+    return t
 
 
-def _risk_ratios(t: _Tables, selected: bool) -> tuple[float, float]:
+def _risk_ratios(t: _Tables, rates: tuple | None, selected: bool) -> tuple[float, float]:
     num, den = t.cases, t.total
-    if t.mis is not None:
-        rates = t.p_m  # P(copy=1 | y, a), indexed [y][a]
+    if rates is not None:  # P(copy=1 | y, a), indexed [y][a]
         controls = [_dot(sel, [1 - y for y in ys]) for sel, ys in zip(t.sel, t.p_y)]
         if t.mis == "outcome":
             num = [num[a] * rates[1][a] + controls[a] * rates[0][a] for a in (0, 1)]
@@ -415,14 +453,17 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     The report's parameters are extremes over the latent factor levels.
     rr_obs is taken among the selected and from the recorded copy, where the
     structure has them; rr_true standardizes the potential-outcome risks over
-    the latent factors, in the population the bias set targets.
+    the latent factors, in the population the bias set targets. A world not
+    drawn by generate_world meets the table rules on its first check, or
+    raises InfeasibleConfig.
     """
-    t, extractors = _check_structure(world, bias_set)
+    extractors = _extractors(world.config, bias_set)
+    t = world._tables or _checked(world)
     values: dict[str, float] = {}
     for extractor in extractors:
         values.update(extractor(t))
     params = {p.name: values[p.display] for p in bias_set.parameters}
-    rr_obs, rr_true = _risk_ratios(t, _selected_population in extractors)
+    rr_obs, rr_true = _risk_ratios(t, world.p_m, _selected_population in extractors)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
     prevalence = max(map(max, t.p_y))

@@ -1,7 +1,9 @@
-"""A check that a frozen record built without __init__ behaves as one built by it.
+"""Checks on frozen records: copies and setters, and likeness to a record built by __init__.
 
 The library builds some records with errors._record, which fills a new
-instance's __dict__ instead of running the generated __init__. This module
+instance's __dict__ instead of running the generated __init__;
+assert_as_constructed compares such a record with one built by __init__.
+assert_frozen_record checks what any frozen record must do. This module
 needs only the standard library, so it runs on interpreters without pytest
 or numpy as well.
 """
@@ -19,6 +21,27 @@ def _raises(error, call, *args) -> bool:
     return False
 
 
+def assert_frozen_record(record) -> None:
+    """record pickles, copies and replaces to a record like it, and refuses every setter.
+
+    A copy has the record's class and repr, and equals the record when the
+    class compares by value; a class declared with eq=False is equal to
+    itself only.
+    """
+    cls = type(record)
+    by_value = cls.__dataclass_params__.eq
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+    thawed = pickle.loads(pickle.dumps(record))
+    for copied in (thawed, copy.copy(record), copy.deepcopy(record), dataclasses.replace(record)):
+        assert type(copied) is cls and repr(copied) == repr(record)
+        assert (copied == record) is (by_value or copied is record)
+    for name in (*values, "no_field"):
+        assert _raises(dataclasses.FrozenInstanceError, setattr, record, name, 1.0)
+    for name in values:
+        assert _raises(dataclasses.FrozenInstanceError, delattr, record, name)
+    assert vars(record) == values
+
+
 def assert_as_constructed(record) -> None:
     """record behaves in every way as its class's __init__ called on its field values.
 
@@ -30,15 +53,6 @@ def assert_as_constructed(record) -> None:
     values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
     built, other = cls(**values), cls(**values)
     by_value = other == built
-
-    def same(copied, original):
-        # a copy of a record equals a copy of the built one as far as the class tells
-        return (
-            type(copied) is cls
-            and repr(copied) == repr(original)
-            and (copied == original) is (by_value or copied is original)
-        )
-
     assert vars(record) == vars(built) and list(vars(record)) == list(vars(built))
     assert record == record
     assert (record == built) is (built == record) is by_value
@@ -49,13 +63,6 @@ def assert_as_constructed(record) -> None:
         assert (hash(record) == hash(built)) is (hash(other) == hash(built))
     assert repr(record) == repr(built)
     assert pickle.dumps(record) == pickle.dumps(built)
-    assert same(pickle.loads(pickle.dumps(record)), built)
-    assert same(copy.copy(record), built) and same(copy.deepcopy(record), built)
-    assert same(dataclasses.replace(record), built)
     assert repr(dataclasses.asdict(record)) == repr(dataclasses.asdict(built))
     assert repr(dataclasses.astuple(record)) == repr(dataclasses.astuple(built))
-    for name in (*values, "no_field"):
-        assert _raises(dataclasses.FrozenInstanceError, setattr, record, name, 1.0)
-    for name in values:
-        assert _raises(dataclasses.FrozenInstanceError, delattr, record, name)
-    assert vars(record) == values
+    assert_frozen_record(record)

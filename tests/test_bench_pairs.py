@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary of paired runs, on hand-made runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,88 @@ class TestMain:
         assert stopped.value.code == 2
         assert "--pairs must be at least 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def _main(tmp_path, monkeypatch, trees):
+        """main over three seeds of fake runs: the (tree, seed) of each run, and the output."""
+        bench = (
+            '{"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": '
+            '[{"name": "m", "unit": "u", "better": "lower", "bound": 0.1}]}'
+        )
+        value = {"old": 3.0, "mid": 2.0, "new": 1.0, "parent": 2.0, "change": 1.0}
+        for name in value:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "BENCHMARK.json").write_text(bench)
+        runs = []
+
+        def fake(tree, workload, seed, seconds):
+            runs.append((tree.name, seed))
+            metrics = {"m": {"value": value[tree.name] + seed / 100}}
+            return {"metrics": metrics, "failed": 0, "attempted": 10, "correct": True}
+
+        monkeypatch.setattr(bench_pairs, "run", fake)
+        out = tmp_path / "out.json"
+        assert bench_pairs.main([*trees, "--out", str(out), "--pairs", "3"]) == 0
+        return runs, json.loads(out.read_text())
+
+    def test_two_trees_run_alternately_and_summarise_the_change(self, tmp_path, monkeypatch):
+        trees = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+        runs, out = self._main(tmp_path, monkeypatch, trees)
+        assert runs == [
+            ("parent", 1), ("change", 1),
+            ("change", 2), ("parent", 2),
+            ("parent", 3), ("change", 3),
+        ]  # fmt: skip
+        entry = out["end_to_end"]["w"]
+        assert entry["first_side"] == {"1": "parent", "2": "change", "3": "parent"}
+        assert list(entry["metrics"]) == ["m"]
+        assert entry["metrics"]["m"]["pairs_change_better"] == 3
+        assert out["method"] == (
+            "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0 on two "
+            "copies of the source (the parent commit and the change), one run after the "
+            "other, odd seeds running the parent first; see tools/bench_pairs.py"
+        )
+
+    def test_three_trees_run_in_rotation_on_the_same_seeds(self, tmp_path, monkeypatch):
+        trees = [f"--tree={name}={tmp_path / name}" for name in ("old", "mid", "new")]
+        runs, out = self._main(tmp_path, monkeypatch, trees)
+        # each seed runs every tree once, and each tree starts one seed in three
+        assert runs == [
+            ("new", 1), ("old", 1), ("mid", 1),
+            ("old", 2), ("mid", 2), ("new", 2),
+            ("mid", 3), ("new", 3), ("old", 3),
+        ]  # fmt: skip
+        entry = out["end_to_end"]["w"]
+        assert entry["first_side"] == {"1": "new", "2": "old", "3": "mid"}
+        assert entry["failed_ops"] == {"old": 0, "mid": 0, "new": 0}
+        # each later tree against the first, by its name
+        assert list(entry["metrics"]) == ["mid", "new"]
+        for name, gain in (("mid", 1.0), ("new", 2.0)):
+            summary = entry["metrics"][name]["m"]
+            assert summary["parent_runs"] == [3.01, 3.02, 3.03]
+            assert summary["pairs_change_better"] == 3
+            assert summary["relative_worsening"] == pytest.approx(-gain / 3.02, abs=1e-4)
+        assert "3 copies of the source (old, mid, new, oldest first)" in out["method"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--parent", "p"],
+            ["--tree", "a=x"],
+            ["--tree", "a=x", "--tree", "a=y"],
+            ["--tree", "a=x", "--tree", "b=y", "--change", "c"],
+            ["--tree", "a", "--tree", "b=y"],
+            ["--tree", "=x", "--tree", "b=y"],
+        ],
+        ids=["none", "parent_only", "one_tree", "same_name", "mixed", "no_path", "no_name"],
+    )
+    def test_trees_given_otherwise_exit_2_before_any_run(self, argv, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a benchmark ran")
+
+        monkeypatch.setattr(bench_pairs, "run", refuse)
+        with pytest.raises(SystemExit) as stopped:
+            bench_pairs.main(argv + ["--out", str(tmp_path / "out.json")])
+        assert stopped.value.code == 2
+        assert not (tmp_path / "out.json").exists()

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from dataclasses import replace
 
 import pytest
 from declarations import DECLARATIONS
@@ -270,6 +271,14 @@ class TestLabel:
             "confounding + selection(general, increased_risk, s_equals_u)"
             " + misclassification(exposure, rare_outcome)"
         )
+
+    def test_repr_names_the_set_by_its_label(self):
+        # the dataclass repr printed every spec and parameter field
+        for declared in DECLARATIONS:
+            bs = build_bias_set(declared)
+            assert repr(bs) == f"<BiasSet {bs.label!r}>"
+            for twin in (pickle.loads(pickle.dumps(bs)), copy.deepcopy(bs), replace(bs)):
+                assert twin == bs and hash(twin) == hash(bs) and repr(twin) == repr(bs)
 
 
 # the declarations TestValidation rejects, each with its error class

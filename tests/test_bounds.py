@@ -29,7 +29,7 @@ from multibias import (
     selection,
 )
 from multibias.bounds import MAX_GRID_CELLS
-from records import assert_as_constructed
+from records import assert_as_constructed, assert_frozen_record
 
 ratios = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 GRIDDABLE = [d for d in DECLARATIONS if len(build_bias_set(d).parameters) >= 2]
@@ -445,9 +445,9 @@ class TestGridTableIdentity:
         assert a in [b, a]
 
     @pytest.mark.parametrize("bs, fixed", [(CONF_MIS, {"RRAYy": 1.5}), (CONF, None)])
-    def test_table_behaves_as_a_constructed_table(self, bs, fixed):
+    def test_table_pickles_copies_replaces_and_stays_frozen(self, bs, fixed):
         table = grid_table(bs, [("RRAUc", [2.0, 3.0]), ("RRUcY", [2.0])], fixed)
-        assert_as_constructed(table)
+        assert_frozen_record(table)
         assert table.values.flags.writeable is False
 
 

@@ -863,6 +863,16 @@ class TestRobustness:
         assert (code, out) == (2, "")
         assert err == "error: an E-value exceeds the floating-point range\n"
 
+    def test_grid_bound_overflowing_the_float_range_is_one_error_line(self):
+        # every factor is finite, but their product passes the float range
+        argv = ["grid", "--biases", "confounding + selection(general)"]
+        argv += ["--vary", "RRAUc=1e300,1e308", "--vary", "RRUcY=1e300"]
+        for name in ("RRUsYA1", "RRSUsA1", "RRUsYA0", "RRSUsA0"):
+            argv += ["--param", f"{name}=1e300"]
+        code, out, err = _run_strict(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the bound overflows the floating-point range in the grid\n"
+
     def test_curve_step_overflowing_before_a_finite_end_succeeds(self):
         code, out, err = _run_strict(LINSPACE_OVERFLOW[1] + ["--format", "json"])
         assert (code, err) == (0, "")

@@ -18,6 +18,7 @@ import pytest
 
 from declarations import DECLARATIONS
 from multibias import (
+    BiasSet,
     BoundReport,
     DegenerateStratum,
     InfeasibleConfig,
@@ -34,8 +35,8 @@ from multibias import (
     verify_bound,
 )
 from multibias.biases import NAMED_BIAS_SETS, parse_bias_string
-from multibias.oracle import STRUCTURES, _orient
-from records import assert_as_constructed
+from multibias.oracle import STRUCTURES, _orient, _Tables
+from records import assert_frozen_record
 
 
 def world_of(structure, seed=0):
@@ -58,6 +59,11 @@ def rates_swapped(structure, seed):
     world = world_of(structure, seed)[0]
     p_m = tuple(row[::-1] for row in world.p_m)
     return {"p_u": world.p_u, "p_a": world.p_a, "p_y": world.p_y, "p_s": world.p_s, "p_m": p_m}
+
+
+def _masses(t):
+    """The masses a _Tables holds, for comparing two builds."""
+    return t.mass, t.sel, t.total, t.cases
 
 
 def arrays(world):
@@ -108,6 +114,12 @@ class TestWorldConfig:
             WorldConfig(CONFOUNDING, confounding=False)
         with pytest.raises(FrozenInstanceError):
             WorldConfig(CONFOUNDING).selection = True
+
+    def test_repr_names_the_bias_set_by_its_label(self):
+        # it embedded the whole BiasSet repr, 1,291 characters for result1
+        config, bias_set = STRUCTURES["result1"]
+        assert repr(config).startswith(f"WorldConfig(bias_set=<BiasSet {bias_set.label!r}>, ")
+        assert len(repr(config)) < 300
 
     def test_rejects_bad_level_counts(self):
         with pytest.raises(InfeasibleConfig):
@@ -299,7 +311,8 @@ class TestOrient:
         )
         config, p_u = world.config, world.p_u
         tables = world.p_a, world.p_y, world.p_s, world.p_m
-        oriented = World(config, p_u, *_orient(config, p_u, *tables))
+        *relabelled_tables, t = _orient(config, p_u, *tables)
+        oriented = World(config, p_u, *relabelled_tables)
         assert oriented.config == world.config
         assert oriented.p_u == world.p_u
         assert oriented.p_a == (1 - 0.3, 1 - 0.6)
@@ -311,8 +324,13 @@ class TestOrient:
         else:
             # the copy is the exposure, so its labels flip with the true ones
             assert oriented.p_m == ((1 - 0.2, 1 - 0.1), (1 - 0.9, 1 - 0.7))
+        # the tables returned are those of the relabelled entries, built anew
+        assert _masses(t) == _masses(_Tables(config, p_u, *relabelled_tables[:3]))
+        # an oriented world comes back as it is, with the one build it was decided on
         tables = oriented.p_a, oriented.p_y, oriented.p_s, oriented.p_m
-        assert all(map(is_, _orient(config, p_u, *tables), tables))
+        *same, t = _orient(config, p_u, *tables)
+        assert all(map(is_, same, tables))
+        assert _masses(t) == _masses(_Tables(config, p_u, *tables[:3]))
 
 
 class TestConditionalIndependence:
@@ -880,8 +898,8 @@ class TestVerify:
     @pytest.mark.parametrize("structure", ["result1", "result2"])
     def test_each_world_is_built_once_and_its_factor_derived_once(self, structure, monkeypatch):
         config, bias_set = STRUCTURES[structure]
-        built, factors = [], []
-        derive = oracle._differential_factor
+        built, factors, draws = [], [], []
+        derive, draw = oracle._differential_factor, oracle._draw_rates
 
         class Counted(World):
             def __init__(self, *tables):
@@ -892,21 +910,93 @@ class TestVerify:
             factors.append(rates)
             return derive(kind, rates)
 
+        def drawn(rng, kind):
+            draws.append(kind)
+            return draw(rng, kind)
+
         monkeypatch.setattr(oracle, "World", Counted)
         monkeypatch.setattr(oracle, "_differential_factor", counted)
+        monkeypatch.setattr(oracle, "_draw_rates", drawn)
         for seed in range(20):
+            # generation and verification together: one World, and one factor
+            # for each draw of the rates, the last of which the report uses
             world = generate_world(config, seed)
+            report = verify_bound(world, bias_set)
             assert len(built) == 1 and built[0] is world
+            assert len(factors) == len(draws) >= 1
+            factor = derive(config.misclassification, world.p_m)
+            assert report.parameters[bias_set.parameters[-1].name] == factor
+            # a hand-built world of the same tables derives its factor once,
+            # on its first verification, and gives the same report
+            twin = World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
             factors.clear()
-            verify_bound(world, bias_set)
-            assert len(factors) == 1
-            built.clear()
+            assert verify_bound(twin, bias_set) == report and len(factors) == 1
+            assert verify_bound(twin, bias_set) == report and len(factors) == 1
+            for log in (built, factors, draws):
+                log.clear()
+
+    def test_tables_are_built_once_a_world_and_again_when_relabelled(self, monkeypatch):
+        # a relabelled world's tables are built anew: its p_a holds 1 - x, and
+        # 1 - (1 - x) is not always x, so a swap of the first build's arms
+        # would not be the tables verify_bound computes on
+        builds, relabelled = [], []
+        oriented = oracle._oriented
+
+        class Counted(oracle._Tables):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                builds.append(self)
+
+        def counted(t):
+            relabelled.append(not oriented(t))
+            return not relabelled[-1]
+
+        monkeypatch.setattr(oracle, "_Tables", Counted)
+        monkeypatch.setattr(oracle, "_oriented", counted)
+        worlds = 0
+        for config, bias_set in STRUCTURES.values():
+            for seed in range(400):
+                verify_bound(generate_world(config, seed), bias_set)
+                worlds += 1
+        assert (worlds, sum(relabelled), len(builds)) == (2800, 797, 3597)
+
+    def test_a_config_verifies_its_own_bias_set_without_deriving_it(self, monkeypatch):
+        config, bias_set = STRUCTURES["result1"]
+        world = generate_world(config, 0)
+        derived = []
+        mechanisms = oracle._mechanisms
+
+        def counted(bs):
+            derived.append(bs)
+            return mechanisms(bs)
+
+        monkeypatch.setattr(oracle, "_mechanisms", counted)
+        report = verify_bound(world, bias_set)
+        assert derived == []
+        # an equal set that is another object is derived and fitted as any other
+        twin = BiasSet(bias_set.biases, bias_set.parameters, bias_set.terms, bias_set.polynomial)
+        assert verify_bound(world, twin) == report and derived == [twin]
+
+    def test_stored_tables_stay_out_of_the_record(self):
+        config, bias_set = STRUCTURES["result1"]
+        world = generate_world(config, 0)
+        twin = World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+        verify_bound(world, bias_set)
+        assert [f.name for f in fields(World)] == ["config", "p_u", "p_a", "p_y", "p_s", "p_m"]
+        assert "_extractors" not in {f.name for f in fields(WorldConfig)}
+        assert world == twin and hash(world) == hash(twin) and repr(world) == repr(twin)
+        assert replace(config) == config and repr(replace(config)) == repr(config)
+        # a replaced world derives its own tables, from its own entries
+        assert replace(world)._tables is None
+        assert verify_bound(replace(world), bias_set) == verify_bound(world, bias_set)
 
     @pytest.mark.parametrize("structure", sorted(STRUCTURES))
-    def test_report_behaves_as_a_constructed_report(self, structure):
+    def test_report_pickles_copies_replaces_and_stays_frozen(self, structure):
         for seed in range(3):
             world, bias_set = world_of(structure, seed)
-            assert_as_constructed(verify_bound(world, bias_set))
+            assert_frozen_record(verify_bound(world, bias_set))
 
     def test_report_fields(self):
         config, bias_set = STRUCTURES["result1"]

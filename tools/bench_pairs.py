@@ -1,9 +1,11 @@
-"""Paired benchmark runs of two source trees, summarised per end-to-end metric.
+"""Paired benchmark runs of two or more source trees, summarised per end-to-end metric.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json \
         [--workload W ...] [--pairs N] [--first-seed S] [--seconds T]
+    python3 tools/bench_pairs.py --tree NAME=DIR --tree NAME=DIR [--tree NAME=DIR ...] \
+        --out BENCH_x.json [...]
 
 DIR holds a copy of each commit's files (``git archive REV | tar -x -C DIR``).
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
@@ -13,8 +15,16 @@ slow drift of the machine's speed falls on all workloads alike. The metric
 names, their direction and bounds, and the default run length are read from
 ``BENCHMARK.json`` in the change's tree.
 
+Given as ``--tree``, oldest first, N trees run in rotation on the same
+seeds: seed S starts with tree number (S + 1) mod N, counting from 0, and
+runs the others in order after it, wrapping round, so each tree starts one
+seed in N. The first tree is the parent, and BENCHMARK.json is read from
+the last. Two trees give the output of --parent and --change under their
+names; with more, "metrics" holds each later tree's summary against the
+first, by the later tree's name.
+
 Before the first run, the output records for each tree whether
-``src/multibias/__pycache__`` exists, and a warning is printed when the two
+``src/multibias/__pycache__`` exists, and a warning is printed when the trees
 differ: the ``cli_oneshot`` children run with ``PYTHONDONTWRITEBYTECODE=1``,
 so a tree without it compiles the package from source in every call.
 
@@ -79,10 +89,18 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> dict:
     }
 
 
+def _tree(text: str) -> tuple[str, Path]:
+    name, sep, path = text.partition("=")
+    if not (name and sep and path):
+        raise argparse.ArgumentTypeError(f"expected NAME=DIR, got {text!r}")
+    return name, Path(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--tree", type=_tree, action="append", help="NAME=DIR, oldest first")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
@@ -91,49 +109,69 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
+    if args.tree is None:
+        if args.parent is None or args.change is None:
+            parser.error("give --parent and --change, or --tree NAME=DIR two or more times")
+        trees = {"parent": args.parent, "change": args.change}
+    else:
+        trees = dict(args.tree)
+        if args.parent or args.change or not 2 <= len(trees) == len(args.tree):
+            parser.error("--tree needs two or more distinct names, and no --parent or --change")
+    names = list(trees)
 
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    bench = json.loads((trees[names[-1]] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
-    trees = {"parent": args.parent, "change": args.change}
     bytecode_cached = {
         side: (tree / "src" / "multibias" / "__pycache__").is_dir()
         for side, tree in trees.items()
     }
-    if bytecode_cached["parent"] != bytecode_cached["change"]:
+    if len(set(bytecode_cached.values())) > 1:
         print(
-            f"warning: src/multibias/__pycache__ exists in one tree only {bytecode_cached}; "
-            "cli_oneshot compiles the package from source in the other",
+            f"warning: src/multibias/__pycache__ exists in some trees only {bytecode_cached}; "
+            "cli_oneshot compiles the package from source in the others",
             file=sys.stderr,
         )
-    records: dict[str, dict[str, list[dict]]] = {
-        w: {"parent": [], "change": []} for w in workloads
-    }
+    records: dict[str, dict[str, list[dict]]] = {w: {n: [] for n in names} for w in workloads}
+
+    def order(seed: int) -> list[str]:
+        first = (seed + 1) % len(names)
+        return names[first:] + names[:first]
+
     for seed in seeds:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in workloads:
-            for side in order:
+            for side in order(seed):
                 record = run(trees[side], workload, seed, seconds)
                 records[workload][side].append(record)
                 print(seed, workload, side, json.dumps(record["metrics"]), flush=True)
 
     end_to_end = {}
     for workload, sides in records.items():
+        compared = {
+            name: {
+                spec["name"]: summarise(spec, sides[names[0]], sides[name])
+                for spec in bench["end_to_end"]
+            }
+            for name in names[1:]
+        }
         end_to_end[workload] = {
             "pairs": len(seeds),
             "seeds": list(seeds),
-            "first_side": {str(s): "parent" if s % 2 else "change" for s in seeds},
+            "first_side": {str(s): order(s)[0] for s in seeds},
             "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
             "attempted_ops": {
                 side: sum(r["attempted"] for r in rs) for side, rs in sides.items()
             },
             "all_correct": all(r["correct"] for rs in sides.values() for r in rs),
-            "metrics": {
-                spec["name"]: summarise(spec, sides["parent"], sides["change"])
-                for spec in bench["end_to_end"]
-            },
+            "metrics": compared[names[1]] if len(names) == 2 else compared,
         }
+    if len(names) == 2:
+        copies = "two copies of the source (the parent commit and the change)"
+        rotation = "odd seeds running the parent first"
+    else:
+        copies = f"{len(names)} copies of the source ({', '.join(names)}, oldest first)"
+        rotation = f"seed S starting with copy (S + 1) mod {len(names)}, counting from 0"
     out = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -143,8 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "method": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
-            "--trace 0 on two copies of the source (the parent commit and the change), "
-            "one run after the other, odd seeds running the parent first; "
+            f"--trace 0 on {copies}, one run after the other, {rotation}; "
             "see tools/bench_pairs.py"
         ),
         "bytecode_cached_before_first_run": bytecode_cached,
