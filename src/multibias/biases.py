@@ -36,12 +36,7 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Iterable
 
-from .errors import (
-    DuplicateBias,
-    ParseError,
-    RareOutcomeRequired,
-    SelectedPopulationConflict,
-)
+from .errors import DuplicateBias, ParseError, RareOutcomeRequired, SelectedPopulationConflict
 
 _UNNAMED = str.maketrans("", "", "_|=,*")  # display characters a name drops
 _LATEX = str.maketrans({"|": r" \mid ", ",": ", ", "=": " = ", "*": "^*"})
@@ -324,8 +319,7 @@ def _derive(specs: tuple[BiasSpec, ...]) -> BiasSet:
         if sel is not None:
             spec = sel[1]
             # a starred mark means the parameter refers to the recorded value
-            a_mark = "A"
-            y_mark = "Y"
+            a_mark, y_mark = "A", "Y"
             if mis is not None and not sel_before_mis:
                 if mis[1].variable == "exposure":
                     a_mark = "A*"

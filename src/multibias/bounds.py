@@ -7,17 +7,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .biases import BiasSet
-from .errors import (
-    DomainError,
-    MissingParameter,
-    ParseError,
-    SizeLimitExceeded,
-    UnknownParameter,
-    _numpy,
-    _read_float,
-    _read_floats,
-    _record,
-)
+from .errors import DomainError, MissingParameter, ParseError, SizeLimitExceeded, UnknownParameter
+from .errors import _numpy, _read_float, _read_floats, _record
 
 if TYPE_CHECKING:
     import numpy as np

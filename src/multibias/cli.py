@@ -91,13 +91,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     values = _parse_assignments(args.param)
     bound = multi_bound(bias_set, values)
     if args.format == "json":
-        payload = {
-            "schema_version": 1,
-            "biases": bias_set.label,
-            "parameters": values,
-            "bound": bound,
-        }
-        _print_json(payload)
+        _print_json(
+            {"schema_version": 1, "biases": bias_set.label, "parameters": values, "bound": bound}
+        )
     else:
         print(_fmt(bound))
     return 0
@@ -172,9 +168,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     header = ["", "bias", "output", "argument"]
     if args.latex:
         header.append("latex")
-    rows = [header]
-    for i, entry in enumerate(entries, start=1):
-        rows.append([str(i)] + list(entry))
+    rows = [header] + [[str(i), *entry] for i, entry in enumerate(entries, start=1)]
     print(_format_table(rows, right_from=0))
     return 0
 
@@ -245,9 +239,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             }
         )
     else:
-        rows = [[""] + [f"{v:g}" for v in col_values]]
-        for value, row in zip(row_values, table):
-            rows.append([f"{value:g}"] + [f"{cell:.6f}" for cell in row])
+        rows = [["", *(f"{v:g}" for v in col_values)]]
+        rows += [[f"{v:g}", *(f"{cell:.6f}" for cell in row)] for v, row in zip(row_values, table)]
         print(f"rows: {row_name}, columns: {col_name}")
         print(_format_table(rows))
     return 0
@@ -272,7 +265,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .evalues import _check_curve_size, _check_invertible, evalue_polynomial, solve_polynomial
+    from .evalues import _check_curve_size, multi_evalue, risk_ratio
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -282,16 +275,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     _check_curve_size(len(bias_sets), args.points)
-    # every point lies in [rr-min, rr-max], so rr-min is the one to check
-    _check_invertible(args.rr_min)
     rr_values = _linspace(args.rr_min, args.rr_max, args.points)
-    points = []
-    for bias_set in bias_sets:
-        poly = evalue_polynomial(bias_set)
-        # multi_evalue(bias_set, risk_ratio(rr)).evalue_point, exactly
-        points += [
-            (rr, bias_set.label, solve_polynomial(poly, max(rr, 1.0 / rr))) for rr in rr_values
-        ]
+    points = [
+        (rr, bias_set.label, multi_evalue(bias_set, risk_ratio(rr)).evalue_point)
+        for bias_set in bias_sets
+        for rr in rr_values
+    ]
     if args.format == "json":
         payload = {
             "schema_version": 1,
@@ -302,37 +291,24 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         _print_csv([["rr", "biases", "evalue"], *points])
     else:
         rows = [["rr", "biases", "evalue"]]
-        for rr, label, e in points:
-            rows.append([_fmt(rr), label, _fmt(e)])
+        rows += [[_fmt(rr), label, _fmt(e)] for rr, label, e in points]
         print(_format_table(rows, right_from=2))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import STRUCTURES, generate_world, verify_bound
+    from .oracle import STRUCTURES, WorldConfig, generate_world, verify_bound
 
-    config, bias_set = STRUCTURES[args.structure]
-    if args.rare_ceiling is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, rare_outcome_ceiling=args.rare_ceiling)
+    bias_set = STRUCTURES[args.structure][1]
+    config = WorldConfig(bias_set, rare_outcome_ceiling=args.rare_ceiling)
     if args.worlds < 0:
         raise ParseError("--worlds must be nonnegative")
     if args.seed < 0:
         raise ParseError("--seed must be nonnegative")
-    for i in range(args.worlds):
-        seed = args.seed + i
+    for seed in range(args.seed, args.seed + args.worlds):
         report = verify_bound(generate_world(config, seed), bias_set)
-        _print_json(
-            {
-                "seed": seed,
-                "structure": args.structure,
-                "ratio": report.ratio,
-                "bound": report.bound,
-                "slack": report.slack,
-                "prevalence": report.prevalence,
-            }
-        )
+        figures = {key: getattr(report, key) for key in ("ratio", "bound", "slack", "prevalence")}
+        _print_json({"seed": seed, "structure": args.structure, **figures})
     return 0
 
 

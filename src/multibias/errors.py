@@ -3,16 +3,16 @@ and the one way the library builds a frozen record without its __init__.
 
 A frozen dataclass's generated __init__ stores each field through
 object.__setattr__, a measurable share of a scalar call's work. _record
-fills a new instance's __dict__ instead. The library uses it only on the
-scalar path, for records it fills from values it has already checked
-and whose class has no __post_init__: the EValueResult of multi_evalue, the
-ShiftedEstimate of adjust_estimate, and the risk-ratio view to_risk_ratio
-makes of an odds ratio, whose fields are copies or square roots of an
-estimate that passed every rule. Such a record holds the same __dict__ that
+fills a new instance's __dict__ instead. The library uses it for records it
+fills from values it has already checked: the EValueResult of multi_evalue,
+the ShiftedEstimate of adjust_estimate, and the risk-ratio view
+to_risk_ratio makes of an odds ratio, whose fields are copies or square
+roots of an estimate that passed every rule; and generate_world's World,
+which then meets the table rules. Such a record holds the same __dict__ that
 __init__ would store, so equality, hashing, repr, pickling, copying,
 dataclasses.replace and the frozen __setattr__ all treat it as one built by
-__init__. GridTable, BoundReport, World and every constructor a user calls
-still run __init__, and __post_init__ where the class has one.
+__init__. GridTable, BoundReport and every constructor a user calls still
+run __init__, and __post_init__ where the class has one.
 """
 
 import math
@@ -93,13 +93,17 @@ def _read_float(value, name: str, positive: bool = False) -> float:
 def _domain_error(value, name: str, positive: bool = False) -> DomainError:
     """The error for a value of that name outside the range _read_float reads."""
     rule = "positive and finite" if positive else "a finite number at least 1"
+    return DomainError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """str(value), or its type and size where str() refuses an int past its digit limit."""
     try:
-        shown = str(value)
-    except ValueError:  # an int, or a container of one, past the digit limit of str()
-        shown = f"a {type(value).__name__} too long to show"
+        return str(value)
+    except ValueError:  # an int, or a container or Fraction of one
         if isinstance(value, int):
-            shown = f"an int of {value.bit_length()} bits"
-    return DomainError(f"{name} must be {rule}, got {shown}")
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
 
 
 def _record(cls, /, **fields):

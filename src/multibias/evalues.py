@@ -264,6 +264,12 @@ def multi_evalue(
     true_value toward larger ratios. Only the confidence limit nearer the
     null receives an E-value; the far side is reported as None. Targets at
     or below 1 need no bias at all and get an E-value of 1.
+
+    true_value is on the risk ratio scale: a non-rare odds ratio estimate
+    is square-rooted, but true_value is not, nor is it inverted with a
+    protective estimate. In the CLI, ``--est 0.7329 --true 0.6194`` gives
+    3.83 (target 1 / 0.7329 / 0.6194) and ``--measure OR --est 4 --true 2``
+    gives 1 (target sqrt(4) / 2).
     """
     if not (type(true_value) is float and 0.0 < true_value < math.inf):
         true_value = _read_float(true_value, "true_value", positive=True)

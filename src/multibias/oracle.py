@@ -9,21 +9,20 @@ falsifiable: for exact structures the realized bias must never exceed the
 bound, while the exposure misclassification structure is only approximate
 and its violation should shrink as the outcome gets rarer.
 
-A world keeps its factor tables as tuples of Python floats, drawn from one
+A drawn world keeps its factor tables as tuples of Python floats, from one
 ``random.Random`` stream per seed, and parameters and risk ratios are
 computed straight from them: with at most 18 cells a table, array calls
 would cost more than their arithmetic. The tests enumerate the full joint
 table from these tuples as their reference.
 
 One function, ``_checked``, holds the table rules, and every world meets
-them before any result is computed from it: ``generate_world`` applies them
-to each world it draws, and ``verify_bound`` to a hand-built or replaced
-world on its first check. The world then keeps the tables the rules were
-checked on (the masses every result shares, and the differential factor),
-outside its fields, so each world's tables are derived once; a config keeps
-the extractors of the bias set it was derived from. A world whose exposure
-is relabelled builds its tables twice, since relabelling writes 1 - x into
-p_a and 1 - (1 - x) is not always x.
+them once, when it is built: World's __post_init__ applies them to the
+tables it reads, and generate_world to each world it draws. The world keeps
+the tables they were checked on (the masses every result shares, and the
+differential factor), outside its fields, and verify_bound only reads them;
+a config keeps the extractors of the bias set it was derived from. A world
+whose exposure is relabelled builds its tables twice, since relabelling
+writes 1 - x into p_a and 1 - (1 - x) is not always x.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from typing import Callable, Iterable
 
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
-from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float
+from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _record
+from .errors import _shown
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
 _MAX_REDRAWS = 1000
 _RARE_OUTCOME_CEILING = 0.01  # stratum risk limit where the bound assumes rare outcomes
-_CONFOUNDING, _SELECTION = BiasKind.CONFOUNDING, BiasKind.SELECTION  # enum lookups are slow
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,10 @@ class World:
     the outcome given exposure and the selection factor, and classification
     errors that may depend on the true exposure and outcome but nothing else.
 
-    Tables are tuples of floats; a cell is a pair (c, u) of confounding and
-    selection levels, in row order (index ``c * selection_levels + u``).
+    Tables are tuples of real numbers, held as floats but for exact ints
+    and Fractions, that meet the table rules or raise InfeasibleConfig; a
+    cell is a pair (c, u) of confounding and selection levels, in row order
+    (index ``c * selection_levels + u``).
     """
 
     config: WorldConfig
@@ -123,8 +124,30 @@ class World:
     p_y: tuple  # [a][cell]: outcome risk given exposure and factors
     p_s: tuple  # [a][u]: selection chance given exposure and factor
     p_m: tuple | None  # [true y][true a]: chance the copy is 1
-    # no field: _checked stores the world's _Tables here once it meets the rules
-    _tables = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.config, WorldConfig):
+            raise InfeasibleConfig(f"config must be a WorldConfig, got {self.config!r}")
+        for name in ("p_u", "p_a", "p_y", "p_s", "p_m"):
+            table = getattr(self, name)
+            if table is not None or name != "p_m":
+                object.__setattr__(self, name, _read(table, name, name not in ("p_u", "p_a")))
+        _checked(self)
+
+
+def _read(table, name: str, nested: bool) -> tuple:
+    """A caller's table: a tuple of real numbers, or of rows of them, each entry held."""
+    from fractions import Fraction  # imported here, so no drawn world's CLI call loads it
+    from numbers import Real
+
+    if type(table) is not tuple:
+        raise InfeasibleConfig(f"{name} and each of its rows must be a tuple, got {_shown(table)}")
+    if nested:
+        return tuple([_read(row, name, False) for row in table])
+    for x in table:
+        if not isinstance(x, Real):
+            raise InfeasibleConfig(f"every {name} entry must be a real number, got {_shown(x)}")
+    return tuple([x if type(x) in (int, Fraction) else float(x) for x in table])
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -138,8 +161,6 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     least 1, and only then is the one World built: the misclassification
     part of the bound is one-sided, and this pure relabeling and these
     redraws put the world on the side it covers, keeping every assumption.
-    The world is checked against the table rules and keeps the tables they
-    were checked on, for verify_bound to reuse.
     """
     stream = _as_int(seed)
     if stream is None or stream < 0:
@@ -181,7 +202,8 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             p_m = _draw_rates(rng, config.misclassification)
         else:  # pragma: no cover - each redraw succeeds with fair probability
             raise InfeasibleConfig("could not draw classification rates")
-    world = World(config, p_u, p_a, p_y, p_s, p_m)
+    # its tables are tuples of floats, so it skips World's read but not the rules
+    world = _record(World, config=config, p_u=p_u, p_a=p_a, p_y=p_y, p_s=p_s, p_m=p_m)
     _checked(world, t)
     return world
 
@@ -331,9 +353,9 @@ def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, dict]:
     conf = sel = False
     mis = None
     for spec in bias_set.biases:
-        if spec.kind is _CONFOUNDING:
+        if spec.kind is BiasKind.CONFOUNDING:
             conf = True
-        elif spec.kind is _SELECTION:
+        elif spec.kind is BiasKind.SELECTION:
             sel = True
         else:
             mis = spec.variable
@@ -357,8 +379,8 @@ def _extractors(config: WorldConfig, bias_set: BiasSet) -> dict:
     return extractors
 
 
-def _checked(world: World, t: _Tables | None = None) -> _Tables:
-    """The world's tables, stored with it once it meets every table rule.
+def _checked(world: World, t: _Tables | None = None) -> None:
+    """Store the world's tables with it once it meets every table rule.
 
     generate_world gives t, built from the world's entries, with its factor.
     """
@@ -381,7 +403,7 @@ def _checked(world: World, t: _Tables | None = None) -> _Tables:
         raise InfeasibleConfig("every p_s entry must be 1, since the config has no selection")
     # every entry is a probability in its range, which NaN and inf are not
     bad = [
-        f"every {name} entry must lie in (0, {top:g}{']' if closed else ')'}, got {x!r}"
+        f"every {name} entry must lie in (0, {top:g}{']' if closed else ')'}, got {_shown(x)}"
         for name, rows, top, closed in (
             ("p_u", (world.p_u,), 1.0, True),
             ("p_a", (world.p_a,), 1.0, False),
@@ -409,7 +431,6 @@ def _checked(world: World, t: _Tables | None = None) -> _Tables:
     if p_m is not None and t.factor < 1.0:
         raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {t.factor!r}")
     object.__setattr__(world, "_tables", t)
-    return t
 
 
 def _risk_ratios(t: _Tables, rates: tuple | None, selected: bool) -> tuple[float, float]:
@@ -453,20 +474,22 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     The report's parameters are extremes over the latent factor levels.
     rr_obs is taken among the selected and from the recorded copy, where the
     structure has them; rr_true standardizes the potential-outcome risks over
-    the latent factors, in the population the bias set targets. A world not
-    drawn by generate_world meets the table rules on its first check, or
-    raises InfeasibleConfig.
+    the latent factors, in the population the bias set targets. It reads
+    the tables the world was built with, and sets nothing on it.
     """
     extractors = _extractors(world.config, bias_set)
-    t = world._tables or _checked(world)
+    t = world._tables
     values: dict[str, float] = {}
-    for extractor in extractors:
-        values.update(extractor(t))
+    try:
+        for extractor in extractors:
+            values.update(extractor(t))
+    except ZeroDivisionError:  # a level's mass underflowed to 0
+        raise DegenerateStratum("a factor level of a stratum has no mass") from None
     params = {p.name: values[p.display] for p in bias_set.parameters}
     rr_obs, rr_true = _risk_ratios(t, world.p_m, _selected_population in extractors)
     bound = multi_bound(bias_set, params)
     ratio = rr_obs / rr_true
-    prevalence = max(map(max, t.p_y))
+    prevalence = float(max(map(max, t.p_y)))
     return BoundReport(
         ratio, bound, ratio <= bound + _SLACK, bound - ratio, prevalence, params, rr_obs, rr_true
     )

@@ -15,6 +15,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,20 @@ from declarations import DECLARATIONS
 import multibias.cli
 from multibias import (
     EffectEstimate,
+    STRUCTURES,
     EValuePolynomial,
     adjust_estimate,
     build_bias_set,
     evalue_curve,
     g,
+    generate_world,
     grid_table,
     multi_bound,
     multi_evalue,
     odds_ratio,
     risk_ratio,
     solve_polynomial,
+    verify_bound,
 )
 from multibias.biases import NAMED_BIAS_SETS
 from multibias.cli import main, parse_bias_string
@@ -1141,6 +1145,24 @@ def _shifted_numbers(point, lo, hi) -> list:
     return list(dataclasses.astuple(adjust_estimate(_CONF, _PARAMS, point, lo, hi)))
 
 
+_RESULT1_CONFIG, _RESULT1 = STRUCTURES["result1"]
+_WORLD = generate_world(_RESULT1_CONFIG, 0)
+
+
+def _replaced(table: tuple, v) -> tuple:
+    """table with its first entry, or its first row's first entry, replaced by v."""
+    first = _replaced(table[0], v) if type(table[0]) is tuple else v
+    return (first, *table[1:])
+
+
+def _report_numbers(name: str, v) -> list:
+    """The report's numbers for the drawn result1 world with one entry of a table replaced."""
+    world = dataclasses.replace(_WORLD, **{name: _replaced(getattr(_WORLD, name), v)})
+    report = verify_bound(world, _RESULT1)
+    figures = report.ratio, report.bound, report.slack, report.prevalence
+    return [*figures, report.rr_obs, report.rr_true, *report.parameters.values()]
+
+
 def _grid_numbers(table) -> list:
     given = [*table.row_values, *table.col_values, *table.fixed.values()]
     return given + table.values.ravel().tolist()
@@ -1172,6 +1194,8 @@ LIBRARY_CALLS = {
         grid_table(_CONF_MIS, [("RRAUc", [2.0]), ("RRUcY", [2.0])], {"RRAYy": v})
     ),
     "evalue_curve": lambda v: [x for p in evalue_curve([_CONF], [v]) for x in (p.rr, p.evalue)],
+    **{f"World {table}": partial(_report_numbers, table) for table in ("p_u", "p_a", "p_y", "p_s")},
+    "World p_m": partial(_report_numbers, "p_m"),
 }
 
 
@@ -1181,6 +1205,7 @@ class TestGeneratedLibraryInput:
     @example(value=10**5000)
     @example(value="x")
     @example(value=Decimal("2"))
+    @example(value=5e-324)  # in a World table, a level mass that underflows to 0
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_finite_floats_or_a_typed_error(self, call, value):
         try:

@@ -6,7 +6,9 @@ code cannot hide. A world's tables are tuples, cells (c, u) in row order;
 the tests reshape them into numpy arrays to build that joint table.
 """
 
+import copy
 import math
+import pickle
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
@@ -59,6 +61,13 @@ def rates_swapped(structure, seed):
     world = world_of(structure, seed)[0]
     p_m = tuple(row[::-1] for row in world.p_m)
     return {"p_u": world.p_u, "p_a": world.p_a, "p_y": world.p_y, "p_s": world.p_s, "p_m": p_m}
+
+
+def exact(table):
+    """A table with each float entry replaced by the Fraction it equals."""
+    if table is None:
+        return None
+    return tuple(exact(x) if type(x) is tuple else Fraction(x) for x in table)
 
 
 def _masses(t):
@@ -301,36 +310,31 @@ class TestOrient:
         ids=["outcome", "exposure"],
     )
     def test_relabelling_swaps_arms_and_rates(self, kind, structure):
-        world = World(
-            STRUCTURES[structure][0],
-            (0.1, 0.2, 0.3, 0.4),
+        # tables, not a World: a World of them would break the orientation rule
+        config, p_u = STRUCTURES[structure][0], (0.1, 0.2, 0.3, 0.4)
+        tables = (
             (0.3, 0.6),
             ((0.5, 0.6, 0.7, 0.8), (0.1, 0.2, 0.3, 0.4)),
             ((0.4, 0.5), (0.6, 0.7)),
             ((0.1, 0.2), (0.7, 0.9)),
         )
-        config, p_u = world.config, world.p_u
-        tables = world.p_a, world.p_y, world.p_s, world.p_m
         *relabelled_tables, t = _orient(config, p_u, *tables)
-        oriented = World(config, p_u, *relabelled_tables)
-        assert oriented.config == world.config
-        assert oriented.p_u == world.p_u
-        assert oriented.p_a == (1 - 0.3, 1 - 0.6)
-        assert oriented.p_y == ((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8))
-        assert oriented.p_s == ((0.6, 0.7), (0.4, 0.5))
+        p_a, p_y, p_s, p_m = relabelled_tables
+        assert p_a == (1 - 0.3, 1 - 0.6)
+        assert p_y == ((0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8))
+        assert p_s == ((0.6, 0.7), (0.4, 0.5))
         if kind == "outcome":
             # the copy is the outcome: only the arms, the p_m columns, swap
-            assert oriented.p_m == ((0.2, 0.1), (0.9, 0.7))
+            assert p_m == ((0.2, 0.1), (0.9, 0.7))
         else:
             # the copy is the exposure, so its labels flip with the true ones
-            assert oriented.p_m == ((1 - 0.2, 1 - 0.1), (1 - 0.9, 1 - 0.7))
+            assert p_m == ((1 - 0.2, 1 - 0.1), (1 - 0.9, 1 - 0.7))
         # the tables returned are those of the relabelled entries, built anew
         assert _masses(t) == _masses(_Tables(config, p_u, *relabelled_tables[:3]))
-        # an oriented world comes back as it is, with the one build it was decided on
-        tables = oriented.p_a, oriented.p_y, oriented.p_s, oriented.p_m
-        *same, t = _orient(config, p_u, *tables)
-        assert all(map(is_, same, tables))
-        assert _masses(t) == _masses(_Tables(config, p_u, *tables[:3]))
+        # oriented tables come back as they are, with the one build they were decided on
+        *same, t = _orient(config, p_u, *relabelled_tables)
+        assert all(map(is_, same, relabelled_tables))
+        assert _masses(t) == _masses(_Tables(config, p_u, *relabelled_tables[:3]))
 
 
 class TestConditionalIndependence:
@@ -688,6 +692,15 @@ class TestHandBuiltWorlds:
         world = World(config, w.p_u, w.p_a, w.p_y, ((1 - 1e-6,) * 2,) * 2, None)
         assert verify_bound(world, bias_set).holds
 
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_fraction_tables_verify(self, structure):
+        # each entry the Fraction its float equals, which the world keeps exact
+        world, bias_set = world_of(structure)
+        fractions = World(world.config, *(exact(getattr(world, f.name)) for f in fields(World)[1:]))
+        assert all(type(x) is Fraction for x in fractions.p_u + fractions.p_a)
+        report = verify_bound(fractions, bias_set)
+        assert report.ratio == pytest.approx(verify_bound(world, bias_set).ratio, rel=1e-12)
+
     def test_analysis_cell_without_mass_raises(self):
         # the exposed arm is too small to observe, yet large enough for the
         # confounding extractor's ratios, which run first
@@ -705,17 +718,16 @@ class TestWorldShapeChecks:
         # ZeroDivisionError
         config, bias_set = STRUCTURES["selection"]
         world = generate_world(replace(config, selection_levels=drawn), 0)
-        misread = replace(world, config=replace(config, selection_levels=declared))
         with pytest.raises(InfeasibleConfig, match="table lengths"):
-            verify_bound(misread, bias_set)
+            replace(world, config=replace(config, selection_levels=declared))
 
     def test_rates_must_be_given_exactly_with_misclassification(self):
-        world, bias_set = world_of("result1")
+        world = world_of("result1")[0]
         with pytest.raises(InfeasibleConfig, match="p_m must be given"):
-            verify_bound(replace(world, p_m=None), bias_set)
-        plain, plain_set = world_of("selection")
+            replace(world, p_m=None)
+        plain = world_of("selection")[0]
         with pytest.raises(InfeasibleConfig, match="p_m must be given"):
-            verify_bound(replace(plain, p_m=world.p_m), plain_set)
+            replace(plain, p_m=world.p_m)
 
     @pytest.mark.parametrize(
         "change",
@@ -729,9 +741,9 @@ class TestWorldShapeChecks:
         ids=["p_u", "p_a", "p_y", "p_s", "p_m"],
     )
     def test_each_table_is_checked(self, change):
-        world, bias_set = world_of("result1")
+        world = world_of("result1")[0]
         with pytest.raises(InfeasibleConfig, match="table lengths"):
-            verify_bound(replace(world, **change(world)), bias_set)
+            replace(world, **change(world))
 
     @pytest.mark.parametrize(
         "structure, change, named",
@@ -771,6 +783,21 @@ class TestWorldShapeChecks:
             ),
             ("result2", relabelled("result2", 0), "outcome risk"),
             ("result2", relabelled("result2", 1), "outcome risk"),
+            # a caller's tables are tuples of real numbers: unchecked, text and
+            # None raised a TypeError from the range rule, Decimal one from the
+            # tables' products, and a scalar table one from len(); a list
+            # changed after a first check went unseen by later checks
+            ("result1", {"p_u": ("a",) * 4}, "every p_u entry must be a real number, got a"),
+            ("result1", {"p_a": (None, 0.5)}, "every p_a entry must be a real number"),
+            ("result1", {"p_a": (Decimal("0.5"), Decimal("0.4"))}, "p_a entry must be a real"),
+            ("result1", {"p_y": ((0.5, 2j, 0.5, 0.5), (0.5,) * 4)}, "p_y entry must be a real"),
+            ("result1", {"p_u": 0.038}, "p_u and each of its rows must be a tuple, got 0.038"),
+            ("confounding", {"p_a": [0.3, 0.4]}, "p_a and each of its rows must be a tuple"),
+            ("result1", {"p_s": ([0.5, 0.6], (0.5, 0.6))}, "p_s and each"),
+            ("result1", {"p_m": [(0.1, 0.6), (0.7, 0.9)]}, "p_m and each"),
+            ("result1", {"p_y": None}, "p_y and each of its rows must be a tuple, got None"),
+            # an exact entry is kept, and quoted by its size past str()'s digit limit
+            ("result1", {"p_a": (Fraction(10**5000), 0.5)}, "got a Fraction too long to show"),
         ],
         ids=[
             "p_s",
@@ -789,14 +816,42 @@ class TestWorldShapeChecks:
             "rates_swapped_outcome_misclassification",
             "relabelled_result2_seed0",
             "relabelled_result2_seed1",
+            "p_u_text",
+            "p_a_none",
+            "p_a_decimal",
+            "p_y_complex",
+            "p_u_scalar",
+            "p_a_list",
+            "p_s_list_row",
+            "p_m_list",
+            "p_y_none",
+            "p_a_huge_fraction",
         ],
     )
     def test_tables_holding_a_mechanism_the_config_denies_are_rejected(
         self, structure, change, named
     ):
-        world, bias_set = world_of(structure)
+        world = world_of(structure)[0]
         with pytest.raises(InfeasibleConfig, match=named):
-            verify_bound(replace(world, **change), bias_set)
+            replace(world, **change)
+
+    def test_a_world_built_by_hand_meets_the_rules_when_built(self):
+        world = world_of("confounding")[0]
+        with pytest.raises(InfeasibleConfig, match="p_a and each of its rows must be a tuple"):
+            World(world.config, world.p_u, list(world.p_a), world.p_y, world.p_s, None)
+        with pytest.raises(InfeasibleConfig, match="config must be a WorldConfig"):
+            World(None, world.p_u, world.p_a, world.p_y, world.p_s, None)
+        with pytest.raises(InfeasibleConfig, match="every p_a entry must lie in"):
+            World(world.config, world.p_u, (0.9, 1.5), world.p_y, world.p_s, None)
+
+    def test_entries_are_held_as_floats_but_ints_and_fractions_stay_exact(self):
+        world, bias_set = world_of("selection")
+        report = verify_bound(world, bias_set)
+        numpy_entries = replace(world, p_a=tuple(map(np.float64, world.p_a)))
+        assert all(type(x) is float for x in numpy_entries.p_a)
+        assert verify_bound(numpy_entries, bias_set) == report
+        kept = replace(world, p_s=((1, Fraction(1, 2)), world.p_s[1]))
+        assert list(map(type, kept.p_s[0])) == [int, Fraction]
 
 
 class TestStructureChecks:
@@ -899,12 +954,16 @@ class TestVerify:
     def test_each_world_is_built_once_and_its_factor_derived_once(self, structure, monkeypatch):
         config, bias_set = STRUCTURES[structure]
         built, factors, draws = [], [], []
-        derive, draw = oracle._differential_factor, oracle._draw_rates
+        derive, draw, record = oracle._differential_factor, oracle._draw_rates, oracle._record
 
         class Counted(World):
             def __init__(self, *tables):
                 super().__init__(*tables)
                 built.append(self)
+
+        def recorded(cls, **values):
+            built.append(record(cls, **values))
+            return built[-1]
 
         def counted(kind, rates):
             factors.append(rates)
@@ -915,6 +974,7 @@ class TestVerify:
             return draw(rng, kind)
 
         monkeypatch.setattr(oracle, "World", Counted)
+        monkeypatch.setattr(oracle, "_record", recorded)
         monkeypatch.setattr(oracle, "_differential_factor", counted)
         monkeypatch.setattr(oracle, "_draw_rates", drawn)
         for seed in range(20):
@@ -927,9 +987,10 @@ class TestVerify:
             factor = derive(config.misclassification, world.p_m)
             assert report.parameters[bias_set.parameters[-1].name] == factor
             # a hand-built world of the same tables derives its factor once,
-            # on its first verification, and gives the same report
-            twin = World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+            # when it is built, and gives the same report
             factors.clear()
+            twin = World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+            assert len(factors) == 1
             assert verify_bound(twin, bias_set) == report and len(factors) == 1
             assert verify_bound(twin, bias_set) == report and len(factors) == 1
             for log in (built, factors, draws):
@@ -988,9 +1049,29 @@ class TestVerify:
         assert "_extractors" not in {f.name for f in fields(WorldConfig)}
         assert world == twin and hash(world) == hash(twin) and repr(world) == repr(twin)
         assert replace(config) == config and repr(replace(config)) == repr(config)
-        # a replaced world derives its own tables, from its own entries
-        assert replace(world)._tables is None
-        assert verify_bound(replace(world), bias_set) == verify_bound(world, bias_set)
+        # a replaced world derives its own tables, from its own entries, when built
+        other = replace(world)
+        assert other._tables is not world._tables
+        assert _masses(other._tables) == _masses(world._tables)
+        assert verify_bound(other, bias_set) == verify_bound(world, bias_set)
+
+    def test_verification_sets_nothing_on_the_world(self):
+        world, bias_set = world_of("result1")
+        hand_built = World(world.config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+        for checked in (world, hand_built, replace(world)):
+            before = dict(vars(checked))
+            verify_bound(checked, bias_set)
+            assert vars(checked) == before and vars(checked)["_tables"] is before["_tables"]
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_a_world_pickles_and_copies_with_its_tables(self, structure):
+        world, bias_set = world_of(structure)
+        report = verify_bound(world, bias_set)
+        for copied in (pickle.loads(pickle.dumps(world)), copy.copy(world), copy.deepcopy(world)):
+            assert type(copied) is World and copied == world and repr(copied) == repr(world)
+            assert _masses(copied._tables) == _masses(world._tables)
+            assert copied._tables.factor == world._tables.factor
+            assert verify_bound(copied, bias_set) == report
 
     @pytest.mark.parametrize("structure", sorted(STRUCTURES))
     def test_report_pickles_copies_replaces_and_stays_frozen(self, structure):
