@@ -10,11 +10,12 @@ EValuePolynomial per (n, k), at most 15 of them, and multi_evalue reports
 the names each set holds, one tuple per set.
 
 One solver, _root, inverts it for a float or a whole array: in closed form
-when k == 0 or n == 2k, and otherwise by Newton's method in log x, which
-descends to the root from above in at most a dozen steps. Estimates and
-curves share one solve path, _evalues, which adds the one overflow rule. A
-ratio at or below 1 is raised or inverted to at least 1, and gets the
-E-value 1 from the solver, not from a mask.
+when k == 0 or n == 2k, and otherwise by Newton's method in log x. It
+starts at the least of three bounds above the root, one of them tight near
+a ratio of 1, and descends to the root of any bias set's polynomial in at
+most 9 steps. Estimates and curves share one solve path, _evalues, which
+adds the one overflow rule. A ratio at or below 1 is raised or inverted to
+at least 1, and gets the E-value 1 from the solver, not from a mask.
 
 The records of the scalar path skip the frozen dataclass __init__ (see
 errors): multi_evalue builds its EValueResult, and to_risk_ratio its view of
@@ -201,20 +202,24 @@ def _evalues(n: int, k: int, ratios, m, any_):
     return x
 
 
-# Newton's method takes at most 12 steps for any (n, k) a bias set can have,
-# and 15 for any k <= 6, n <= 20, over targets from 1 + 1e-15 to 1e300;
+# Newton's method takes at most 9 steps for any (n, k) a bias set can have,
+# and 12 for any k <= 6, n <= 20, over targets from 1 + 1e-15 to 1e300;
 # the cap only bounds a loop that rounding might keep alive
 _MAX_STEPS = 50
 _LOG2 = math.log(2.0)
+# log 1.5 - log 2 / 3: g(log 2) - g'(log 2) log 2, with g as in _root
+_LOG2_TANGENT = math.log(1.5) - _LOG2 / 3.0
 
 
 def _root(n: int, k: int, t, m, moving):
     """The root x >= 1 of x**n / (2x - 1)**k == t, and the Newton steps taken.
 
     t is a float >= 1 with m = math and moving = bool, or an array of them
-    with m = numpy and moving = numpy.any. Plain arithmetic, with log, exp,
-    log1p, expm1 and sqrt taken from m, so each element of an array takes
-    the steps the float path takes. The closed forms take 0 steps.
+    with m = numpy and moving = numpy.ndarray.any. Plain arithmetic, with
+    log, exp, log1p, expm1 and sqrt taken from m, so each element of an
+    array takes the steps the float path takes, give or take one where
+    numpy's log and exp round differently from math's. The closed forms
+    take 0 steps.
     """
     if k == 0:
         return t ** (1.0 / n), 0
@@ -223,17 +228,25 @@ def _root(n: int, k: int, t, m, moving):
         # T - 1 is formed directly, keeping its digits when t is near 1
         t1 = m.expm1(m.log1p(t - 1.0) / k)
         return 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1), 0
-    # Newton in u = log x on F(u) = n u - k log(2 e**u - 1) - log t, written
-    # with w = 1 - 1/x as (n - k) u - k log1p(w) - log t. F is increasing
-    # and convex for u >= 0 (its slope there is at least n - 2k >= 1), and
-    # F(u0) >= 0 because 2 e**u - 1 <= 2 e**u, so the steps descend to the
-    # root from above without overshooting; they stop when none moves u.
+    # Newton in u = log x on F(u) = (n - k) u - k g(u) - log t, where
+    # g(u) = log(2 - e**-u) = log1p(w) with w = 1 - 1/x. F is increasing and
+    # convex for u >= 0 (its slope there, n - 2k / (1 + w), is at least
+    # n - 2k >= 1), so steps from any u0 >= 0 with F(u0) >= 0 descend to the
+    # root without overshooting; they stop when none moves u. g is concave,
+    # so each of its tangents lies above it, and putting one in place of g
+    # makes F linear and no larger: the root of that line has F >= 0. u0 is
+    # the least of the roots for the tangents at u = inf (g <= log 2), at
+    # u = 0 (g <= u, tight for t near 1) and at u = log 2
+    # (g <= log 1.5 + (u - log 2) / 3, between them), each at least 0.
     log_t = m.log(t)
     u = (log_t + k * _LOG2) / (n - k)
+    d = u - log_t / (n - 2 * k)
+    u = u - 0.5 * (d + abs(d))  # the smaller of the two, as the step clamps
+    d = u - (log_t + k * _LOG2_TANGENT) / (n - k - k / 3.0)
+    u = u - 0.5 * (d + abs(d))
     for steps in range(1, _MAX_STEPS + 1):
         w = -m.expm1(-u)
-        f = (n - k) * u - k * m.log1p(w) - log_t
-        step = f / ((n - k) - k * (1.0 - w) / (1.0 + w))
+        step = ((n - k) * u - k * m.log1p(w) - log_t) / (n - 2 * k / (1.0 + w))
         last, u = u, u - 0.5 * (step + abs(step))  # a step of max(step, 0)
         if not moving(u < last):
             break
@@ -336,7 +349,8 @@ def evalue_curve(
     Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
     to within 1e-12 relative (measured: 15 ulps from 1e-6 to 1e6, 340
     beyond, where numpy's log and exp round differently from math's) and
-    is exactly 1 at rr == 1; each bias set's ratios are solved as one array.
+    is exactly 1 at rr == 1. The ratios are solved as one array for each
+    distinct (n, k) of the bias sets, and sets that share it share its roots.
     """
     np = _numpy()
     rr, given = _read_floats(rr_values)
@@ -352,13 +366,16 @@ def evalue_curve(
     ratios = np.maximum(rr, 1.0 / rr)
     rr_list = rr.tolist()
     points: list[CurvePoint] = []
+    solved: dict[tuple[int, int], list[float]] = {}
     for bias_set in bias_sets:
-        n, k = bias_set.polynomial
-        # only the (2, 1) root, about 2 * ratio, can overflow; it becomes
-        # inf, which _evalues rejects
-        with np.errstate(over="ignore") if (n, k) == (2, 1) else nullcontext():
-            evalues = _evalues(n, k, ratios, np, np.any)
-        points += _curve_points(rr_list, bias_set.label, evalues.tolist())
+        nk = bias_set.polynomial
+        evalues = solved.get(nk)
+        if evalues is None:
+            # only the (2, 1) root, about 2 * ratio, can overflow; it becomes
+            # inf, which _evalues rejects
+            with np.errstate(over="ignore") if nk == (2, 1) else nullcontext():
+                evalues = solved[nk] = _evalues(*nk, ratios, np, np.ndarray.any).tolist()
+        points += _curve_points(rr_list, bias_set.label, evalues)
     return points
 
 

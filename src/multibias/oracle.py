@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import fsum
+from math import fsum, inf
 from operator import add, index, mul, truediv
 from random import Random
 from typing import Callable, Iterable
@@ -428,8 +428,10 @@ def _checked(world: World, t: _Tables | None = None) -> None:
     if p_m is not None and not _oriented(t):
         r0, r1 = map(truediv, t.cases, t.total)
         raise InfeasibleConfig(f"selected outcome risk {r1!r} at A=1 is below {r0!r} at A=0")
-    if p_m is not None and t.factor < 1.0:
-        raise InfeasibleConfig(f"differential factor of p_m must be at least 1, got {t.factor!r}")
+    if p_m is not None and not 1.0 <= t.factor < inf:
+        raise InfeasibleConfig(
+            f"differential factor of p_m must be a finite number at least 1, got {t.factor!r}"
+        )
     object.__setattr__(world, "_tables", t)
 
 

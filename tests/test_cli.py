@@ -1194,6 +1194,10 @@ LIBRARY_CALLS = {
         grid_table(_CONF_MIS, [("RRAUc", [2.0]), ("RRUcY", [2.0])], {"RRAYy": v})
     ),
     "evalue_curve": lambda v: [x for p in evalue_curve([_CONF], [v]) for x in (p.rr, p.evalue)],
+    # (3, 1): through Newton's method, where (2, 1) above has a closed form
+    "evalue_curve newton": lambda v: [
+        x for p in evalue_curve([_CONF_MIS], [v]) for x in (p.rr, p.evalue)
+    ],
     **{f"World {table}": partial(_report_numbers, table) for table in ("p_u", "p_a", "p_y", "p_s")},
     "World p_m": partial(_report_numbers, "p_m"),
 }

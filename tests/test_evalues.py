@@ -34,7 +34,7 @@ from multibias import (
     solve_polynomial,
     to_risk_ratio,
 )
-from multibias.evalues import MAX_CURVE_POINTS, _shared_polynomial, odds_ratio, risk_ratio
+from multibias.evalues import MAX_CURVE_POINTS, _root, _shared_polynomial, odds_ratio, risk_ratio
 from records import assert_as_constructed
 from roots import bisect_root, decimal_root
 
@@ -44,6 +44,10 @@ SHARED_BY_POLYNOMIAL = {
 }
 # one bias set for each polynomial the grammar can reach
 SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATIONS)}
+# the polynomials of SET_BY_POLYNOMIAL that _root solves by Newton's method
+NEWTON_POLYNOMIALS = sorted((n, k) for n, k in SET_BY_POLYNOMIAL if 0 < 2 * k < n)
+# a log grid of targets from 1 + 1e-15 to 1e300
+NEWTON_TARGETS = np.concatenate([1.0 + np.logspace(-15, 0, 400), np.logspace(0, 300, 2001)])
 # one bias set for each bound the grammar can reach: declarations with the
 # same terms have the same bound and the same E-values
 SET_BY_TERMS = {bs.terms: bs for bs in map(build_bias_set, DECLARATIONS)}
@@ -380,17 +384,50 @@ class TestSolve:
     @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL), ids="n{0[0]}k{0[1]}".format)
     @pytest.mark.parametrize(
         "target",
-        [1 + 1e-15, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.5, 4.0, 1e3, 1e12, 1e300],
+        [
+            *(1 + 1e-15, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.5, 4.0, 1e3, 1e12, 1e300),
+            # the targets at which Newton's least start switches from one
+            # bound to another (see _root), and the one with root 2, where the
+            # bound from the tangent at u = log 2 is the root itself: a bound
+            # below the root would stop after one clamped step, far from it
+            pytest.param(lambda n, k: 2.0**n / 3.0**k, id="root-2"),
+            pytest.param(
+                lambda n, k: math.exp((n - 2 * k) * (1.5 * math.log(1.5) - math.log(2) / 2)),
+                id="start-switch-u0-log2",
+            ),
+            pytest.param(lambda n, k: 2.0 ** (n - 2 * k), id="start-switch-u0-inf"),
+            pytest.param(
+                lambda n, k: math.exp((n - k) * (math.log(2) + 3 * math.log(4 / 3)))
+                / 2.0**k,
+                id="start-switch-log2-inf",
+            ),
+        ],
     )
     def test_root_matches_60_digit_bisection(self, nk, target):
         # checks the root itself: a residual check cannot catch a bad root
         # when n == 2k, because f is flat at 1 there (f'(1) == 0)
+        if callable(target):
+            target = target(*nk)
         exact = float(decimal_root(*nk, target))
         assert solve_polynomial(EValuePolynomial(*nk), target) == pytest.approx(
             exact, rel=1e-12
         )
         [point] = evalue_curve([SET_BY_POLYNOMIAL[nk]], [target])
         assert point.evalue == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("nk", NEWTON_POLYNOMIALS, ids="n{0[0]}k{0[1]}".format)
+    def test_newton_takes_at_most_9_steps_for_a_float_or_an_array(self, nk):
+        # a log grid from 1 + 1e-15 to 1e300; the start at the bound
+        # 2x - 1 <= 2x alone took up to 12 steps here, for (7, 3)
+        steps = [_root(*nk, t, math, bool)[1] for t in NEWTON_TARGETS.tolist()]
+        assert max(steps) <= 9
+        assert _root(*nk, NEWTON_TARGETS, np, np.ndarray.any)[1] <= 9
+
+    def test_newton_takes_at_most_12_steps_up_to_k_6_and_n_20(self):
+        # the start at 2x - 1 <= 2x alone took up to 15
+        for k in range(1, 7):
+            for n in range(2 * k + 1, 21):
+                assert _root(n, k, NEWTON_TARGETS, np, np.ndarray.any)[1] <= 12, (n, k)
 
 
 class TestMultiEvalue:

@@ -783,6 +783,13 @@ class TestWorldShapeChecks:
             ),
             ("result2", relabelled("result2", 0), "outcome risk"),
             ("result2", relabelled("result2", 1), "outcome risk"),
+            # a rate that makes the differential factor overflow: unchecked, it
+            # raised a DomainError that blamed RRAYyS
+            (
+                "result1",
+                {"p_m": ((5e-324, 0.5), world_of("result1")[0].p_m[1])},
+                "factor of p_m must be a finite number at least 1, got inf",
+            ),
             # a caller's tables are tuples of real numbers: unchecked, text and
             # None raised a TypeError from the range rule, Decimal one from the
             # tables' products, and a scalar table one from len(); a list
@@ -816,6 +823,7 @@ class TestWorldShapeChecks:
             "rates_swapped_outcome_misclassification",
             "relabelled_result2_seed0",
             "relabelled_result2_seed1",
+            "p_m_factor_overflow",
             "p_u_text",
             "p_a_none",
             "p_a_decimal",
