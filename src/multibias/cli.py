@@ -265,7 +265,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .evalues import _check_curve_size, multi_evalue, risk_ratio
+    from .evalues import _check_curve_size, _check_invertible, evalue_polynomial, solve_polynomial
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -276,11 +276,13 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     _check_curve_size(len(bias_sets), args.points)
     rr_values = _linspace(args.rr_min, args.rr_max, args.points)
-    points = [
-        (rr, bias_set.label, multi_evalue(bias_set, risk_ratio(rr)).evalue_point)
-        for bias_set in bias_sets
-        for rr in rr_values
-    ]
+    # protective ratios are inverted, as multi_evalue and evalue_curve do
+    _check_invertible(args.rr_min)
+    ratios = [max(rr, 1.0 / rr) for rr in rr_values]
+    points = []
+    for bias_set in bias_sets:
+        label, poly = bias_set.label, evalue_polynomial(bias_set)
+        points += [(rr, label, solve_polynomial(poly, r)) for rr, r in zip(rr_values, ratios)]
     if args.format == "json":
         payload = {
             "schema_version": 1,

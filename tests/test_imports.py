@@ -20,6 +20,11 @@ BOUND = ["bound", "--biases", "confounding", "--param", "RRAUc=2", "--param", "R
 EVALUE = ["evalue", "--biases", "confounding + selection", "--est", "3.9", "--lo", "1.8"]
 GRID = ["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5", "--vary", "RRUcY=2,4"]
 CURVE = ["curve", "--bias-sets", "confounding, selection", "--points", "3"]
+# the polynomials above, (6, 3), (2, 1) and (4, 2), have closed forms; these
+# have (3, 1), which Newton's method solves
+NEWTON_BIASES = "confounding + misclassification(outcome)"
+NEWTON_EVALUE = ["evalue", "--biases", NEWTON_BIASES, "--est", "3.9"]
+NEWTON_CURVE = ["curve", "--bias-sets", NEWTON_BIASES, "--points", "3"]
 # what a command may load beyond biases and errors, which every command needs
 OPTIONAL = ("multibias.bounds", "multibias.evalues", "multibias.oracle", "numpy", "json", "csv")
 
@@ -53,6 +58,8 @@ def _fresh(code: str) -> list[str]:
         (CURVE, ["multibias.evalues"]),
         (CURVE + ["--format", "csv"], ["multibias.evalues", "csv"]),
         (CURVE + ["--format", "json"], ["multibias.evalues", "json"]),
+        (NEWTON_EVALUE, ["multibias.evalues"]),
+        (NEWTON_CURVE, ["multibias.evalues"]),
         (["verify", "--structure", "result1", "--worlds", "2"],
          ["multibias.bounds", "multibias.oracle", "json"]),
         (["--help"], []),
@@ -73,13 +80,15 @@ def test_no_command_loads_numpy():
     # cannot import numpy, so that none needs it
     parser = multibias.cli._build_parser()
     (sub,) = (a for a in parser._actions if a.dest == "command")
-    argvs = {"bound": BOUND, "evalue": EVALUE, "summary": ["summary", "--biases", "selection"]}
-    argvs |= {"grid": GRID, "curve": CURVE, "verify": ["verify", "--structure", "result3"]}
+    argvs = {"bound": [BOUND], "evalue": [EVALUE, NEWTON_EVALUE]}
+    argvs |= {"summary": [["summary", "--biases", "selection"]], "grid": [GRID]}
+    argvs |= {"curve": [CURVE, NEWTON_CURVE], "verify": [["verify", "--structure", "result3"]]}
     assert set(argvs) == set(sub.choices)
     runs = []
-    for command, argv in argvs.items():
+    for command, argv_list in argvs.items():
         (fmt,) = [a for a in sub.choices[command]._actions if a.dest == "format"] or [None]
-        runs += [argv + ["--format", f] for f in fmt.choices] if fmt else [argv]
+        for argv in argv_list:
+            runs += [argv + ["--format", f] for f in fmt.choices] if fmt else [argv]
     code = (
         "import io, sys; sys.modules['numpy'] = None; import multibias.cli; "
         "sys.stdout = io.StringIO(); "

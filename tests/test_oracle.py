@@ -937,14 +937,19 @@ class TestWorldConfigDerivation:
         "bias_set, config", DERIVED, ids=[bias_set.label for bias_set, _ in DERIVED]
     )
     def test_bound_holds_on_derived_worlds(self, bias_set, config):
-        # the exposure misclassification bound is approximate: hold it to
-        # the 2% allowance of the rare-outcome structure
+        # the exposure misclassification bound is approximate: it assumes
+        # rare outcomes, so its worlds keep every stratum risk within the
+        # derived ceiling, and it is held to the 2% allowance of the
+        # rare-outcome structure
         approximate = config.misclassification == "exposure"
+        if approximate:
+            assert config.rare_outcome_ceiling == 0.01
         for levels in (2, 3):
             wide = replace(config, confounder_levels=levels, selection_levels=levels)
             for seed in range(200):
                 report = verify_bound(generate_world(wide, seed), bias_set)
                 if approximate:
+                    assert report.prevalence <= 0.01, (levels, seed, report)
                     assert report.ratio <= 1.02 * report.bound, (levels, seed, report)
                 else:
                     assert report.ratio <= report.bound + 1e-12, (levels, seed, report)
