@@ -265,7 +265,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .evalues import _check_curve_size, _check_invertible, evalue_polynomial, solve_polynomial
+    from .evalues import _check_curve_size, _scalar_curve
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -275,14 +275,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     _check_curve_size(len(bias_sets), args.points)
-    rr_values = _linspace(args.rr_min, args.rr_max, args.points)
-    # protective ratios are inverted, as multi_evalue and evalue_curve do
-    _check_invertible(args.rr_min)
-    ratios = [max(rr, 1.0 / rr) for rr in rr_values]
-    points = []
-    for bias_set in bias_sets:
-        label, poly = bias_set.label, evalue_polynomial(bias_set)
-        points += [(rr, label, solve_polynomial(poly, r)) for rr, r in zip(rr_values, ratios)]
+    points = _scalar_curve(bias_sets, _linspace(args.rr_min, args.rr_max, args.points))
     if args.format == "json":
         payload = {
             "schema_version": 1,

@@ -11,12 +11,12 @@ the names each set holds, one tuple per set.
 
 One solver, _root, inverts it for a float or a whole array: in closed form
 when k == 0 or n == 2k, and otherwise by Newton's method in log x. It
-starts at the lesser of two tangents of the root curve, at the knots around
-the ratio, both above the root, and stops once a step proves the root
-within half an ulp: at most 4 steps for any k <= 6, n <= 20. Estimates and
-curves share one solve path, _evalues, which adds the one overflow rule. A
-ratio at or below 1 is raised or inverted to at least 1, and gets the
-E-value 1 from the solver, not from a mask.
+starts at the least of three bounds above the root, one of them tight near
+a ratio of 1, and stops once a step proves the root within half an ulp: at
+most 4 steps for any bias set's polynomial. Estimates and curves share one
+solve path, _evalues, which adds the one overflow rule. A ratio at or below
+1 is raised or inverted to at least 1, and gets the E-value 1 from the
+solver, not from a mask.
 
 The records of the scalar path skip the frozen dataclass __init__ (see
 errors): multi_evalue builds its EValueResult, and to_risk_ratio its view of
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -205,37 +204,20 @@ def _evalues(n: int, k: int, ratios, m, any_):
 
 
 # Newton's method takes at most 4 steps for any (n, k) a bias set can have,
-# and for any k <= 6, n <= 20, over targets from 1 + 1e-15 to 1e300 (6 for
-# (201, 100)); the cap only bounds a loop that rounding might keep alive
+# and 5 for any k <= 6, n <= 20, over targets from 1 + 1e-15 to 1e300 (7
+# for (201, 100)). The cap only bounds a loop that rounding might keep
+# alive; steps grow as tau nears rounding noise, to 12 at tau = 2.4e-16 for
+# (200001, 100000) and 28 at 7e-18 for (2000001, 1000000)
 _MAX_STEPS = 50
+_LOG2 = math.log(2.0)
+# log 1.5 - log 2 / 3: g(log 2) - g'(log 2) log 2, with g as in _root
+_LOG2_TANGENT = math.log(1.5) - _LOG2 / 3.0
 
 
-@cache
-def _newton_table(n: int, k: int, m):
-    """Search, knot bounds, tangents and stop bound of _root for 0 < 2k < n.
-
-    Tangent i is u = a[i] + b[i] log t: the tangents at the knots, then
-    the asymptote. Built once for each (n, k) and m: tuples read with
-    bisect_left for m = math, which must not import numpy, and arrays read
-    with searchsorted for m = numpy.
-    """
-    if m is not math:
-        _, bounds, a, b, tau = _newton_table(n, k, math)
-        return m.searchsorted, m.array(bounds), m.array(a), m.array(b), tau
-    a, b, bounds = [], [], []
-    for i in range(121):  # the knots u = 0, 0.1, ..., 12
-        u = i / 10
-        w = -math.expm1(-u)
-        log_t = (n - k) * u - k * math.log1p(w)
-        slope = 1.0 / (n - 2 * k / (1.0 + w))
-        a.append(u - slope * log_t)
-        b.append(slope)
-        bounds.append(log_t)
-    a.append(k * math.log(2.0) / (n - k))
-    b.append(1.0 / (n - k))
-    # C tau**2 == 2**-54, below half an ulp of any x (C as in _root)
-    tau = 2.0**-27 / math.sqrt(k * (n - k) ** 2 / (n - 2 * k) ** 3)
-    return bisect_left, tuple(bounds[1:]), tuple(a), tuple(b), tau
+@lru_cache(maxsize=32)
+def _stop_bound(n: int, k: int) -> float:
+    """tau of _root for 0 < 2k < n: C tau**2 == 2**-54, below half an ulp."""
+    return 2.0**-27 / math.sqrt(k * (n - k) ** 2 / (n - 2 * k) ** 3)
 
 
 def _root(n: int, k: int, t, m, any_):
@@ -262,27 +244,28 @@ def _root(n: int, k: int, t, m, any_):
     # 0 < F'' = 2k e**-u / (2 - e**-u)**2 <= 2k. So F is increasing and
     # convex, and steps from any u0 >= 0 with F(u0) >= 0 descend to the
     # root u* without overshooting; a negative step comes only from
-    # rounding next to u*. A step s from u > u* ends within
-    # F'' / (2 F'(u)) (u - u*)**2 of u*, and u - u* <= s (n - k) / (n - 2k),
-    # so within C s**2 with C = k (n - k)**2 / (n - 2k)**3: the loop stops
-    # once every step is at most tau, where C tau**2 == 2**-54.
+    # rounding next to u*, and is clamped to 0. A step s from u > u* ends
+    # within F'' / (2 F'(u)) (u - u*)**2 of u*, and u - u* <= s (n - k) /
+    # (n - 2k), so within C s**2 with C = k (n - k)**2 / (n - 2k)**3: the
+    # loop stops once every step is at most tau, where C tau**2 == 2**-54.
     #
-    # The root curve u*(log t) is the inverse of the increasing, convex
-    # (n - k) u - k g(u), so it is concave and each of its tangents lies
-    # above it: F >= 0 at a tangent's value. u0 is the lesser of the
-    # tangents at the two knots that bracket log t, the last knot's partner
-    # being the asymptote u = (log t + k log 2) / (n - k). At a knot u0 is
-    # the root, and at t == 1 it is 0, so the solve returns exactly 1.
-    search, bounds, a, b, tau = _newton_table(n, k, m)
+    # g is concave, so each of its tangents lies above it, and putting one
+    # in place of g makes F linear and no larger: the root of that line has
+    # F >= 0. u0 is the least of the roots for the tangents at u = inf
+    # (g <= log 2), at u = 0 (g <= u, tight for t near 1, where u0 = 0
+    # gives exactly 1) and at u = log 2 (g <= log 1.5 + (u - log 2) / 3,
+    # between them), each at least 0.
+    tau = _stop_bound(n, k)
     log_t = m.log(t)
-    i = search(bounds, log_t)
-    u = a[i] + b[i] * log_t
-    d = u - (a[i + 1] + b[i + 1] * log_t)
-    u = u - 0.5 * (d + abs(d))  # the smaller of the two, for floats and arrays alike
+    u = (log_t + k * _LOG2) / (n - k)
+    d = u - log_t / (n - 2 * k)
+    u = u - 0.5 * (d + abs(d))  # the smaller of the two, as the step clamps
+    d = u - (log_t + k * _LOG2_TANGENT) / (n - k - k / 3.0)
+    u = u - 0.5 * (d + abs(d))
     for steps in range(1, _MAX_STEPS + 1):
         w = -m.expm1(-u)
         step = ((n - k) * u - k * m.log1p(w) - log_t) / (n - 2 * k / (1.0 + w))
-        u = u - step
+        u = u - 0.5 * (step + abs(step))  # a step of max(step, 0)
         if not any_(step > tau):
             break
     return m.exp(u), steps
@@ -411,6 +394,25 @@ def evalue_curve(
             with np.errstate(over="ignore") if nk == (2, 1) else nullcontext():
                 evalues = solved[nk] = _evalues(*nk, ratios, np, np.ndarray.any).tolist()
         points += _curve_points(rr_list, bias_set.label, evalues)
+    return points
+
+
+def _scalar_curve(
+    bias_sets: Sequence[BiasSet], rr_values: list[float]
+) -> list[tuple[float, str, float]]:
+    """(rr, label, E-value) for evalue_curve's points, by the float path.
+
+    rr_values are positive and finite. Each E-value is the point E-value
+    multi_evalue gives for risk_ratio(rr), solved without numpy and without
+    a record for each point.
+    """
+    # protective ratios are inverted, as multi_evalue and evalue_curve do
+    _check_invertible(min(rr_values))
+    ratios = [max(rr, 1.0 / rr) for rr in rr_values]
+    points = []
+    for bias_set in bias_sets:
+        label, poly = bias_set.label, evalue_polynomial(bias_set)
+        points += [(rr, label, solve_polynomial(poly, r)) for rr, r in zip(rr_values, ratios)]
     return points
 
 

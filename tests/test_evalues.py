@@ -48,13 +48,6 @@ SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATION
 NEWTON_POLYNOMIALS = sorted((n, k) for n, k in SET_BY_POLYNOMIAL if 0 < 2 * k < n)
 # a log grid of targets from 1 + 1e-15 to 1e300
 NEWTON_TARGETS = np.concatenate([1.0 + np.logspace(-15, 0, 400), np.logspace(0, 300, 2001)])
-
-
-def _at_root(x):
-    """The target of each (n, k) whose root is x."""
-    return lambda n, k: x**n / (2 * x - 1) ** k
-
-
 # one bias set for each bound the grammar can reach: declarations with the
 # same terms have the same bound and the same E-values
 SET_BY_TERMS = {bs.terms: bs for bs in map(build_bias_set, DECLARATIONS)}
@@ -393,15 +386,21 @@ class TestSolve:
         "target",
         [
             *(1 + 1e-15, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.5, 4.0, 1e3, 1e12, 1e300),
-            # targets by their root x = e**u: Newton starts at the lesser of
-            # the tangents at the two knots of u = 0, 0.1, ..., 12 around the
-            # root, or at the last knot's and the asymptote's (see _root). On
-            # a knot the start is the root itself, and a start below the root
-            # would end the solve after one negative step, short of the root
-            pytest.param(_at_root(2.0), id="root-2"),
-            pytest.param(_at_root(math.e), id="knot-u1"),
-            pytest.param(_at_root(math.exp(0.05)), id="first-knot-interval"),
-            pytest.param(_at_root(math.exp(13.0)), id="past-last-knot"),
+            # the targets at which Newton's least start switches from one
+            # bound to another (see _root), and the one with root 2, where the
+            # bound from the tangent at u = log 2 is the root itself: a bound
+            # below the root would stop after one clamped step, far from it
+            pytest.param(lambda n, k: 2.0**n / 3.0**k, id="root-2"),
+            pytest.param(
+                lambda n, k: math.exp((n - 2 * k) * (1.5 * math.log(1.5) - math.log(2) / 2)),
+                id="start-switch-u0-log2",
+            ),
+            pytest.param(lambda n, k: 2.0 ** (n - 2 * k), id="start-switch-u0-inf"),
+            pytest.param(
+                lambda n, k: math.exp((n - k) * (math.log(2) + 3 * math.log(4 / 3)))
+                / 2.0**k,
+                id="start-switch-log2-inf",
+            ),
         ],
     )
     def test_root_matches_60_digit_bisection(self, nk, target):
@@ -430,18 +429,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("nk", NEWTON_POLYNOMIALS, ids="n{0[0]}k{0[1]}".format)
     def test_newton_takes_at_most_4_steps_for_a_float_or_an_array(self, nk):
-        # a log grid from 1 + 1e-15 to 1e300; the start at the least of three
-        # tangent bounds, stopped when a step moved nothing, took up to 9
+        # a log grid from 1 + 1e-15 to 1e300; stopped when a step moved
+        # nothing, Newton's method took up to 9 steps here
         steps = [_root(*nk, t, math, bool)[1] for t in NEWTON_TARGETS.tolist()]
         assert max(steps) <= 4
         assert _root(*nk, NEWTON_TARGETS, np, np.ndarray.any)[1] <= 4
 
-    def test_newton_takes_at_most_4_steps_up_to_k_6_and_n_20(self):
-        # the start at the least of three tangent bounds, stopped when a step
-        # moved nothing, took up to 12
+    def test_newton_takes_at_most_5_steps_up_to_k_6_and_n_20(self):
+        # stopped when a step moved nothing, it took up to 12
         for k in range(1, 7):
             for n in range(2 * k + 1, 21):
-                assert _root(n, k, NEWTON_TARGETS, np, np.ndarray.any)[1] <= 4, (n, k)
+                assert _root(n, k, NEWTON_TARGETS, np, np.ndarray.any)[1] <= 5, (n, k)
 
 
 class TestMultiEvalue:
