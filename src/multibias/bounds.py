@@ -69,9 +69,9 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
 def _name_error(
     names: tuple[str, ...], values: Mapping[str, Any]
 ) -> UnknownParameter | MissingParameter:
-    """The error for a mapping whose keys are not exactly ``names``."""
+    """The error for a mapping whose keys are not exactly ``names``; keys quoted by str()."""
     expected = ", ".join(names)
-    unknown = sorted(set(values) - set(names))
+    unknown = sorted({str(key) for key in set(values) - set(names)})
     if unknown:
         return UnknownParameter(
             f"unknown parameter(s) {', '.join(unknown)}; expected: {expected}"

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one reader of numeric input,
-and the one way the library builds a frozen record without its __init__.
+the one int rule (seeds, level counts and polynomial degrees), and the one way
+the library builds a frozen record without its __init__.
 
 A frozen dataclass's generated __init__ stores each field through
 object.__setattr__, a measurable share of a scalar call's work. _record
@@ -16,6 +17,7 @@ run __init__, and __post_init__ where the class has one.
 """
 
 import math
+from operator import index
 
 
 class BiasAnalysisError(Exception):
@@ -80,6 +82,16 @@ def _as_float(value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         return math.nan
+
+
+def _as_int(value) -> int | None:
+    """value as the int operator.index reads, as from a numpy integer; None for a bool."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return index(value)  # an int of exact type int, from Python 3.10
+    except TypeError:
+        return None
 
 
 def _read_float(value, name: str, positive: bool = False) -> float:

@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from math import fsum, inf
-from operator import add, index, mul, truediv
+from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
 
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
 from .bounds import multi_bound
-from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _record
-from .errors import _shown
+from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _as_int
+from .errors import _record, _shown
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
@@ -92,16 +92,6 @@ class WorldConfig:
         object.__setattr__(self, "rare_outcome_ceiling", ceiling)
 
 
-def _as_int(value) -> int | None:
-    """value as the int operator.index reads, as from a numpy integer; None for a bool."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return index(value)  # an int of exact type int, from Python 3.10
-    except TypeError:
-        return None
-
-
 @dataclass(frozen=True)
 class World:
     """A finite joint distribution satisfying the declared structure exactly.
@@ -136,18 +126,23 @@ class World:
 
 
 def _read(table, name: str, nested: bool) -> tuple:
-    """A caller's table: a tuple of real numbers, or of rows of them, each entry held."""
+    """A caller's table: a tuple of real numbers, or of rows of them, each entry held.
+
+    An int or a Fraction is kept exact and any other entry is read by
+    errors._as_float; one it reads as NaN (text, None, a complex number or a
+    NaN) is no real number.
+    """
     from fractions import Fraction  # imported here, so no drawn world's CLI call loads it
-    from numbers import Real
 
     if type(table) is not tuple:
         raise InfeasibleConfig(f"{name} and each of its rows must be a tuple, got {_shown(table)}")
     if nested:
         return tuple([_read(row, name, False) for row in table])
-    for x in table:
-        if not isinstance(x, Real):
+    entries = [x if type(x) in (int, Fraction) else _as_float(x) for x in table]
+    for x, entry in zip(table, entries):
+        if entry != entry:
             raise InfeasibleConfig(f"every {name} entry must be a real number, got {_shown(x)}")
-    return tuple([x if type(x) in (int, Fraction) else float(x) for x in table])
+    return tuple(entries)
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:

@@ -99,7 +99,7 @@ class TestMain:
 
         monkeypatch.setattr(bench_pairs, "run", refuse)
         out = tmp_path / "out.json"
-        argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)]
+        argv = [f"--tree=parent={tmp_path}", f"--tree=change={tmp_path}", "--out", str(out)]
         with pytest.raises(SystemExit) as stopped:
             bench_pairs.main(argv + ["--pairs", pairs])
         assert stopped.value.code == 2
@@ -130,7 +130,7 @@ class TestMain:
         return runs, json.loads(out.read_text())
 
     def test_two_trees_run_alternately_and_summarise_the_change(self, tmp_path, monkeypatch):
-        trees = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+        trees = [f"--tree={name}={tmp_path / name}" for name in ("parent", "change")]
         runs, out = self._main(tmp_path, monkeypatch, trees)
         assert runs == [
             ("parent", 1), ("change", 1),
@@ -139,12 +139,15 @@ class TestMain:
         ]  # fmt: skip
         entry = out["end_to_end"]["w"]
         assert entry["first_side"] == {"1": "parent", "2": "change", "3": "parent"}
-        assert list(entry["metrics"]) == ["m"]
-        assert entry["metrics"]["m"]["pairs_change_better"] == 3
+        # the change's summary, by its name, as with any number of trees
+        assert list(entry["metrics"]) == ["change"]
+        assert list(entry["metrics"]["change"]) == ["m"]
+        assert entry["metrics"]["change"]["m"]["pairs_change_better"] == 3
         assert out["method"] == (
-            "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0 on two "
-            "copies of the source (the parent commit and the change), one run after the "
-            "other, odd seeds running the parent first; see tools/bench_pairs.py"
+            "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0 on 2 "
+            "copies of the source (parent, change, oldest first), one run after the "
+            "other, seed S starting with copy (S + 1) mod 2, counting from 0; see "
+            "tools/bench_pairs.py"
         )
 
     def test_three_trees_run_in_rotation_on_the_same_seeds(self, tmp_path, monkeypatch):
@@ -173,13 +176,23 @@ class TestMain:
         [
             [],
             ["--parent", "p"],
+            ["--parent", "p", "--change", "c"],
             ["--tree", "a=x"],
             ["--tree", "a=x", "--tree", "a=y"],
             ["--tree", "a=x", "--tree", "b=y", "--change", "c"],
             ["--tree", "a", "--tree", "b=y"],
             ["--tree", "=x", "--tree", "b=y"],
         ],
-        ids=["none", "parent_only", "one_tree", "same_name", "mixed", "no_path", "no_name"],
+        ids=[
+            "none",
+            "parent_only",
+            "parent_and_change",
+            "one_tree",
+            "same_name",
+            "mixed",
+            "no_path",
+            "no_name",
+        ],
     )
     def test_trees_given_otherwise_exit_2_before_any_run(self, argv, tmp_path, monkeypatch):
         def refuse(*args):

@@ -224,24 +224,65 @@ class TestValidatedValues:
     """Error classes and texts of bad parameter mappings, names before values."""
 
     @pytest.mark.parametrize(
-        "values, error, text",
+        "call, values, error, text",
         [
             # the right length with one wrong name, whatever the other value
-            ({"RRAUc": 2, "bogus": 3}, UnknownParameter, "unknown parameter(s) bogus"),
-            ({"RRAUc": 0.5, "RRUcZ": 2}, UnknownParameter, "unknown parameter(s) RRUcZ"),
-            ({"RRAUc": "two", "RRUcZ": 2}, UnknownParameter, "unknown parameter(s) RRUcZ"),
-            ({"RRUcY": 2, "aa": 1}, UnknownParameter, "unknown parameter(s) aa"),
+            (multi_bound, {"RRAUc": 2, "bogus": 3}, UnknownParameter, "unknown parameter(s) bogus"),
             (
+                multi_bound,
+                {"RRAUc": 0.5, "RRUcZ": 2},
+                UnknownParameter,
+                "unknown parameter(s) RRUcZ",
+            ),
+            (
+                multi_bound,
+                {"RRAUc": "two", "RRUcZ": 2},
+                UnknownParameter,
+                "unknown parameter(s) RRUcZ",
+            ),
+            (multi_bound, {"RRUcY": 2, "aa": 1}, UnknownParameter, "unknown parameter(s) aa"),
+            (
+                multi_bound,
                 {"RRAUc": 2, "RRUcY": 2, "zz": 1, "aa": 1},
                 UnknownParameter,
                 "unknown parameter(s) aa, zz",
             ),
-            ({"RRAUc": 2}, MissingParameter, "missing value for parameter(s) RRUcY"),
+            (multi_bound, {"RRAUc": 2}, MissingParameter, "missing value for parameter(s) RRUcY"),
+            # keys that are no str, quoted by str() and sorted by that text:
+            # each raised a TypeError while the message was built
+            (multi_bound, {1: 2.0, "RRUcY": 2.0}, UnknownParameter, "unknown parameter(s) 1"),
+            (multi_bound, {None: 2.0, "RRUcY": 2.0}, UnknownParameter, "unknown parameter(s) None"),
+            (multi_bound, {1: 2.0, None: 2.0}, UnknownParameter, "unknown parameter(s) 1, None"),
+            (
+                lambda bs, fixed: grid_table(bs, AXES, fixed),
+                {3: 1.0},
+                UnknownParameter,
+                "unknown parameter(s) 3",
+            ),
+            (
+                lambda bs, values: adjust_estimate(bs, values, 2.0, 1.0, 3.0),
+                [2.0, 2.0],
+                UnknownParameter,
+                "unknown parameter(s) 2.0",
+            ),
+        ],
+        ids=[
+            "bogus",
+            "below_one",
+            "text",
+            "aa",
+            "two_unknown",
+            "missing",
+            "int_key",
+            "none_key",
+            "int_and_none_keys",
+            "grid_int_key",
+            "adjust_list",
         ],
     )
-    def test_a_wrong_name_is_reported_with_the_expected_names(self, values, error, text):
+    def test_a_wrong_name_is_reported_with_the_expected_names(self, call, values, error, text):
         with pytest.raises(error) as exc:
-            multi_bound(CONF, values)
+            call(CONF, values)
         assert str(exc.value) == f"{text}; expected: RRAUc, RRUcY"
 
     @pytest.mark.parametrize(

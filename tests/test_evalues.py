@@ -268,6 +268,15 @@ class TestPolynomialAccounting:
             EValuePolynomial(1, 1)  # decreasing near 1
         with pytest.raises(DomainError):
             EValuePolynomial(0, 0)
+        # degrees are ints: 1.5 was solved as a fractional power (2.553 at a
+        # target of 2.0), True read as 1, and "3" raised a TypeError
+        for n, k in ((3, 1.5), (True, 0), (3, False), ("3", 1), (3.0, 1)):
+            with pytest.raises(DomainError, match="must have int degrees"):
+                EValuePolynomial(n, k)
+        numpy_degrees = EValuePolynomial(np.int64(3), np.int32(1))
+        assert numpy_degrees == EValuePolynomial(3, 1)
+        assert type(numpy_degrees.n) is type(numpy_degrees.k) is int
+        assert solve_polynomial(numpy_degrees, 2.0) == solve_polynomial(EValuePolynomial(3, 1), 2.0)
 
     def test_sets_with_one_n_and_k_share_one_polynomial(self):
         for declared in DECLARATIONS:
@@ -589,7 +598,7 @@ class TestCurve:
             assert e_large <= e_small + 1e-9
 
     @pytest.mark.parametrize("nk", sorted(SET_BY_POLYNOMIAL))
-    @given(rr=st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=20))
+    @given(rr=st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=20))
     @settings(max_examples=30)
     def test_each_point_is_the_multi_evalue(self, nk, rr):
         bias_set = SET_BY_POLYNOMIAL[nk]

@@ -2,40 +2,35 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_x.json \
-        [--workload W ...] [--pairs N] [--first-seed S] [--seconds T]
     python3 tools/bench_pairs.py --tree NAME=DIR --tree NAME=DIR [--tree NAME=DIR ...] \
-        --out BENCH_x.json [...]
+        --out BENCH_x.json [--workload W ...] [--pairs N] [--first-seed S] [--seconds T]
 
-DIR holds a copy of each commit's files (``git archive REV | tar -x -C DIR``).
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each tree, one run after the other; odd seeds run the
-parent first. Every workload of a pair runs before the next pair starts, so
-slow drift of the machine's speed falls on all workloads alike. The metric
-names, their direction and bounds, and the default run length are read from
-``BENCHMARK.json`` in the change's tree.
-
-Given as ``--tree``, oldest first, N trees run in rotation on the same
-seeds: seed S starts with tree number (S + 1) mod N, counting from 0, and
-runs the others in order after it, wrapping round, so each tree starts one
-seed in N. The first tree is the parent, and BENCHMARK.json is read from
-the last. Two trees give the output of --parent and --change under their
-names; with more, "metrics" holds each later tree's summary against the
-first, by the later tree's name.
+Each DIR holds a copy of one commit's files (``git archive REV | tar -x -C
+DIR``), named oldest first: the first tree is the parent, each later one a
+change, and BENCHMARK.json (the metric names, their direction and bounds,
+and the default run length) is read from the last. For each seed S, every
+workload runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each tree, one run after the other, starting with tree
+number (S + 1) mod N, counting from 0, and wrapping round, so each tree
+starts one seed in N (with two trees, odd seeds run the parent first).
+Every workload of a seed runs before the next seed starts, so slow drift of
+the machine's speed falls on all workloads alike.
 
 Before the first run, the output records for each tree whether
 ``src/multibias/__pycache__`` exists, and a warning is printed when the trees
 differ: the ``cli_oneshot`` children run with ``PYTHONDONTWRITEBYTECODE=1``,
 so a tree without it compiles the package from source in every call.
 
-For each metric the output lists every run, the quartiles of each side
-(linear interpolation, as numpy's default percentile), relative_worsening,
-which is (change - parent) / parent for lower-is-better metrics and
-(parent - change) / parent for higher-is-better ones (so a negative value is
-an improvement), and the number of pairs in which the change read better.
-gain_shown holds when the change read better in at least nine tenths of the
-pairs, ties counting for neither side, and its median is better than the
-parent's by more than the parent's interquartile range.
+For each workload, "metrics" holds each later tree's summary against the
+parent, keyed by the later tree's name. Each metric lists every run, the
+quartiles of each side (linear interpolation, as numpy's default
+percentile), relative_worsening, which is (change - parent) / parent for
+lower-is-better metrics and (parent - change) / parent for higher-is-better
+ones (so a negative value is an improvement), and the number of pairs in
+which the change read better. gain_shown holds when the change read better
+in at least nine tenths of the pairs, ties counting for neither side, and
+its median is better than the parent's by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -98,9 +93,9 @@ def _tree(text: str) -> tuple[str, Path]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path)
-    parser.add_argument("--change", type=Path)
-    parser.add_argument("--tree", type=_tree, action="append", help="NAME=DIR, oldest first")
+    parser.add_argument(
+        "--tree", type=_tree, action="append", required=True, help="NAME=DIR, oldest first"
+    )
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
@@ -109,14 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
-    if args.tree is None:
-        if args.parent is None or args.change is None:
-            parser.error("give --parent and --change, or --tree NAME=DIR two or more times")
-        trees = {"parent": args.parent, "change": args.change}
-    else:
-        trees = dict(args.tree)
-        if args.parent or args.change or not 2 <= len(trees) == len(args.tree):
-            parser.error("--tree needs two or more distinct names, and no --parent or --change")
+    trees = dict(args.tree)
+    if not 2 <= len(trees) == len(args.tree):
+        parser.error("--tree needs two or more distinct names")
     names = list(trees)
 
     bench = json.loads((trees[names[-1]] / "BENCHMARK.json").read_text())
@@ -148,13 +138,6 @@ def main(argv: list[str] | None = None) -> int:
 
     end_to_end = {}
     for workload, sides in records.items():
-        compared = {
-            name: {
-                spec["name"]: summarise(spec, sides[names[0]], sides[name])
-                for spec in bench["end_to_end"]
-            }
-            for name in names[1:]
-        }
         end_to_end[workload] = {
             "pairs": len(seeds),
             "seeds": list(seeds),
@@ -164,14 +147,14 @@ def main(argv: list[str] | None = None) -> int:
                 side: sum(r["attempted"] for r in rs) for side, rs in sides.items()
             },
             "all_correct": all(r["correct"] for rs in sides.values() for r in rs),
-            "metrics": compared[names[1]] if len(names) == 2 else compared,
+            "metrics": {
+                name: {
+                    spec["name"]: summarise(spec, sides[names[0]], sides[name])
+                    for spec in bench["end_to_end"]
+                }
+                for name in names[1:]
+            },
         }
-    if len(names) == 2:
-        copies = "two copies of the source (the parent commit and the change)"
-        rotation = "odd seeds running the parent first"
-    else:
-        copies = f"{len(names)} copies of the source ({', '.join(names)}, oldest first)"
-        rotation = f"seed S starting with copy (S + 1) mod {len(names)}, counting from 0"
     out = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -181,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         },
         "method": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
-            f"--trace 0 on {copies}, one run after the other, {rotation}; "
-            "see tools/bench_pairs.py"
+            f"--trace 0 on {len(names)} copies of the source ({', '.join(names)}, oldest "
+            "first), one run after the other, seed S starting with copy (S + 1) mod "
+            f"{len(names)}, counting from 0; see tools/bench_pairs.py"
         ),
         "bytecode_cached_before_first_run": bytecode_cached,
         "end_to_end": end_to_end,
