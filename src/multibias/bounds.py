@@ -17,6 +17,8 @@ if TYPE_CHECKING:
 # Largest grid_table, in cells; an array of this many cells takes 8 MB.
 MAX_GRID_CELLS = 1_000_000
 
+_OVERFLOW = "the bound overflows the floating-point range"
+
 
 def g(a: float, b: float) -> float:
     """Joint bounding factor a*b/(a+b-1) of two finite parameters, each at least 1.
@@ -89,7 +91,7 @@ def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
     """
     bound = _product(bias_set.terms, _validated(bias_set, values))
     if bound == math.inf:
-        raise DomainError("the bound overflows the floating-point range")
+        raise DomainError(_OVERFLOW)
     return bound
 
 
@@ -122,7 +124,7 @@ def grid_table(
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
         table = _product(bias_set.terms, cells)
     if table.max() == math.inf:
-        raise _grid_overflow()
+        raise DomainError(_OVERFLOW)
     table.setflags(write=False)
     return GridTable(
         bias_set, row_name, col_name, tuple(rows.tolist()), tuple(cols.tolist()), fixed, table
@@ -168,10 +170,6 @@ def _checked_grid(bias_set: BiasSet, vary, fixed, read):
             if not (type(value) is float and 1.0 <= value < math.inf):
                 _read_float(value, f"parameter {name}")
     return (row_name, rows), (col_name, cols), {k: v for k, v in checked.items() if k in fixed}
-
-
-def _grid_overflow() -> DomainError:
-    return DomainError("the bound overflows the floating-point range in the grid")
 
 
 @dataclass(frozen=True)

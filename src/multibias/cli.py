@@ -207,20 +207,17 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, list[float]]]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from .bounds import _checked_grid, _grid_overflow, _product
+    from .bounds import _checked_grid, multi_bound
 
     bias_set = parse_bias_string(args.biases)
     vary = _parse_vary(args.vary)
     (row_name, row_values), (col_name, col_values), fixed = _checked_grid(
         bias_set, vary, _parse_assignments(args.param), lambda values: (values, values)
     )
-    # cell by cell, the same operations in the same order as grid_table's arrays
     table = [
-        [_product(bias_set.terms, {**fixed, row_name: r, col_name: c}) for c in col_values]
+        [multi_bound(bias_set, {**fixed, row_name: r, col_name: c}) for c in col_values]
         for r in row_values
     ]
-    if any(math.inf in row for row in table):
-        raise _grid_overflow()
     if args.format == "csv":
         _print_csv(
             [["", *col_values]] + [[value, *row] for value, row in zip(row_values, table)]
@@ -265,7 +262,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .evalues import _check_curve_size, _scalar_curve
+    from .evalues import _check_curve_size, multi_evalue, risk_ratio
 
     # a comma followed by ")" before any "(" separates options, any other bias sets
     try:
@@ -275,7 +272,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if not (args.points >= 2 and 0 < args.rr_min < args.rr_max < math.inf):
         raise ParseError("need finite 0 < rr-min < rr-max and at least 2 points")
     _check_curve_size(len(bias_sets), args.points)
-    points = _scalar_curve(bias_sets, _linspace(args.rr_min, args.rr_max, args.points))
+    rrs = _linspace(args.rr_min, args.rr_max, args.points)
+    points = [
+        (r, s.label, multi_evalue(s, risk_ratio(r)).evalue_point) for s in bias_sets for r in rrs
+    ]
     if args.format == "json":
         payload = {
             "schema_version": 1,

@@ -395,25 +395,6 @@ def evalue_curve(
     return points
 
 
-def _scalar_curve(
-    bias_sets: Sequence[BiasSet], rr_values: list[float]
-) -> list[tuple[float, str, float]]:
-    """(rr, label, E-value) for evalue_curve's points, by the float path.
-
-    rr_values are positive and finite. Each E-value is the point E-value
-    multi_evalue gives for risk_ratio(rr), solved without numpy and without
-    a record for each point.
-    """
-    # protective ratios are inverted, as multi_evalue and evalue_curve do
-    _check_invertible(min(rr_values))
-    ratios = [max(rr, 1.0 / rr) for rr in rr_values]
-    points = []
-    for bias_set in bias_sets:
-        label, poly = bias_set.label, evalue_polynomial(bias_set)
-        points += [(rr, label, solve_polynomial(poly, r)) for rr, r in zip(rr_values, ratios)]
-    return points
-
-
 def _check_curve_size(curves: int, points: int) -> None:
     """SizeLimitExceeded if curves of points points exceed MAX_CURVE_POINTS."""
     if curves * points > MAX_CURVE_POINTS:

@@ -875,7 +875,7 @@ class TestRobustness:
             argv += ["--param", f"{name}=1e300"]
         code, out, err = _run_strict(argv)
         assert (code, out) == (2, "")
-        assert err == "error: the bound overflows the floating-point range in the grid\n"
+        assert err == "error: the bound overflows the floating-point range\n"
 
     def test_curve_step_overflowing_before_a_finite_end_succeeds(self):
         code, out, err = _run_strict(LINSPACE_OVERFLOW[1] + ["--format", "json"])
