@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any
 
 from .biases import BiasSet
 from .errors import DomainError, MissingParameter, ParseError, SizeLimitExceeded, UnknownParameter
@@ -52,6 +53,8 @@ def _product(terms: tuple[tuple[str, ...], ...], values: Mapping[str, Any]):
 
 
 def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]:
+    if type(values) is not dict and not isinstance(values, Mapping):
+        raise _mapping_error("values", values)
     names = bias_set.parameter_names()
     # names are checked before any value, so a wrong name is what gets reported
     if len(values) != len(names):
@@ -66,6 +69,13 @@ def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]
             value = _read_float(value, f"parameter {name}")
         out[name] = value
     return out
+
+
+def _mapping_error(label: str, values) -> ParseError:
+    """The error for parameter values given in something other than a Mapping."""
+    return ParseError(
+        f"{label} must be a mapping of parameter names to values, not {type(values).__name__}"
+    )
 
 
 def _name_error(
@@ -143,8 +153,9 @@ def _checked_grid(bias_set: BiasSet, vary, fixed, read):
     """A grid's two axes, each as (name, values), and its fixed values.
 
     Checks two axes with distinct names, each read by ``read`` into its
-    values and the list of values as given; at most MAX_GRID_CELLS cells; no
-    parameter both varied and fixed; the names and fixed values, each axis's
+    values and the list of values as given; at most MAX_GRID_CELLS cells;
+    fixed values in a Mapping, or None for none; no parameter both varied
+    and fixed; the names and fixed values, each axis's
     first given value standing in for the axis; and then each given value.
     """
     if len(vary) != 2:
@@ -160,6 +171,8 @@ def _checked_grid(bias_set: BiasSet, vary, fixed, read):
         raise SizeLimitExceeded(
             f"a {len(rows)} x {len(cols)} grid exceeds {MAX_GRID_CELLS} cells"
         )
+    if fixed is not None and not isinstance(fixed, Mapping):
+        raise _mapping_error("fixed", fixed)
     fixed = dict(fixed or {})
     overlap = sorted({row_name, col_name} & set(fixed))
     if overlap:

@@ -188,7 +188,9 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
 
     Closed forms solve k == 0 and n == 2k, and Newton's method the rest
     (see _root). The root is within 1e-13 relative of the exact one, so
-    the residual satisfies |f(x) - target| <= 1e-9 * target.
+    the residual satisfies |f(x) - target| <= 1e-9 * target. For (2, 1),
+    the polynomial of confounding alone, it is within 2 ulps (1.00 ulp at
+    most, measured over 951 targets from 1 + 2**-52 to 7.3e299).
     """
     if not (type(target) is float and 1.0 <= target < math.inf):
         target = _read_float(target, "target")
@@ -231,8 +233,10 @@ def _root(n: int, k: int, t, m, any_):
         return t ** (1.0 / n), 0
     if n == 2 * k:
         # x**2 / (2x - 1) == T with T = t**(1/k), so x = T + sqrt(T**2 - T);
-        # T - 1 is formed directly, keeping its digits when t is near 1
-        t1 = m.expm1(m.log1p(t - 1.0) / k)
+        # T - 1 is formed directly, keeping its digits when t is near 1; at
+        # k == 1 it is t - 1 itself, which a log1p and expm1 round trip would
+        # put hundreds of ulps off
+        t1 = t - 1.0 if k == 1 else m.expm1(m.log1p(t - 1.0) / k)
         return 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1), 0
     # Newton in u = log x on F(u) = (n - k) u - k g(u) - log t, where
     # g(u) = log(2 - e**-u) = log1p(w) with w = 1 - 1/x. For u >= 0, F's
@@ -362,9 +366,11 @@ def evalue_curve(
 
     Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
     to within 1e-12 relative (measured on log grids of the grammar's 15
-    polynomials: 15 ulps from 1e-6 to 1e6, and 733 ulps, 1.1e-13 relative,
-    out to 1e-300 and 1e300, where numpy's log and exp round differently
-    from math's) and is exactly 1 at rr == 1. The ratios are solved as one
+    polynomials: 11 ulps from 1e-6 to 1e6, and 224 ulps, under 5e-14
+    relative, out to 1e-300 and 1e300, where numpy's log and exp round
+    differently from math's) and is exactly 1 at rr == 1. At (2, 1), which
+    takes no log or exp, it equals that E-value bit for bit, within 2 ulps
+    of the exact root (see solve_polynomial). The ratios are solved as one
     array for each distinct (n, k) of the bias sets, and sets that share it
     share its roots.
     """

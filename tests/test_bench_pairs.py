@@ -106,9 +106,26 @@ class TestMain:
         assert "--pairs must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trees, pairs", [(3, 4), (3, 5), (2, 3)])
+    def test_pairs_not_a_multiple_of_the_trees_exit_2_before_any_run(
+        self, trees, pairs, tmp_path, monkeypatch, capsys
+    ):
+        # each tree must run first equally often
+        def refuse(*args):
+            raise AssertionError("a benchmark ran")
+
+        monkeypatch.setattr(bench_pairs, "run", refuse)
+        out = tmp_path / "out.json"
+        argv = [f"--tree=t{i}={tmp_path}" for i in range(trees)] + ["--out", str(out)]
+        with pytest.raises(SystemExit) as stopped:
+            bench_pairs.main(argv + ["--pairs", str(pairs)])
+        assert stopped.value.code == 2
+        assert f"--pairs must be a multiple of the {trees} trees" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _main(tmp_path, monkeypatch, trees):
-        """main over three seeds of fake runs: the (tree, seed) of each run, and the output."""
+        """main over fake runs, one seed per tree: the (tree, seed) of each run, and the output."""
         bench = (
             '{"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": '
             '[{"name": "m", "unit": "u", "better": "lower", "bound": 0.1}]}'
@@ -126,23 +143,19 @@ class TestMain:
 
         monkeypatch.setattr(bench_pairs, "run", fake)
         out = tmp_path / "out.json"
-        assert bench_pairs.main([*trees, "--out", str(out), "--pairs", "3"]) == 0
+        assert bench_pairs.main([*trees, "--out", str(out), "--pairs", str(len(trees))]) == 0
         return runs, json.loads(out.read_text())
 
     def test_two_trees_run_alternately_and_summarise_the_change(self, tmp_path, monkeypatch):
         trees = [f"--tree={name}={tmp_path / name}" for name in ("parent", "change")]
         runs, out = self._main(tmp_path, monkeypatch, trees)
-        assert runs == [
-            ("parent", 1), ("change", 1),
-            ("change", 2), ("parent", 2),
-            ("parent", 3), ("change", 3),
-        ]  # fmt: skip
+        assert runs == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
         entry = out["end_to_end"]["w"]
-        assert entry["first_side"] == {"1": "parent", "2": "change", "3": "parent"}
+        assert entry["first_side"] == {"1": "parent", "2": "change"}
         # the change's summary, by its name, as with any number of trees
         assert list(entry["metrics"]) == ["change"]
         assert list(entry["metrics"]["change"]) == ["m"]
-        assert entry["metrics"]["change"]["m"]["pairs_change_better"] == 3
+        assert entry["metrics"]["change"]["m"]["pairs_change_better"] == 2
         assert out["method"] == (
             "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0 on 2 "
             "copies of the source (parent, change, oldest first), one run after the "

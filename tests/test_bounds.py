@@ -259,12 +259,6 @@ class TestValidatedValues:
                 UnknownParameter,
                 "unknown parameter(s) 3",
             ),
-            (
-                lambda bs, values: adjust_estimate(bs, values, 2.0, 1.0, 3.0),
-                [2.0, 2.0],
-                UnknownParameter,
-                "unknown parameter(s) 2.0",
-            ),
         ],
         ids=[
             "bogus",
@@ -277,13 +271,49 @@ class TestValidatedValues:
             "none_key",
             "int_and_none_keys",
             "grid_int_key",
-            "adjust_list",
         ],
     )
     def test_a_wrong_name_is_reported_with_the_expected_names(self, call, values, error, text):
         with pytest.raises(error) as exc:
             call(CONF, values)
         assert str(exc.value) == f"{text}; expected: RRAUc, RRUcY"
+
+    @pytest.mark.parametrize(
+        "call, values, label",
+        [
+            # a list of the names passed the name check, then values[name] raised
+            (multi_bound, ["RRAUc", "RRUcY"], "values"),
+            (multi_bound, [[1], 2], "values"),  # unhashable in the name check
+            (multi_bound, None, "values"),
+            (multi_bound, "RRAUcRRUcY", "values"),  # its letters were the names
+            (multi_bound, (("RRAUc", 2.0), ("RRUcY", 2.0)), "values"),
+            (lambda bs, values: adjust_estimate(bs, values, 2.0, 1.0, 3.0), [2.0, 2.0], "values"),
+            (
+                lambda bs, values: adjust_estimate(bs, values, 2.0, 1.0, 3.0),
+                ["RRAUc", "RRUcY"],
+                "values",
+            ),
+            (lambda bs, fixed: grid_table(bs, AXES, fixed), [1, 2], "fixed"),
+            # pairs that dict() would read
+            (lambda bs, fixed: grid_table(CONF_MIS, AXES, fixed), [("RRAYy", 2.0)], "fixed"),
+        ],
+        ids=[
+            "names",
+            "unhashable",
+            "none",
+            "str",
+            "pairs",
+            "adjust_numbers",
+            "adjust_names",
+            "grid_list",
+            "grid_pairs",
+        ],
+    )
+    def test_values_that_are_no_mapping_are_a_parse_error(self, call, values, label):
+        with pytest.raises(ParseError) as exc:
+            call(CONF, values)
+        kind = type(values).__name__
+        assert str(exc.value) == f"{label} must be a mapping of parameter names to values, not {kind}"
 
     @pytest.mark.parametrize(
         "values, got",

@@ -48,6 +48,13 @@ SET_BY_POLYNOMIAL = {bs.polynomial: bs for bs in map(build_bias_set, DECLARATION
 NEWTON_POLYNOMIALS = sorted((n, k) for n, k in SET_BY_POLYNOMIAL if 0 < 2 * k < n)
 # a log grid of targets from 1 + 1e-15 to 1e300
 NEWTON_TARGETS = np.concatenate([1.0 + np.logspace(-15, 0, 400), np.logspace(0, 300, 2001)])
+# targets of the (2, 1) closed form: decimal strings from 1e0 to 7.3e299 and
+# 1 + 2**-j, none made by exp(), whose output would make a log1p and expm1
+# round trip exact; each root, about 2t, stays below the float maximum
+TARGETS_2_1 = sorted(
+    {float(f"{m}e{e}") for e in range(300) for m in ("1", "2.5", "7.3")} - {1.0}
+    | {1.0 + math.ldexp(1.0, -j) for j in range(1, 53)}
+)
 # one bias set for each bound the grammar can reach: declarations with the
 # same terms have the same bound and the same E-values
 SET_BY_TERMS = {bs.terms: bs for bs in map(build_bias_set, DECLARATIONS)}
@@ -423,6 +430,20 @@ class TestSolve:
         )
         [point] = evalue_curve([SET_BY_POLYNOMIAL[nk]], [target])
         assert point.evalue == pytest.approx(exact, rel=1e-12)
+
+    def test_the_2_1_root_is_within_2_ulps(self):
+        # x is within 2 ulps of the root of F(x) = x**2 / (2x - 1) == t
+        # exactly when F(x - 2 ulp) < t <= F(x + 2 ulp), as F increases for
+        # x >= 1; checked in Fractions, with F(a) < t as a**2 < t (2a - 1).
+        # Through log1p and expm1, the root was off by up to 498 ulps on these targets
+        poly = EValuePolynomial(2, 1)
+        curve = [p.evalue for p in evalue_curve([SET_BY_POLYNOMIAL[(2, 1)]], TARGETS_2_1)]
+        for target, from_curve in zip(TARGETS_2_1, curve):
+            x = solve_polynomial(poly, target)
+            assert from_curve == x, target  # no log or exp, so numpy rounds as math does
+            t = Fraction(target)
+            lo, hi = (Fraction(x) + d * Fraction(math.ulp(x)) for d in (-2, 2))
+            assert lo * lo < t * (2 * lo - 1) and t * (2 * hi - 1) <= hi * hi, (target, x)
 
     @pytest.mark.parametrize("nk", [(13, 6), (41, 20), (201, 100)], ids="n{0[0]}k{0[1]}".format)
     def test_the_stop_bound_holds_beyond_the_grammar(self, nk):

@@ -13,6 +13,7 @@ workload runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, one run after the other, starting with tree
 number (S + 1) mod N, counting from 0, and wrapping round, so each tree
 starts one seed in N (with two trees, odd seeds run the parent first).
+--pairs must be a multiple of N, so that each tree runs first equally often.
 Every workload of a seed runs before the next seed starts, so slow drift of
 the machine's speed falls on all workloads alike.
 
@@ -108,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     if not 2 <= len(trees) == len(args.tree):
         parser.error("--tree needs two or more distinct names")
     names = list(trees)
+    if args.pairs % len(names):
+        parser.error(f"--pairs must be a multiple of the {len(names)} trees")
 
     bench = json.loads((trees[names[-1]] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
