@@ -37,6 +37,7 @@ from functools import cache, cached_property
 from typing import Iterable
 
 from .errors import DuplicateBias, ParseError, RareOutcomeRequired, SelectedPopulationConflict
+from .errors import _shown
 
 _UNNAMED = str.maketrans("", "", "_|=,*")  # display characters a name drops
 _LATEX = str.maketrans({"|": r" \mid ", ",": ", ", "=": " = ", "*": "^*"})
@@ -251,6 +252,27 @@ class BiasSet:
         return tuple(p.evalue_name for p in self.parameters)
 
 
+def _require_bias_set(value, name: str = "bias_set") -> None:
+    """ParseError naming value unless it is a BiasSet.
+
+    The scalar path tests ``type(value) is BiasSet`` before calling it.
+    """
+    if not isinstance(value, BiasSet):
+        raise ParseError(
+            f"{name} must be a BiasSet, as build_bias_set and parse_bias_string return; "
+            f"got {_shown(value)}"
+        )
+
+
+def _require_bias_sets(value) -> None:
+    """ParseError unless value is a sequence of BiasSets, as evalue_curve takes them."""
+    # a str is a sequence of characters; a BiasSet and an iterator have no len()
+    if isinstance(value, str) or not hasattr(type(value), "__len__"):
+        raise ParseError(f"bias_sets must be a sequence of BiasSets, got {_shown(value)}")
+    for bias_set in value:
+        _require_bias_set(bias_set, "each of bias_sets")
+
+
 def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
     """Validate a sequence of declarations and derive the bound's parameters.
 
@@ -359,6 +381,8 @@ def parameter_summary(
     bias_set: BiasSet, include_latex: bool = False
 ) -> list[tuple[str, ...]]:
     """Rows of (bias label, display symbol, argument name[, latex])."""
+    if type(bias_set) is not BiasSet:
+        _require_bias_set(bias_set)
     rows: list[tuple[str, ...]] = []
     for p in bias_set.parameters:
         row: tuple[str, ...] = (p.bias, p.display, p.name)

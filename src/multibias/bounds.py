@@ -7,9 +7,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .biases import BiasSet
+from .biases import BiasSet, _require_bias_set
 from .errors import DomainError, MissingParameter, ParseError, SizeLimitExceeded, UnknownParameter
-from .errors import _numpy, _read_float, _read_floats, _record
+from .errors import _numpy, _read_float, _read_floats, _record, _shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,6 +53,8 @@ def _product(terms: tuple[tuple[str, ...], ...], values: Mapping[str, Any]):
 
 
 def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]:
+    if type(bias_set) is not BiasSet:
+        _require_bias_set(bias_set)
     if type(values) is not dict and not isinstance(values, Mapping):
         raise _mapping_error("values", values)
     names = bias_set.parameter_names()
@@ -99,7 +101,8 @@ def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
 
     ``values`` maps every parameter's argument name to a finite number >= 1.
     """
-    bound = _product(bias_set.terms, _validated(bias_set, values))
+    values = _validated(bias_set, values)
+    bound = _product(bias_set.terms, values)
     if bound == math.inf:
         raise DomainError(_OVERFLOW)
     return bound
@@ -152,12 +155,15 @@ def _read_axis(values):
 def _checked_grid(bias_set: BiasSet, vary, fixed, read):
     """A grid's two axes, each as (name, values), and its fixed values.
 
-    Checks two axes with distinct names, each read by ``read`` into its
-    values and the list of values as given; at most MAX_GRID_CELLS cells;
-    fixed values in a Mapping, or None for none; no parameter both varied
-    and fixed; the names and fixed values, each axis's
-    first given value standing in for the axis; and then each given value.
+    Checks a sequence of two axes with distinct names, each read by
+    ``read`` into its values and the list of values as given; at most
+    MAX_GRID_CELLS cells; fixed values in a Mapping, or None for none; no
+    parameter both varied and fixed; the bias set, the names and fixed
+    values, each axis's first given value standing in for the axis; and
+    then each given value.
     """
+    if not hasattr(type(vary), "__len__"):  # an iterator
+        raise ParseError(f"vary must be a sequence of two pairs, got {_shown(vary)}")
     if len(vary) != 2:
         raise ParseError("exactly two parameters must vary")
     try:

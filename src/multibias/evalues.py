@@ -20,31 +20,32 @@ solver, not from a mask.
 
 The records of the scalar path skip the frozen dataclass __init__ (see
 errors): multi_evalue builds its EValueResult, and to_risk_ratio its view of
-an odds ratio, with errors._record. evalue_curve builds its points in C:
-_curve_points allocates them with object.__new__ and stores each field's
-column through that field's slot descriptor. EffectEstimate itself runs
-__init__, and its __post_init__ accepts the common estimate (floats with
-0 < lo <= point <= hi < inf, a Scale and a bool rare_outcome set only on an
-odds ratio) in one test before any per-value check.
+an odds ratio, with errors._record. A CurvePoint is a named tuple, and
+evalue_curve builds each bias set's points in one C-level pass, mapping
+tuple.__new__ over the zipped (rr, label, evalue) columns: the tuples the
+generated CurvePoint.__new__ would build, without a Python call per point.
+EffectEstimate itself runs __init__, and its __post_init__ accepts the
+common estimate (floats with 0 < lo <= point <= hi < inf, a Scale and a
+bool rare_outcome set only on an odds ratio) in one test before any
+per-value check.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .biases import BiasSet, Scale
+from .biases import BiasSet, Scale, _require_bias_set, _require_bias_sets
 from .errors import DomainError, ParseError, SizeLimitExceeded, _as_int, _domain_error
 from .errors import _numpy, _read_float, _read_floats, _record, _shown
 
-# Largest evalue_curve, in points over all bias sets. A curve holds 112
-# bytes per point (tracemalloc, 100,000 points, CPython 3.11: the slotted
-# CurvePoint, its two floats and its list entry), so about 11 MB at most.
+# Largest evalue_curve, in points over all bias sets. A curve holds 128
+# bytes per point (tracemalloc, 100,000 points, CPython 3.11: the CurvePoint
+# tuple, its two floats and its list entry), so about 13 MB at most.
 MAX_CURVE_POINTS = 100_000
 
 # 1.0 / x overflows for every positive x at or below this, and for no other
@@ -180,6 +181,8 @@ def evalue_polynomial(bias_set: BiasSet) -> EValuePolynomial:
 
     Sets with the same ``(n, k)`` share one polynomial object.
     """
+    if type(bias_set) is not BiasSet:
+        _require_bias_set(bias_set)
     return _shared_polynomial(*bias_set.polynomial)
 
 
@@ -189,8 +192,10 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
     Closed forms solve k == 0 and n == 2k, and Newton's method the rest
     (see _root). The root is within 1e-13 relative of the exact one, so
     the residual satisfies |f(x) - target| <= 1e-9 * target. For (2, 1),
-    the polynomial of confounding alone, it is within 2 ulps (1.00 ulp at
-    most, measured over 951 targets from 1 + 2**-52 to 7.3e299).
+    the polynomial of confounding alone, and (4, 2), that of the paper's
+    HIV example (confounding + selection(general, increased_risk)), it is
+    within 2 ulps (1.00 and 1.79 ulps at most, measured over 951 targets
+    from 1 + 2**-52 to 7.3e299).
     """
     if not (type(target) is float and 1.0 <= target < math.inf):
         target = _read_float(target, "target")
@@ -233,10 +238,13 @@ def _root(n: int, k: int, t, m, any_):
         return t ** (1.0 / n), 0
     if n == 2 * k:
         # x**2 / (2x - 1) == T with T = t**(1/k), so x = T + sqrt(T**2 - T);
-        # T - 1 is formed directly, keeping its digits when t is near 1; at
-        # k == 1 it is t - 1 itself, which a log1p and expm1 round trip would
-        # put hundreds of ulps off
-        t1 = t - 1.0 if k == 1 else m.expm1(m.log1p(t - 1.0) / k)
+        # T - 1 is formed directly, keeping its digits when t is near 1: at
+        # k == 1 it is t - 1 itself, and at k == 2 sqrt(t) - 1 is taken as
+        # (t - 1) / (sqrt(t) + 1), where a log1p and expm1 round trip would
+        # put the root hundreds of ulps off
+        t1 = t - 1.0
+        if k > 1:
+            t1 = t1 / (m.sqrt(t) + 1.0) if k == 2 else m.expm1(m.log1p(t1) / k)
         return 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1), 0
     # Newton in u = log x on F(u) = (n - k) u - k g(u) - log t, where
     # g(u) = log(2 - e**-u) = log1p(w) with w = 1 - 1/x. For u >= 0, F's
@@ -337,26 +345,12 @@ def multi_evalue(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One point of an E-value curve."""
 
     rr: float
     biases: str
     evalue: float
-
-
-# each field's slot descriptor, in field order; its __set__ bypasses the
-# frozen __setattr__
-_POINT_SLOTS = tuple(vars(CurvePoint)[f.name] for f in fields(CurvePoint))
-
-
-def _curve_points(rr: list[float], label: str, evalues: list[float]) -> list[CurvePoint]:
-    """CurvePoint(r, label, e) for each r, e of rr and evalues, without __init__."""
-    points = list(map(object.__new__, repeat(CurvePoint, len(rr))))
-    for slot, column in zip(_POINT_SLOTS, (rr, repeat(label), evalues)):
-        deque(map(slot.__set__, points, column), maxlen=0)
-    return points
 
 
 def evalue_curve(
@@ -368,13 +362,15 @@ def evalue_curve(
     to within 1e-12 relative (measured on log grids of the grammar's 15
     polynomials: 11 ulps from 1e-6 to 1e6, and 224 ulps, under 5e-14
     relative, out to 1e-300 and 1e300, where numpy's log and exp round
-    differently from math's) and is exactly 1 at rr == 1. At (2, 1), which
-    takes no log or exp, it equals that E-value bit for bit, within 2 ulps
-    of the exact root (see solve_polynomial). The ratios are solved as one
-    array for each distinct (n, k) of the bias sets, and sets that share it
-    share its roots.
+    differently from math's) and is exactly 1 at rr == 1. At (2, 1) and
+    (4, 2), which take no log or exp, it equals that E-value bit for bit,
+    within 2 ulps of the exact root (see solve_polynomial). The ratios are
+    solved as one array for each distinct (n, k) of the bias sets, and sets
+    that share it share its roots. bias_sets is a sequence of BiasSet, and
+    anything else a ParseError.
     """
     np = _numpy()
+    _require_bias_sets(bias_sets)
     rr, given = _read_floats(rr_values)
     if rr.ndim != 1:
         raise ParseError("risk ratios must be a one-dimensional sequence")
@@ -397,7 +393,9 @@ def evalue_curve(
             evalues = solved.get(nk)
             if evalues is None:
                 evalues = solved[nk] = _evalues(*nk, ratios, np, np.ndarray.any).tolist()
-            points += _curve_points(rr_list, bias_set.label, evalues)
+            # CurvePoint(r, label, e) for each r, e, as the generated __new__ builds it
+            column = zip(rr_list, repeat(bias_set.label), evalues)
+            points += map(tuple.__new__, repeat(CurvePoint), column)
     return points
 
 

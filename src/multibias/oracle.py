@@ -34,7 +34,7 @@ from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
 
-from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, parse_bias_string
+from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, _require_bias_set, parse_bias_string
 from .bounds import multi_bound
 from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _as_int
 from .errors import _record, _shown
@@ -364,6 +364,8 @@ def _extractors(config: WorldConfig, bias_set: BiasSet) -> dict:
     """The bias set's extractors, once the config's worlds are found to fit it."""
     if bias_set is config.bias_set:  # the set the config was derived from
         return config._extractors
+    if type(bias_set) is not BiasSet:
+        _require_bias_set(bias_set)
     conf, sel, mis, extractors = _mechanisms(bias_set)
     # a selected-population set covers confounding whether or not it is
     # present, since its parameters range over the joint factor

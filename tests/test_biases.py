@@ -16,13 +16,23 @@ from multibias import (
     RareOutcomeRequired,
     Scale,
     SelectedPopulationConflict,
+    adjust_estimate,
     build_bias_set,
     confounding,
+    evalue_curve,
+    evalue_polynomial,
+    generate_world,
+    grid_table,
     misclassification,
+    multi_bound,
+    multi_evalue,
     parameter_summary,
+    risk_ratio,
     selection,
+    verify_bound,
 )
 from multibias.biases import _derive, parse_bias_string
+from multibias.oracle import STRUCTURES
 
 
 # (name, display, latex, scale, degree) of every parameter the grammar reaches
@@ -223,6 +233,65 @@ class TestValidation:
 
     def test_single_spec_accepted_without_list(self):
         assert names(build_bias_set(confounding())) == ["RRAUc", "RRUcY"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bs: multi_bound(bs, {"RRAUc": 2.0, "RRUcY": 2.0}),
+            lambda bs: multi_evalue(bs, risk_ratio(2.0)),
+            lambda bs: adjust_estimate(bs, {"RRAUc": 2.0, "RRUcY": 2.0}, 2.0, 1.0, 3.0),
+            evalue_polynomial,
+            parameter_summary,
+            lambda bs: grid_table(bs, [("RRAUc", [1.0, 2.0]), ("RRUcY", [2.0])]),
+            lambda bs: verify_bound(generate_world(STRUCTURES["result1"][0], 0), bs),
+            lambda bs: evalue_curve([build_bias_set(confounding()), bs], [2.0]),
+        ],
+        ids=[
+            "multi_bound",
+            "multi_evalue",
+            "adjust_estimate",
+            "evalue_polynomial",
+            "parameter_summary",
+            "grid_table",
+            "verify_bound",
+            "evalue_curve",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [("confounding", "confounding"), (None, "None"), (confounding(), repr(confounding()))],
+        ids=["str", "none", "spec"],
+    )
+    def test_a_bias_set_that_is_no_bias_set_is_a_parse_error(self, call, bad, shown):
+        # each raised AttributeError from the first attribute it read
+        with pytest.raises(ParseError) as exc:
+            call(bad)
+        assert str(exc.value).endswith(
+            " must be a BiasSet, as build_bias_set and parse_bias_string return; "
+            f"got {shown}"
+        )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda bs: evalue_curve(bs, [2.0]), "bias_sets must be a sequence of BiasSets"),
+            (lambda bs: evalue_curve(iter([bs]), [2.0]), "bias_sets must be a sequence"),
+            # a str is a sequence, but of characters
+            (
+                lambda bs: evalue_curve(bs.label, [2.0]),
+                "bias_sets must be a sequence of BiasSets, got confounding$",
+            ),
+            (
+                lambda bs: grid_table(bs, iter([("RRAUc", [1.0]), ("RRUcY", [2.0])])),
+                "vary must be a sequence of two pairs",
+            ),
+        ],
+        ids=["curve_of_a_set", "curve_of_an_iterator", "curve_of_a_str", "grid_of_an_iterator"],
+    )
+    def test_bias_sets_and_axes_that_are_no_sequence_are_a_parse_error(self, call, message):
+        # each raised TypeError from len(), or AttributeError from a character
+        with pytest.raises(ParseError, match=message):
+            call(build_bias_set(confounding()))
 
 
 class TestSummary:

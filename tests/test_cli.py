@@ -689,6 +689,20 @@ class TestCurveCommand:
         ]
         assert list(dict.fromkeys(p["biases"] for p in points)) == labels
 
+    def test_csv_bytes_equal_the_library_points_written_as_rows(self, capsys):
+        # a (2, 1) and a (4, 2) set, whose closed forms numpy and math round
+        # alike, over protective, null and causative ratios
+        argv = ["curve", "--bias-sets", f"confounding, {HIV}", "--rr-min", "0.25"]
+        argv += ["--rr-max", "12", "--points", "48", "--format", "csv"]
+        assert main(argv) == 0
+        sets = [parse_bias_string("confounding"), parse_bias_string(HIV)]
+        assert [s.polynomial for s in sets] == [(2, 1), (4, 2)]
+        written = io.StringIO()
+        rows = csv.writer(written, lineterminator="\n")
+        rows.writerow(["rr", "biases", "evalue"])
+        rows.writerows(evalue_curve(sets, multibias.cli._linspace(0.25, 12.0, 48)))
+        assert capsys.readouterr().out == written.getvalue()
+
     def test_bad_range_rejected(self, capsys):
         rc = main(["curve", "--bias-sets", "confounding", "--rr-min", "5", "--rr-max", "2"])
         assert rc == 2
