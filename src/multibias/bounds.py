@@ -101,7 +101,7 @@ def multi_bound(bias_set: BiasSet, values: Mapping[str, float]) -> float:
 
     ``values`` maps every parameter's argument name to a finite number >= 1.
     """
-    values = _validated(bias_set, values)
+    values = _validated(bias_set, values)  # before .terms, which no other type has
     bound = _product(bias_set.terms, values)
     if bound == math.inf:
         raise DomainError(_OVERFLOW)

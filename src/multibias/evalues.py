@@ -345,6 +345,9 @@ def multi_evalue(
     )
 
 
+# a dataclass as well, so dataclasses.replace, fields and asdict take a
+# point; __new__, repr and equality stay the named tuple's
+@dataclass(init=False, repr=False, eq=False)
 class CurvePoint(NamedTuple):
     """One point of an E-value curve."""
 

@@ -67,8 +67,7 @@ class WorldConfig:
     misclassification: str | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bias_set, BiasSet):
-            raise InfeasibleConfig(f"bias_set must be a BiasSet, got {self.bias_set!r}")
+        _require_bias_set(self.bias_set)
         # _extractors is no field: it stays out of equality, hashing and repr
         derived = ("confounding", "selection", "misclassification", "_extractors")
         for name, value in zip(derived, _mechanisms(self.bias_set)):

@@ -1,6 +1,7 @@
 """E-value polynomials, solving, orientation, and curves."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -679,6 +680,11 @@ class TestCurve:
             assert not hasattr(p, "__dict__")
             assert p._replace() == p
             assert p._replace(evalue=e.evalue) == e
+            # a dataclass too, so the dataclasses functions take a point
+            assert dataclasses.replace(p) == p
+            assert dataclasses.replace(p, evalue=e.evalue) == e
+            assert [f.name for f in dataclasses.fields(p)] == list(p._fields)
+            assert dataclasses.asdict(p) == p._asdict()
             assert copy.deepcopy(p) == p
             assert pickle.loads(pickle.dumps(p)) == p
 

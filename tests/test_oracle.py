@@ -24,6 +24,7 @@ from multibias import (
     BoundReport,
     DegenerateStratum,
     InfeasibleConfig,
+    ParseError,
     StructureMismatch,
     World,
     WorldConfig,
@@ -113,7 +114,7 @@ class TestWorldConfig:
         ids=["str", "none", "list", "spec", "dict"],
     )
     def test_rejects_a_bias_set_that_is_no_bias_set(self, bias_set):
-        with pytest.raises(InfeasibleConfig, match="bias_set must be a BiasSet"):
+        with pytest.raises(ParseError, match="bias_set must be a BiasSet"):
             WorldConfig(bias_set)
 
     def test_init_fields_are_the_bias_set_levels_and_ceiling(self):
