@@ -253,10 +253,7 @@ class BiasSet:
 
 
 def _require_bias_set(value, name: str = "bias_set") -> None:
-    """ParseError naming value unless it is a BiasSet.
-
-    The scalar path tests ``type(value) is BiasSet`` before calling it.
-    """
+    """ParseError naming value unless it is a BiasSet."""
     if not isinstance(value, BiasSet):
         raise ParseError(
             f"{name} must be a BiasSet, as build_bias_set and parse_bias_string return; "
@@ -381,8 +378,7 @@ def parameter_summary(
     bias_set: BiasSet, include_latex: bool = False
 ) -> list[tuple[str, ...]]:
     """Rows of (bias label, display symbol, argument name[, latex])."""
-    if type(bias_set) is not BiasSet:
-        _require_bias_set(bias_set)
+    _require_bias_set(bias_set)
     rows: list[tuple[str, ...]] = []
     for p in bias_set.parameters:
         row: tuple[str, ...] = (p.bias, p.display, p.name)

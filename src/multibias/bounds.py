@@ -53,8 +53,7 @@ def _product(terms: tuple[tuple[str, ...], ...], values: Mapping[str, Any]):
 
 
 def _validated(bias_set: BiasSet, values: Mapping[str, Any]) -> dict[str, float]:
-    if type(bias_set) is not BiasSet:
-        _require_bias_set(bias_set)
+    _require_bias_set(bias_set)
     if type(values) is not dict and not isinstance(values, Mapping):
         raise _mapping_error("values", values)
     names = bias_set.parameter_names()

@@ -77,9 +77,8 @@ class EffectEstimate:
         ):
             return  # the common case, which every check below accepts unchanged
         for label, v in (("point", self.point), ("lo", self.lo), ("hi", self.hi)):
-            # any other value is replaced by the float it reads as, so arithmetic sees a float
-            valid = type(v) is float and 0.0 < v < math.inf
-            if not valid and (v is not None or label == "point"):
+            # each given value is held as the float it reads as, so arithmetic sees a float
+            if v is not None or label == "point":
                 object.__setattr__(self, label, _read_float(v, label, positive=True))
         if self.lo is not None and self.lo > self.point:
             raise DomainError("lo must not exceed the point estimate")
@@ -181,8 +180,7 @@ def evalue_polynomial(bias_set: BiasSet) -> EValuePolynomial:
 
     Sets with the same ``(n, k)`` share one polynomial object.
     """
-    if type(bias_set) is not BiasSet:
-        _require_bias_set(bias_set)
+    _require_bias_set(bias_set)
     return _shared_polynomial(*bias_set.polynomial)
 
 
@@ -201,15 +199,7 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
         target = _read_float(target, "target")
     if target == 1.0:
         return 1.0
-    return _evalues(polynomial.n, polynomial.k, target, math, bool)
-
-
-def _evalues(n: int, k: int, ratios, m, any_):
-    """The roots _root finds at ratios >= 1; DomainError if one is inf."""
-    x, _ = _root(n, k, ratios, m, any_)
-    if any_(x == math.inf):
-        raise DomainError("an E-value exceeds the floating-point range")
-    return x
+    return _root(polynomial.n, polynomial.k, target, math, bool)[0]
 
 
 # Newton's method takes at most 4 steps for any (n, k) a bias set can have,
@@ -245,7 +235,10 @@ def _root(n: int, k: int, t, m, any_):
         t1 = t - 1.0
         if k > 1:
             t1 = t1 / (m.sqrt(t) + 1.0) if k == 2 else m.expm1(m.log1p(t1) / k)
-        return 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1), 0
+        x = 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1)
+        if any_(x == math.inf):  # only the (2, 1) root, about 2t, can overflow
+            raise DomainError("an E-value exceeds the floating-point range")
+        return x, 0
     # Newton in u = log x on F(u) = (n - k) u - k g(u) - log t, where
     # g(u) = log(2 - e**-u) = log1p(w) with w = 1 - 1/x. For u >= 0, F's
     # slope n - 2k / (1 + w) lies in [n - 2k, n - k], at least 1, and
@@ -389,13 +382,13 @@ def evalue_curve(
     points: list[CurvePoint] = []
     solved: dict[tuple[int, int], list[float]] = {}
     # only the (2, 1) root, about 2 * ratio, can overflow; it becomes inf,
-    # which _evalues rejects
+    # which _root rejects
     with np.errstate(over="ignore"):
         for bias_set in bias_sets:
             nk = bias_set.polynomial
             evalues = solved.get(nk)
             if evalues is None:
-                evalues = solved[nk] = _evalues(*nk, ratios, np, np.ndarray.any).tolist()
+                evalues = solved[nk] = _root(*nk, ratios, np, np.ndarray.any)[0].tolist()
             # CurvePoint(r, label, e) for each r, e, as the generated __new__ builds it
             column = zip(rr_list, repeat(bias_set.label), evalues)
             points += map(tuple.__new__, repeat(CurvePoint), column)

@@ -363,8 +363,7 @@ def _extractors(config: WorldConfig, bias_set: BiasSet) -> dict:
     """The bias set's extractors, once the config's worlds are found to fit it."""
     if bias_set is config.bias_set:  # the set the config was derived from
         return config._extractors
-    if type(bias_set) is not BiasSet:
-        _require_bias_set(bias_set)
+    _require_bias_set(bias_set)
     conf, sel, mis, extractors = _mechanisms(bias_set)
     # a selected-population set covers confounding whether or not it is
     # present, since its parameters range over the joint factor
