@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from typing import Iterable
 
 from .errors import DuplicateBias, ParseError, RareOutcomeRequired, SelectedPopulationConflict
-from .errors import _shown
+from .errors import _shown, _type_error
 
 _UNNAMED = str.maketrans("", "", "_|=,*")  # display characters a name drops
 _LATEX = str.maketrans({"|": r" \mid ", ",": ", ", "=": " = ", "*": "^*"})
@@ -100,6 +100,8 @@ class BiasSpec:
     rare_exposure: bool = False  # misclassification
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, BiasKind):
+            raise _type_error(self.kind, BiasKind, "kind", "such as BiasKind.CONFOUNDING")
         options = _OPTIONS[self.kind].values()
         for field in fields(self)[1:]:
             value = getattr(self, field.name)
@@ -255,10 +257,7 @@ class BiasSet:
 def _require_bias_set(value, name: str = "bias_set") -> None:
     """ParseError naming value unless it is a BiasSet."""
     if not isinstance(value, BiasSet):
-        raise ParseError(
-            f"{name} must be a BiasSet, as build_bias_set and parse_bias_string return; "
-            f"got {_shown(value)}"
-        )
+        raise _type_error(value, BiasSet, name, "as build_bias_set and parse_bias_string return")
 
 
 def _require_bias_sets(value) -> None:
@@ -280,8 +279,13 @@ def build_bias_set(biases: BiasSpec | Iterable[BiasSpec]) -> BiasSet:
     Equal declaration sequences give the same, shared :class:`BiasSet`.
     """
     if isinstance(biases, BiasSpec):
-        biases = (biases,)
-    return _derive(tuple(biases))
+        return _derive((biases,))
+    try:
+        if not isinstance(biases, str):  # a str is iterable, but of characters
+            return _derive(tuple(biases))
+    except TypeError:  # no iterable, or one holding an unhashable entry, which no BiasSpec is
+        pass
+    raise _type_error(biases, BiasSpec, "biases", "or an iterable of them")
 
 
 # a rejected sequence raises and is not stored, so the memo holds at most the
@@ -293,6 +297,8 @@ def _derive(specs: tuple[BiasSpec, ...]) -> BiasSet:
 
     by_kind: dict[BiasKind, tuple[int, BiasSpec]] = {}
     for position, spec in enumerate(specs):
+        if not isinstance(spec, BiasSpec):
+            raise _type_error(spec, BiasSpec, "each of biases", "such as confounding()")
         if spec.kind in by_kind:
             raise DuplicateBias(f"{spec.kind.value} is declared more than once")
         by_kind[spec.kind] = (position, spec)
@@ -420,6 +426,8 @@ def _parse_clause(clause: str) -> BiasSpec:
 
 def parse_bias_string(text: str) -> BiasSet:
     """Build a bias set from a '+'-joined clause string."""
+    if not isinstance(text, str):
+        raise _type_error(text, str, "text")
     clauses = [c.strip() for c in text.split("+")]
     if not any(clauses):
         raise ParseError("empty bias string")

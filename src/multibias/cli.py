@@ -21,7 +21,7 @@ import re
 import sys
 
 from .biases import NAMED_BIAS_SETS, Scale, parameter_summary, parse_bias_string
-from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded
+from .errors import BiasAnalysisError, ParseError, SizeLimitExceeded, _count
 
 
 def _fmt(x: float) -> str:
@@ -195,7 +195,7 @@ def _parse_vary(pairs: list[str]) -> list[tuple[str, list[float]]]:
             if steps >= MAX_GRID_CELLS:
                 count = int(steps) + 1 if steps < math.inf else steps
                 raise SizeLimitExceeded(
-                    f"{name}: {count} grid values exceed {MAX_GRID_CELLS}"
+                    f"{name}: {_count(count)} grid values exceed {MAX_GRID_CELLS}"
                 )
             values = [start + step * i for i in range(int(steps) + 1)]
         else:

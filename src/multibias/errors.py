@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one reader of numeric input,
-the one int rule (seeds, level counts and polynomial degrees), and the one way
-the library builds a frozen record without its __init__.
+the one int rule (seeds, level counts and polynomial degrees), the one error
+for an argument of the wrong type, and the one way the library builds a frozen
+record without its __init__.
 
 A frozen dataclass's generated __init__ stores each field through
 object.__setattr__, a measurable share of a scalar call's work. _record
@@ -106,6 +107,22 @@ def _domain_error(value, name: str, positive: bool = False) -> DomainError:
     """The error for a value of that name outside the range _read_float reads."""
     rule = "positive and finite" if positive else "a finite number at least 1"
     return DomainError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def _type_error(value, kind: type, name: str, makers: str = "") -> ParseError:
+    """The error for an argument of that name that is no instance of kind; makers say what is."""
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    made = f", {makers}" if makers else ""
+    return ParseError(f"{name} must be {article} {kind.__name__}{made}; got {_shown(value)}")
+
+
+def _count(n) -> str:
+    """A count in full below 1e15, else to 6 digits as %g shows them, as 1e+300, even past 1e308."""
+    if n < 1e15 or n == math.inf:
+        return str(n)
+    from decimal import Context
+
+    return format(Context(prec=6).create_decimal(n).normalize(), "g")
 
 
 def _shown(value) -> str:

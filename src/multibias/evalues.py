@@ -10,13 +10,15 @@ EValuePolynomial per (n, k), at most 15 of them, and multi_evalue reports
 the names each set holds, one tuple per set.
 
 One solver, _root, inverts it for a float or a whole array: in closed form
-when k == 0 or n == 2k, and otherwise by Newton's method in log x. It
-starts at the least of three bounds above the root, one of them tight near
-a ratio of 1, and stops once a step proves the root within half an ulp: at
-most 4 steps for any bias set's polynomial. Estimates and curves share one
-solve path, _evalues, which adds the one overflow rule. A ratio at or below
-1 is raised or inverted to at least 1, and gets the E-value 1 from the
-solver, not from a mask.
+when k == 0 or n == 2k, within 4 ulps of the exact root, and otherwise by
+Newton's method in log x. Newton starts at the least of three bounds above
+the root, one of them tight near a ratio of 1, and stops once a step proves
+the root within half an ulp: at most 4 steps for any bias set's polynomial.
+Estimates and curves both call _root, which holds the one overflow rule:
+only the (2, 1) root, about twice the ratio, can exceed the float range,
+and _root raises DomainError when it does. A ratio at or below 1 is raised
+or inverted to at least 1, and gets the E-value 1 from the solver, not from
+a mask.
 
 The records of the scalar path skip the frozen dataclass __init__ (see
 errors): multi_evalue builds its EValueResult, and to_risk_ratio its view of
@@ -26,8 +28,8 @@ tuple.__new__ over the zipped (rr, label, evalue) columns: the tuples the
 generated CurvePoint.__new__ would build, without a Python call per point.
 EffectEstimate itself runs __init__, and its __post_init__ accepts the
 common estimate (floats with 0 < lo <= point <= hi < inf, a Scale and a
-bool rare_outcome set only on an odds ratio) in one test before any
-per-value check.
+bool rare_outcome set only on an odds ratio) in one test; any other
+estimate has each given value read by errors._read_float.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .biases import BiasSet, Scale, _require_bias_set, _require_bias_sets
-from .errors import DomainError, ParseError, SizeLimitExceeded, _as_int, _domain_error
-from .errors import _numpy, _read_float, _read_floats, _record, _shown
+from .errors import DomainError, ParseError, SizeLimitExceeded, _as_int, _count, _domain_error
+from .errors import _numpy, _read_float, _read_floats, _record, _shown, _type_error
 
 # Largest evalue_curve, in points over all bias sets. A curve holds 128
 # bytes per point (tracemalloc, 100,000 points, CPython 3.11: the CurvePoint
@@ -121,6 +123,9 @@ def to_risk_ratio(estimate: EffectEstimate) -> EffectEstimate:
     replaced by their square root, a conservative risk ratio. Every other
     measure (hazard ratios in particular) is rejected by EffectEstimate.
     """
+    if not isinstance(estimate, EffectEstimate):
+        made = "as risk_ratio and odds_ratio return"
+        raise _type_error(estimate, EffectEstimate, "estimate", made)
     if estimate.scale is Scale.RISK_RATIO:
         return estimate
     point, lo, hi = estimate.point, estimate.lo, estimate.hi
@@ -189,17 +194,34 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
 
     Closed forms solve k == 0 and n == 2k, and Newton's method the rest
     (see _root). The root is within 1e-13 relative of the exact one, so
-    the residual satisfies |f(x) - target| <= 1e-9 * target. For (2, 1),
-    the polynomial of confounding alone, and (4, 2), that of the paper's
-    HIV example (confounding + selection(general, increased_risk)), it is
-    within 2 ulps (1.00 and 1.79 ulps at most, measured over 951 targets
-    from 1 + 2**-52 to 7.3e299).
+    the residual satisfies |f(x) - target| <= 1e-9 * target. A closed-form
+    root is within a few ulps: measured over 951 targets from 1 + 2**-52
+    to 7.3e299, at most 0 ulps at (1, 0), 0.5 at (2, 0) and (4, 0), 0.67
+    at (3, 0), 1.00 at (2, 1), the polynomial of confounding alone, 1.79 at
+    (4, 2), that of the paper's HIV example (confounding +
+    selection(general, increased_risk)), and 3.39 at (6, 3). DomainError
+    if the root exceeds the float range, which only a (2, 1) target above
+    about 9e307 does.
     """
+    if not isinstance(polynomial, EValuePolynomial):
+        made = "as evalue_polynomial returns"
+        raise _type_error(polynomial, EValuePolynomial, "polynomial", made)
     if not (type(target) is float and 1.0 <= target < math.inf):
         target = _read_float(target, "target")
     if target == 1.0:
         return 1.0
     return _root(polynomial.n, polynomial.k, target, math, bool)[0]
+
+
+def _kth_root(t, k: int):
+    """t ** (1 / k) for t >= 1, corrected by one Newton step where 1 / k is inexact.
+
+    The rounded exponent alone puts t ** (1 / 3) up to 113 ulps off at large t.
+    """
+    r = t ** (1.0 / k)
+    if k & (k - 1):
+        r = r - (r - t / r ** (k - 1)) / k
+    return r
 
 
 # Newton's method takes at most 4 steps for any (n, k) a bias set can have,
@@ -223,18 +245,28 @@ def _root(n: int, k: int, t, m, any_):
     numpy's log and exp round differently from math's. The closed forms
     take 0 steps; Newton's method stops once every step is at most tau,
     which bounds the error of its last iterate below half an ulp.
+    DomainError if a root is inf, which only the (2, 1) closed form gives.
+
+    A closed form is within 0.5 ulps of the exact root at k == 0 with n a
+    power of 2, 0.67 at (3, 0), 1.00 at (2, 1), 1.79 at (4, 2) and 3.39 at
+    (6, 3) (measured in math and numpy, but 0.60 at (4, 0) in numpy, over
+    the 951 targets of solve_polynomial).
     """
     if k == 0:
-        return t ** (1.0 / n), 0
+        return _kth_root(t, n), 0
     if n == 2 * k:
         # x**2 / (2x - 1) == T with T = t**(1/k), so x = T + sqrt(T**2 - T);
-        # T - 1 is formed directly, keeping its digits when t is near 1: at
-        # k == 1 it is t - 1 itself, and at k == 2 sqrt(t) - 1 is taken as
-        # (t - 1) / (sqrt(t) + 1), where a log1p and expm1 round trip would
-        # put the root hundreds of ulps off
+        # T - 1 is formed as (t - 1) / (1 + T + ... + T**(k - 1)), keeping
+        # its digits when t is near 1, where a log1p and expm1 round trip
+        # would put the root hundreds of ulps off
         t1 = t - 1.0
-        if k > 1:
-            t1 = t1 / (m.sqrt(t) + 1.0) if k == 2 else m.expm1(m.log1p(t1) / k)
+        if k == 2:
+            t1 = t1 / (m.sqrt(t) + 1.0)
+        elif k > 2:
+            root, s = _kth_root(t, k), 1.0
+            for _ in range(k - 1):  # 1 + T + ... + T**(k - 1), by Horner's rule
+                s = 1.0 + root * s
+            t1 = t1 / s
         x = 1.0 + t1 + m.sqrt(1.0 + t1) * m.sqrt(t1)
         if any_(x == math.inf):  # only the (2, 1) root, about 2t, can overflow
             raise DomainError("an E-value exceeds the floating-point range")
@@ -356,14 +388,16 @@ def evalue_curve(
 
     Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
     to within 1e-12 relative (measured on log grids of the grammar's 15
-    polynomials: 11 ulps from 1e-6 to 1e6, and 224 ulps, under 5e-14
-    relative, out to 1e-300 and 1e300, where numpy's log and exp round
-    differently from math's) and is exactly 1 at rr == 1. At (2, 1) and
-    (4, 2), which take no log or exp, it equals that E-value bit for bit,
-    within 2 ulps of the exact root (see solve_polynomial). The ratios are
-    solved as one array for each distinct (n, k) of the bias sets, and sets
-    that share it share its roots. bias_sets is a sequence of BiasSet, and
-    anything else a ParseError.
+    polynomials: 11 ulps from 1e-6 to 1e6, and 62 ulps, under 2e-14
+    relative, on 6,001 ratios out to 1e-300 and 1e300, both at Newton
+    polynomials, where numpy's log and exp round differently from math's)
+    and is exactly 1 at rr == 1. At (1, 0), whose root is the ratio, and
+    at (2, 1) and (4, 2), which take only sqrt, it equals that E-value bit
+    for bit. Every closed form is within 4 ulps of the exact root, as in
+    solve_polynomial, and a root past the float range is a DomainError.
+    The ratios are solved as one array for each distinct (n, k) of the bias
+    sets, and sets that share it share its roots. bias_sets is a sequence
+    of BiasSet, and anything else a ParseError.
     """
     np = _numpy()
     _require_bias_sets(bias_sets)
@@ -399,7 +433,7 @@ def _check_curve_size(curves: int, points: int) -> None:
     """SizeLimitExceeded if curves of points points exceed MAX_CURVE_POINTS."""
     if curves * points > MAX_CURVE_POINTS:
         raise SizeLimitExceeded(
-            f"{curves} curves of {points} points exceed {MAX_CURVE_POINTS} points"
+            f"{curves} curves of {_count(points)} points exceed {MAX_CURVE_POINTS} points"
         )
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 from .biases import NAMED_BIAS_SETS, BiasKind, BiasSet, _require_bias_set, parse_bias_string
 from .bounds import multi_bound
 from .errors import DegenerateStratum, InfeasibleConfig, StructureMismatch, _as_float, _as_int
-from .errors import _record, _shown
+from .errors import _record, _shown, _type_error
 
 _MIN_MASS = 1e-9  # strata below this mass are resampled or rejected
 _SLACK = 1e-12  # absolute tolerance when checking dominance
@@ -156,6 +156,8 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     part of the bound is one-sided, and this pure relabeling and these
     redraws put the world on the side it covers, keeping every assumption.
     """
+    if not isinstance(config, WorldConfig):
+        raise _type_error(config, WorldConfig, "config")
     stream = _as_int(seed)
     if stream is None or stream < 0:
         raise InfeasibleConfig(f"seed must be a nonnegative int, got {seed!r}")
@@ -474,6 +476,8 @@ def verify_bound(world: World, bias_set: BiasSet) -> BoundReport:
     the latent factors, in the population the bias set targets. It reads
     the tables the world was built with, and sets nothing on it.
     """
+    if not isinstance(world, World):
+        raise _type_error(world, World, "world", "as generate_world returns")
     extractors = _extractors(world.config, bias_set)
     t = world._tables
     values: dict[str, float] = {}

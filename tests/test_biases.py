@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,8 @@ from multibias import (
     parameter_summary,
     risk_ratio,
     selection,
+    solve_polynomial,
+    to_risk_ratio,
     verify_bound,
 )
 from multibias.biases import _derive, parse_bias_string
@@ -194,6 +197,71 @@ class TestParameterDerivation:
         assert build_bias_set(specs) == build_bias_set(specs)
 
 
+# each call that takes a bias set, and values that are none
+BIAS_SET_CALLS = {
+    "multi_bound": lambda bs: multi_bound(bs, {"RRAUc": 2.0, "RRUcY": 2.0}),
+    "multi_evalue": lambda bs: multi_evalue(bs, risk_ratio(2.0)),
+    "adjust_estimate": lambda bs: adjust_estimate(bs, {"RRAUc": 2.0, "RRUcY": 2.0}, 2.0, 1.0, 3.0),
+    "evalue_polynomial": evalue_polynomial,
+    "parameter_summary": parameter_summary,
+    "grid_table": lambda bs: grid_table(bs, [("RRAUc", [1.0, 2.0]), ("RRUcY", [2.0])]),
+    "verify_bound": lambda bs: verify_bound(generate_world(STRUCTURES["result1"][0], 0), bs),
+    "evalue_curve": lambda bs: evalue_curve([build_bias_set(confounding()), bs], [2.0]),
+}
+NO_BIAS_SETS = {
+    "str": ("confounding", "confounding"),
+    "none": (None, "None"),
+    "spec": (confounding(), re.escape(repr(confounding()))),
+}
+# calls given an argument of another type than they take, and the error each raises
+WRONG_TYPES = {
+    "multi_evalue_of_a_float": (
+        lambda: multi_evalue(build_bias_set(confounding()), 2.0),
+        "estimate must be an EffectEstimate, as risk_ratio and odds_ratio return; got 2.0",
+    ),
+    "to_risk_ratio_of_a_float": (
+        lambda: to_risk_ratio(2.0),
+        "estimate must be an EffectEstimate, as risk_ratio and odds_ratio return; got 2.0",
+    ),
+    "solve_polynomial_of_a_tuple": (
+        lambda: solve_polynomial((2, 1), 2.0),
+        r"polynomial must be an EValuePolynomial, as evalue_polynomial returns; got \(2, 1\)",
+    ),
+    "verify_bound_of_none": (
+        lambda: verify_bound(None, build_bias_set(confounding())),
+        "world must be a World, as generate_world returns; got None",
+    ),
+    "generate_world_of_none": (
+        lambda: generate_world(None, 1),
+        "config must be a WorldConfig; got None",
+    ),
+    "build_bias_set_of_an_int": (
+        lambda: build_bias_set([1]),
+        r"each of biases must be a BiasSpec, such as confounding\(\); got 1",
+    ),
+    "build_bias_set_of_a_str": (
+        lambda: build_bias_set("confounding"),
+        "biases must be a BiasSpec, or an iterable of them; got confounding",
+    ),
+    "build_bias_set_of_none": (
+        lambda: build_bias_set(None),
+        "biases must be a BiasSpec, or an iterable of them; got None",
+    ),
+    "build_bias_set_of_a_list_in_a_list": (
+        lambda: build_bias_set([[1]]),
+        r"biases must be a BiasSpec, or an iterable of them; got \[\[1\]\]",
+    ),
+    "parse_bias_string_of_none": (
+        lambda: parse_bias_string(None),
+        "text must be a str; got None",
+    ),
+    "bias_spec_of_a_str": (
+        lambda: BiasSpec("confounding"),
+        "kind must be a BiasKind, such as BiasKind.CONFOUNDING; got confounding",
+    ),
+}
+
+
 class TestValidation:
     def test_empty_set_rejected(self):
         with pytest.raises(ParseError):
@@ -235,41 +303,31 @@ class TestValidation:
         assert names(build_bias_set(confounding())) == ["RRAUc", "RRUcY"]
 
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda bs: multi_bound(bs, {"RRAUc": 2.0, "RRUcY": 2.0}),
-            lambda bs: multi_evalue(bs, risk_ratio(2.0)),
-            lambda bs: adjust_estimate(bs, {"RRAUc": 2.0, "RRUcY": 2.0}, 2.0, 1.0, 3.0),
-            evalue_polynomial,
-            parameter_summary,
-            lambda bs: grid_table(bs, [("RRAUc", [1.0, 2.0]), ("RRUcY", [2.0])]),
-            lambda bs: verify_bound(generate_world(STRUCTURES["result1"][0], 0), bs),
-            lambda bs: evalue_curve([build_bias_set(confounding()), bs], [2.0]),
-        ],
-        ids=[
-            "multi_bound",
-            "multi_evalue",
-            "adjust_estimate",
-            "evalue_polynomial",
-            "parameter_summary",
-            "grid_table",
-            "verify_bound",
-            "evalue_curve",
+            *(
+                pytest.param(
+                    lambda call=call, bad=bad: call(bad),
+                    " must be a BiasSet, as build_bias_set and parse_bias_string return; "
+                    f"got {shown}$",
+                    id=f"{bad_id}-{call_id}",
+                )
+                for call_id, call in BIAS_SET_CALLS.items()
+                for bad_id, (bad, shown) in NO_BIAS_SETS.items()
+            ),
+            *(
+                pytest.param(call, f"^{message}$", id=call_id)
+                for call_id, (call, message) in WRONG_TYPES.items()
+            ),
         ],
     )
-    @pytest.mark.parametrize(
-        "bad, shown",
-        [("confounding", "confounding"), (None, "None"), (confounding(), repr(confounding()))],
-        ids=["str", "none", "spec"],
-    )
-    def test_a_bias_set_that_is_no_bias_set_is_a_parse_error(self, call, bad, shown):
-        # each raised AttributeError from the first attribute it read
+    def test_a_bias_set_that_is_no_bias_set_is_a_parse_error(self, call, message):
+        # each raised AttributeError, TypeError or KeyError from the first
+        # use it made of the argument, as do the calls of WRONG_TYPES with
+        # arguments of other types
         with pytest.raises(ParseError) as exc:
-            call(bad)
-        assert str(exc.value).endswith(
-            " must be a BiasSet, as build_bias_set and parse_bias_string return; "
-            f"got {shown}"
-        )
+            call()
+        assert re.search(message, str(exc.value)), str(exc.value)
 
     @pytest.mark.parametrize(
         "call, message",

@@ -49,6 +49,8 @@ HIV = "confounding + selection(general, increased_risk)"
 LEUK = "confounding + misclassification(exposure, rare_outcome)"
 EIGHT_THREE = "confounding + selection + misclassification(exposure, rare_outcome)"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a curve command short of its point count
+CURVE_POINTS = ["curve", "--bias-sets", "confounding", "--points"]
 
 
 def _strict_json(text: str):
@@ -833,24 +835,46 @@ class TestRobustness:
         assert _strict_json(capsys.readouterr().out)["evalue_point"] > 1e59
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, count",
         [
-            ["curve", "--bias-sets", "confounding", "--points", "2000000000"],
-            ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e12:1e-3"]
-            + ["--vary", "RRUcY=2"],
-            # a step count past the float range, not just over the cap
-            ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e300:1e-300"]
-            + ["--vary", "RRUcY=1:3:1"],
+            pytest.param(argv, count, id=f"argv{i}")
+            for i, (argv, count) in enumerate(
+                [
+                    (CURVE_POINTS + ["2000000000"], "2000000000"),
+                    (
+                        ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e12:1e-3"]
+                        + ["--vary", "RRUcY=2"],
+                        "999999999999001",
+                    ),
+                    # a step count past the float range, not just over the cap
+                    (
+                        ["grid", "--biases", "confounding", "--vary", "RRAUc=1:1e300:1e-300"]
+                        + ["--vary", "RRUcY=1:3:1"],
+                        "inf",
+                    ),
+                    # counts of 301 and 401 digits, and the least count not quoted in full
+                    (
+                        ["grid", "--biases", "confounding", "--vary", "RRUcY=1:2:1e-300"]
+                        + ["--vary", "RRAUc=1:2:0.5"],
+                        "1e+300",
+                    ),
+                    (CURVE_POINTS + ["1" + "0" * 400], "1e+400"),
+                    (CURVE_POINTS + ["1" + "0" * 15], "1e+15"),
+                ]
+            )
         ],
     )
-    def test_oversized_sweep_exits_2_before_allocating(self, argv, capsys, monkeypatch):
+    def test_oversized_sweep_exits_2_before_allocating(self, argv, count, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sweep values allocated before the size check")
 
         # the CLI builds grid axes and curve ratios as lists over range()
         monkeypatch.setattr(multibias.cli, "range", refuse, raising=False)
         assert main(argv) == 2
-        assert "exceed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # a count below 1e15 is quoted in full, a larger one in %g form
+        assert f" {count} " in err and "exceed" in err and err.count("\n") == 1, err
+        assert len(err) < 80, err
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -671,6 +671,30 @@ class TestHandBuiltWorlds:
         assert report.holds
         assert report.ratio == pytest.approx(report.bound, abs=1e-9)
 
+    def test_a_confounding_world_comes_within_1_percent_of_its_bound(self):
+        # The generated worlds sit far below their bounds, so a bound shrunk
+        # 10% toward 1 passes every one; this world does not let it. Found
+        # offline by a hill climb over 14 reals (a softmax gives p_u, a
+        # logistic p_a and p_y) from random.Random(1): a Gaussian start, each
+        # coordinate moved by N(0, 0.3) with chance 0.3, a move kept when
+        # ratio / bound rose with the bound at least 3; it reached 0.9963
+        # after 560 steps, and the entries are rounded to 3 digits. It is
+        # near sharp as Ding and VanderWeele's binary confounder is: nearly
+        # every exposed unit has Uc = 1, where the outcome risk is high
+        config, bias_set = STRUCTURES["confounding"]
+        world = World(
+            config,
+            (0.0374, 0.365, 0.58, 0.0176),
+            (0.009, 0.884),
+            ((0.134, 0.0805, 0.427, 0.678), (0.213, 0.0979, 0.542, 0.76)),
+            ((1.0, 1.0),) * 2,
+            None,
+        )
+        report = verify_bound(world, bias_set)
+        assert report.holds and report.bound >= 3
+        # 0.9964 of the bound; below 0.9999, so rounding cannot break it
+        assert 0.99 * report.bound <= report.ratio < 0.9999 * report.bound
+
     def test_empty_unselected_stratum_raises(self):
         bias_set = build_bias_set([selection()])
         world = generate_world(WorldConfig(bias_set), 2)
@@ -1001,9 +1025,10 @@ class TestVerify:
             factor = derive(config.misclassification, world.p_m)
             assert report.parameters[bias_set.parameters[-1].name] == factor
             # a hand-built world of the same tables derives its factor once,
-            # when it is built, and gives the same report
+            # when it is built, and gives the same report; it is built as the
+            # patched World, which verify_bound now takes its worlds to be
             factors.clear()
-            twin = World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+            twin = oracle.World(config, world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
             assert len(factors) == 1
             assert verify_bound(twin, bias_set) == report and len(factors) == 1
             assert verify_bound(twin, bias_set) == report and len(factors) == 1
