@@ -13,7 +13,12 @@ A drawn world keeps its factor tables as tuples of Python floats, from one
 ``random.Random`` stream per seed, and parameters and risk ratios are
 computed straight from them: with at most 18 cells a table, array calls
 would cost more than their arithmetic. The tests enumerate the full joint
-table from these tuples as their reference.
+table from these tuples as their reference. Each number drawn is one call of
+the stream's ``random()``: a Dirichlet cell is ``-log(1 - random())``, the
+formula of CPython's ``expovariate(1.0)``, and a uniform entry is
+``lo + (hi - lo) * random()``. A config derives the cells of its level
+shape once (each cell's confounding level, and the cells of each
+confounding and selection level), so no world rebuilds them.
 
 One function, ``_checked``, holds the table rules, and every world meets
 them once, when it is built: World's __post_init__ applies them to the
@@ -28,8 +33,7 @@ writes 1 - x into p_a and 1 - (1 - x) is not always x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from math import fsum, inf
+from math import fsum, inf, log
 from operator import add, mul, truediv
 from random import Random
 from typing import Callable, Iterable
@@ -78,6 +82,8 @@ class WorldConfig:
             if count not in (2, 3):
                 raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
             object.__setattr__(self, name, count)
+        # like _extractors, no field: the cells of the level shape, derived once
+        object.__setattr__(self, "_cells", _cells(self.confounder_levels, self.selection_levels))
         ceiling = self.rare_outcome_ceiling
         if ceiling is None:
             ceiling = _RARE_OUTCOME_CEILING if self.misclassification == "exposure" else 1.0
@@ -116,7 +122,7 @@ class World:
 
     def __post_init__(self) -> None:
         if not isinstance(self.config, WorldConfig):
-            raise InfeasibleConfig(f"config must be a WorldConfig, got {self.config!r}")
+            raise _type_error(self.config, WorldConfig, "config")
         for name in ("p_u", "p_a", "p_y", "p_s", "p_m"):
             table = getattr(self, name)
             if table is not None or name != "p_m":
@@ -161,11 +167,12 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     stream = _as_int(seed)
     if stream is None or stream < 0:
         raise InfeasibleConfig(f"seed must be a nonnegative int, got {seed!r}")
-    rng = Random(stream)
+    random = Random(stream).random
     nc, ns = config.confounder_levels, config.selection_levels
 
     for _ in range(_MAX_REDRAWS):  # Dirichlet(1, ..., 1) over the cells
-        draws = [rng.expovariate(1.0) for _ in range(nc * ns)]
+        # each cell is expovariate(1.0), drawn as CPython's random module draws it
+        draws = [-log(1.0 - random()) for _ in range(nc * ns)]
         total = fsum(draws)
         p_u = tuple([x / total for x in draws])
         if min(p_u) >= _MIN_MASS:
@@ -174,19 +181,20 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         raise DegenerateStratum("could not draw latent factors with enough mass")
 
     if config.confounding:
-        p_a = _uniform(rng, 0.05, 0.95, nc)
+        p_a = _uniform(random, 0.05, 0.95, nc)
     else:
-        p_a = _uniform(rng, 0.05, 0.95, 1) * nc
+        p_a = _uniform(random, 0.05, 0.95, 1) * nc
 
     ceiling = config.rare_outcome_ceiling
-    p_y = tuple(_uniform(rng, 0.001 * ceiling, ceiling, nc * ns) for _ in (0, 1))
+    low = 0.001 * ceiling
+    p_y = (_uniform(random, low, ceiling, nc * ns), _uniform(random, low, ceiling, nc * ns))
 
     if config.selection:
-        p_s = tuple(_uniform(rng, 0.05, 0.95, ns) for _ in (0, 1))
+        p_s = (_uniform(random, 0.05, 0.95, ns), _uniform(random, 0.05, 0.95, ns))
     else:
         p_s = ((1.0,) * ns,) * 2
 
-    p_m = _draw_rates(rng, config.misclassification)
+    p_m = _draw_rates(random, config.misclassification)
     if p_m is None:
         t = _Tables(config, p_u, p_a, p_y, p_s)
     else:
@@ -195,7 +203,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             t.factor = _differential_factor(config.misclassification, p_m)
             if t.factor >= 1.0:
                 break
-            p_m = _draw_rates(rng, config.misclassification)
+            p_m = _draw_rates(random, config.misclassification)
         else:  # pragma: no cover - each redraw succeeds with fair probability
             raise InfeasibleConfig("could not draw classification rates")
     # its tables are tuples of floats, so it skips World's read but not the rules
@@ -204,15 +212,16 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     return world
 
 
-def _uniform(rng: Random, lo: float, hi: float, n: int) -> tuple:
-    """n independent draws from U(lo, hi)."""
-    return tuple([lo + (hi - lo) * rng.random() for _ in range(n)])
+def _uniform(random: Callable[[], float], lo: float, hi: float, n: int) -> tuple:
+    """n independent draws from U(lo, hi), each from one call of a stream's random()."""
+    span = hi - lo
+    return tuple([lo + span * random() for _ in range(n)])
 
 
-def _draw_rates(rng: Random, kind: str | None) -> tuple | None:
+def _draw_rates(random: Callable[[], float], kind: str | None) -> tuple | None:
     if kind is None:
         return None
-    high, low = _uniform(rng, 0.5, 0.99, 2), _uniform(rng, 0.01, 0.5, 2)
+    high, low = _uniform(random, 0.5, 0.99, 2), _uniform(random, 0.01, 0.5, 2)
     if kind == "outcome":
         return low, high  # rows y = 0, 1: false positives, sensitivities by arm
     return tuple(zip(low, high))  # row y: P(A*=1 | A=0), P(A*=1 | A=1)
@@ -252,6 +261,20 @@ def _differential_factor(kind: str, rates: tuple) -> float:
     return max(false_positive, sensitivity, correct, incorrect)
 
 
+def _cells(nc: int, ns: int) -> tuple[tuple, tuple, tuple]:
+    """A level shape's cells in row order, which each WorldConfig derives once.
+
+    They are each cell's confounding level (its index into p_a), and the
+    slices of the cells at each confounding level (the rows) and at each
+    selection level (the columns).
+    """
+    return (
+        tuple([c for c in range(nc) for _ in range(ns)]),
+        tuple([slice(i, i + ns) for i in range(0, nc * ns, ns)]),
+        tuple([slice(u, None, ns) for u in range(ns)]),
+    )
+
+
 class _Tables:
     """A world's tables, with the masses and the factor all results share.
 
@@ -259,21 +282,27 @@ class _Tables:
     is P(A=a, Uc, Us), ``sel[a]`` its selected part (S=1), ``total[a]`` is
     P(A=a, S=1) and ``cases[a]`` is P(A=a, Y=1, S=1). ``factor`` is the
     differential factor of the world's classification rates, which its
-    deriver sets, or None without them.
+    deriver sets, or None without them. ``rows`` and ``columns`` are the
+    config's slices of the cells by level (see _cells).
     """
 
-    __slots__ = ("mis", "ns", "p_u", "p_y", "p_s", "factor", "mass", "sel", "total", "cases")
+    __slots__ = (
+        "mis", "rows", "columns", "p_u", "p_y", "p_s", "factor", "mass", "sel", "total", "cases"
+    )
 
     def __init__(self, config: WorldConfig, p_u, p_a, p_y, p_s) -> None:
-        nc, self.ns = config.confounder_levels, config.selection_levels
+        level, self.rows, self.columns = config._cells
         self.mis = config.misclassification
         self.p_u, self.p_y, self.p_s, self.factor = p_u, p_y, p_s, None
-        exposed = [x for x in p_a for _ in range(self.ns)]  # P(A=1 | Uc)
+        exposed = [p_a[c] for c in level]  # P(A=1 | Uc)
         unexposed = [1 - x for x in exposed]
-        self.mass = mass = [list(map(mul, p_u, w)) for w in (unexposed, exposed)]
-        self.sel = sel = [list(map(mul, m, chance * nc)) for m, chance in zip(mass, p_s)]
-        self.total = list(map(fsum, sel))
-        self.cases = list(map(_dot, sel, p_y))
+        nc = config.confounder_levels
+        self.mass = mass = [list(map(mul, p_u, unexposed)), list(map(mul, p_u, exposed))]
+        self.sel = sel = [
+            list(map(mul, mass[0], p_s[0] * nc)), list(map(mul, mass[1], p_s[1] * nc))
+        ]
+        self.total = [fsum(sel[0]), fsum(sel[1])]
+        self.cases = [fsum(map(mul, sel[0], p_y[0])), fsum(map(mul, sel[1], p_y[1]))]
 
 
 def _dot(x: Iterable[float], y: Iterable[float]) -> float:
@@ -288,29 +317,38 @@ def _normalized(mass: list, a: int, s: int) -> list:
     return [m / total for m in mass]
 
 
-def _levels(arm: list, ys: list, cells: list[slice]) -> tuple[list, float]:
+def _levels(arm: list, ys: tuple, cells: tuple[slice, ...]) -> tuple[list, float]:
     """Each level's mass in one arm, and the spread of the levels' outcome risks."""
     mass = [fsum(arm[c]) for c in cells]
-    risk = [_dot(arm[c], ys[c]) / n for c, n in zip(cells, mass)]
+    risk = [fsum(map(mul, arm[c], ys[c])) / n for c, n in zip(cells, mass)]
     return mass, max(risk) / min(risk)
 
 
 def _confounding(t: _Tables) -> dict[str, float]:
-    rows = [slice(i, i + t.ns) for i in range(0, len(t.p_u), t.ns)]  # Uc levels
-    (level0, spread0), (level1, spread1) = (_levels(*arm, rows) for arm in zip(t.mass, t.p_y))
+    level0, spread0 = _levels(t.mass[0], t.p_y[0], t.rows)  # by Uc level
+    level1, spread1 = _levels(t.mass[1], t.p_y[1], t.rows)
     total0, total1 = fsum(level0), fsum(level1)
-    shift = max((n1 / total1) / (n0 / total0) for n0, n1 in zip(level0, level1))
+    shift = max([(n1 / total1) / (n0 / total0) for n0, n1 in zip(level0, level1)])
     return {"RR_AUc": shift, "RR_UcY": max(1.0, spread0, spread1)}
 
 
 def _selection(t: _Tables, a: int) -> dict[str, float]:
-    columns = [slice(u, None, t.ns) for u in range(t.ns)]  # Us levels
-    by_level, spread = _levels(t.mass[a], t.p_y[a], columns)
-    kept = _normalized(list(map(mul, by_level, t.p_s[a])), a, 1)
-    dropped = _normalized([m * (1 - s) for m, s in zip(by_level, t.p_s[a])], a, 0)
+    p_s = t.p_s[a]
+    by_level, spread = _levels(t.mass[a], t.p_y[a], t.columns)  # by Us level
+    kept = _normalized(list(map(mul, by_level, p_s)), a, 1)
+    dropped = _normalized([m * (1 - s) for m, s in zip(by_level, p_s)], a, 0)
     # the reweighting runs toward S=1 in the exposed arm, S=0 in the unexposed
     num, den = (kept, dropped) if a == 1 else (dropped, kept)
-    return {f"RR_UsY|A={a}": spread, f"RR_SUs|A={a}": max(map(truediv, num, den))}
+    spread_key, shift_key = _SELECTION_KEYS[a]
+    return {spread_key: spread, shift_key: max(map(truediv, num, den))}
+
+
+def _EXPOSED(t: _Tables) -> dict[str, float]:
+    return _selection(t, 1)
+
+
+def _UNEXPOSED(t: _Tables) -> dict[str, float]:
+    return _selection(t, 0)
 
 
 def _selected_population(t: _Tables) -> dict[str, float]:
@@ -323,7 +361,7 @@ def _misclassification(t: _Tables) -> dict[str, float]:
     return dict.fromkeys(_MISCLASSIFIED, t.factor)
 
 
-_EXPOSED, _UNEXPOSED = partial(_selection, a=1), partial(_selection, a=0)
+_SELECTION_KEYS = (("RR_UsY|A=0", "RR_SUs|A=0"), ("RR_UsY|A=1", "RR_SUs|A=1"))  # by arm
 _MISCLASSIFIED = ("RR_AY*|y", "RR_AY*|y,S", "OR_YA*|a", "OR_YA*|a,S")
 # the parameters a generated world measures, by display symbol: each one's
 # extractor, which also yields the parameters derived alongside it

@@ -425,8 +425,9 @@ class TestSolve:
         if callable(target):
             target = target(*nk)
         exact = float(decimal_root(*nk, target))
+        # solve_polynomial at its documented 1e-13 relative accuracy
         assert solve_polynomial(EValuePolynomial(*nk), target) == pytest.approx(
-            exact, rel=1e-12
+            exact, rel=1e-13
         )
         [point] = evalue_curve([SET_BY_POLYNOMIAL[nk]], [target])
         assert point.evalue == pytest.approx(exact, rel=1e-12)

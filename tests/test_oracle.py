@@ -7,6 +7,7 @@ the tests reshape them into numpy arrays to build that joint table.
 """
 
 import copy
+import hashlib
 import math
 import pickle
 import re
@@ -290,6 +291,22 @@ class TestGeneration:
         assert [len(ss) for ss in world.p_s] == [3, 3]
         assert joint(world).shape == (3, 3, 2, 2, 2, 2)
         assert joint(world).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_worlds_and_reports_of_larger_level_shapes_are_pinned(self):
+        # every table and report of the seven structures at the level shapes
+        # besides 2x2, which the CLI digest in test_cli.py covers; a change to
+        # how a shape's cells are drawn or indexed must keep these bits
+        digest = hashlib.md5()
+        for _, bias_set in STRUCTURES.values():
+            for levels in ((2, 3), (3, 2), (3, 3)):
+                config = WorldConfig(bias_set, *levels)
+                for seed in range(50):
+                    world = generate_world(config, seed)
+                    tables = (world.p_u, world.p_a, world.p_y, world.p_s, world.p_m)
+                    digest.update(repr(tables).encode())
+                    digest.update(repr(verify_bound(world, bias_set)).encode())
+        assert list(STRUCTURES) == list(NAMED_BIAS_SETS)
+        assert digest.hexdigest() == "73fa979e6ed4b35c87cf19cb19eb679c"
 
     def test_misclassified_worlds_oriented_toward_higher_selected_risk(self):
         config = STRUCTURES["result1"][0]
@@ -870,7 +887,8 @@ class TestWorldShapeChecks:
         world = world_of("confounding")[0]
         with pytest.raises(InfeasibleConfig, match="p_a and each of its rows must be a tuple"):
             World(world.config, world.p_u, list(world.p_a), world.p_y, world.p_s, None)
-        with pytest.raises(InfeasibleConfig, match="config must be a WorldConfig"):
+        # a config that is no WorldConfig is a wrong-type argument, as in generate_world
+        with pytest.raises(ParseError, match="config must be a WorldConfig"):
             World(None, world.p_u, world.p_a, world.p_y, world.p_s, None)
         with pytest.raises(InfeasibleConfig, match="every p_a entry must lie in"):
             World(world.config, world.p_u, (0.9, 1.5), world.p_y, world.p_s, None)
