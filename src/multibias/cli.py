@@ -412,5 +412,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry, of ``multibias`` and ``python -m multibias.cli``.
+
+    main() on sys.argv, then gc.freeze(): the heap moves to a generation the
+    collector never visits, so the full collections of interpreter shutdown,
+    which would walk all of it, skip it. The interpreter still exits as
+    usual, running atexit handlers and flushing its streams, with main's
+    exit code. main(argv) is the in-process API and never freezes the heap.
+    """
+    code = main()
+    import gc
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

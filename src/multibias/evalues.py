@@ -386,15 +386,17 @@ def evalue_curve(
 ) -> list[CurvePoint]:
     """Point E-values for each bias set across a range of risk ratios.
 
-    Each point equals multi_evalue(bias_set, risk_ratio(rr)).evalue_point
-    to within 1e-12 relative (measured on log grids of the grammar's 15
-    polynomials: 11 ulps from 1e-6 to 1e6, and 62 ulps, under 2e-14
-    relative, on 6,001 ratios out to 1e-300 and 1e300, both at Newton
-    polynomials, where numpy's log and exp round differently from math's)
-    and is exactly 1 at rr == 1. At (1, 0), whose root is the ratio, and
-    at (2, 1) and (4, 2), which take only sqrt, it equals that E-value bit
-    for bit. Every closed form is within 4 ulps of the exact root, as in
-    solve_polynomial, and a root past the float range is a DomainError.
+    Each point is within 1e-13 relative of the exact root, as in
+    solve_polynomial. It equals multi_evalue(bias_set,
+    risk_ratio(rr)).evalue_point to within 1e-12 relative (measured on log
+    grids of the grammar's 15 polynomials: 11 ulps from 1e-6 to 1e6, and 62
+    ulps, under 2e-14 relative, on 6,001 ratios out to 1e-300 and 1e300,
+    both at Newton polynomials, where numpy's log and exp round differently
+    from math's) and is exactly 1 at rr == 1. At (1, 0), whose root is the
+    ratio, and at (2, 1) and (4, 2), which take only sqrt, it equals that
+    E-value bit for bit. Every closed form is within 4 ulps of the exact
+    root, as in solve_polynomial, and a root past the float range is a
+    DomainError.
     The ratios are solved as one array for each distinct (n, k) of the bias
     sets, and sets that share it share its roots. bias_sets is a sequence
     of BiasSet, and anything else a ParseError.
@@ -432,9 +434,12 @@ def evalue_curve(
 def _check_curve_size(curves: int, points: int) -> None:
     """SizeLimitExceeded if curves of points points exceed MAX_CURVE_POINTS."""
     if curves * points > MAX_CURVE_POINTS:
-        raise SizeLimitExceeded(
-            f"{curves} curves of {_count(points)} points exceed {MAX_CURVE_POINTS} points"
-        )
+        size = "1 point" if points == 1 else f"{_count(points)} points"
+        if curves == 1:
+            shape = f"1 curve of {size} exceeds"
+        else:
+            shape = f"{curves} curves of {size} exceed"
+        raise SizeLimitExceeded(f"{shape} {MAX_CURVE_POINTS} points")
 
 
 def _check_invertible(smallest: float) -> None:

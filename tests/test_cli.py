@@ -3,6 +3,7 @@
 import array
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -709,6 +710,10 @@ class TestCurveCommand:
         rc = main(["curve", "--bias-sets", "confounding", "--rr-min", "5", "--rr-max", "2"])
         assert rc == 2
 
+    def test_oversized_single_curve_error_agrees_in_number(self):
+        message = "error: 1 curve of 100001 points exceeds 100000 points\n"
+        assert _run_strict(CURVE_POINTS + ["100001"]) == (2, "", message)
+
 
 class TestVerifyCommand:
     def test_streams_one_json_line_per_world(self, capsys):
@@ -959,6 +964,68 @@ class TestTopLevel:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
+
+
+def _child(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on args, importing multibias from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+# one argv for each command, a typed error, a usage error and --help
+ENTRY_ARGV = [
+    pytest.param(argv, id=name)
+    for name, argv in [
+        ("bound", ["bound", "--biases", HIV, "--param", "RRAUc=2.3", "--param", "RRUcY=2.5"]
+         + ["--param", "RRUsYA1=3", "--param", "RRSUsA1=2"]),
+        ("evalue", ["evalue", "--biases", HIV, "--est", "6.75", "--measure", "OR", "--rare"]
+         + ["--lo", "2.79", "--hi", "16.31"]),
+        ("summary", ["summary", "--biases", LEUK, "--latex"]),
+        ("grid", ["grid", "--biases", "confounding", "--vary", "RRAUc=1:3:0.5"]
+         + ["--vary", "RRUcY=2,4", "--format", "csv"]),
+        ("curve", ["curve", "--bias-sets", "confounding, selection", "--points", "3"]
+         + ["--format", "json"]),
+        ("verify", ["verify", "--structure", "result2", "--worlds", "3", "--seed", "5"]),
+        ("typed-error", ["bound", "--biases", "nope"]),
+        ("usage-error", ["frobnicate"]),
+        ("help", ["--help"]),
+    ]
+]
+
+
+class TestProcessEntry:
+    """run(), the entry of ``multibias`` and ``python -m multibias.cli``: main,
+    then the heap frozen, so the interpreter's last collections skip it."""
+
+    @pytest.mark.parametrize("argv", ENTRY_ARGV)
+    def test_module_run_prints_and_exits_as_main_does(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        proc = _child(["-m", "multibias.cli", *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == _run_strict(argv)
+
+    @pytest.mark.parametrize("argv", ENTRY_ARGV)
+    def test_entry_returns_the_code_of_main_and_freezes_the_heap(self, argv):
+        script = (
+            f"import gc, sys, multibias.cli; sys.argv[1:] = {argv!r}; "
+            "frozen = gc.get_freeze_count(); code = multibias.cli.run(); "
+            "print(code, frozen, gc.get_freeze_count() > 0, file=sys.stderr)"
+        )
+        proc = _child(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        code = _run_strict(argv)[0]
+        assert proc.stderr.splitlines()[-1].split() == [str(code), "0", "True"]
+
+    @pytest.mark.parametrize("argv", ENTRY_ARGV)
+    def test_main_leaves_the_collector_as_it_was(self, argv):
+        before = gc.get_freeze_count(), gc.isenabled()
+        _run_strict(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # the parameter names of each declaration, by label

@@ -430,7 +430,7 @@ class TestSolve:
             exact, rel=1e-13
         )
         [point] = evalue_curve([SET_BY_POLYNOMIAL[nk]], [target])
-        assert point.evalue == pytest.approx(exact, rel=1e-12)
+        assert point.evalue == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize(
         "nk, ulps",
@@ -744,10 +744,19 @@ class TestCurve:
             (point,) = evalue_curve([bias_set], [rr])
         assert point.evalue == 1.0 / rr < math.inf
 
-    def test_rejects_curves_over_the_point_cap(self):
-        sets = [build_bias_set([confounding()])] * 2
-        with pytest.raises(SizeLimitExceeded):
-            evalue_curve(sets, np.full(MAX_CURVE_POINTS // 2 + 1, 2.0))
+    @pytest.mark.parametrize(
+        "curves, points, message",
+        [
+            (1, MAX_CURVE_POINTS + 1, "1 curve of 100001 points exceeds 100000 points"),
+            (2, MAX_CURVE_POINTS // 2 + 1, "2 curves of 50001 points exceed 100000 points"),
+            (MAX_CURVE_POINTS + 1, 1, "100001 curves of 1 point exceed 100000 points"),
+        ],
+    )
+    def test_rejects_curves_over_the_point_cap(self, curves, points, message):
+        sets = [build_bias_set([confounding()])] * curves
+        with pytest.raises(SizeLimitExceeded) as info:
+            evalue_curve(sets, np.full(points, 2.0))
+        assert str(info.value) == message
 
 
 def _shared(bias_set, x: float) -> dict[str, float]:
