@@ -68,6 +68,7 @@ class EffectEstimate:
         point = self.point
         lo = point if self.lo is None else self.lo
         hi = point if self.hi is None else self.hi
+        # BENCH_ablation.json: without this pre-test library_scalar loses 13.9% throughput
         if (
             type(point) is type(lo) is type(hi) is float
             and 0.0 < lo <= point <= hi < math.inf
@@ -199,13 +200,18 @@ def solve_polynomial(polynomial: EValuePolynomial, target: float) -> float:
     to 7.3e299, at most 0 ulps at (1, 0), 0.5 at (2, 0) and (4, 0), 0.67
     at (3, 0), 1.00 at (2, 1), the polynomial of confounding alone, 1.79 at
     (4, 2), that of the paper's HIV example (confounding +
-    selection(general, increased_risk)), and 3.39 at (6, 3). DomainError
-    if the root exceeds the float range, which only a (2, 1) target above
-    about 9e307 does.
+    selection(general, increased_risk)), and 3.39 at (6, 3). A Newton root
+    is within half an ulp of log x, which exp turns into up to about
+    log(x) / 2 ulps of x: over the same targets, at most 495.8 ulps at
+    (3, 1), 386.6 at (4, 1), 249.0 at (5, 1), 241.0 at (5, 2), 260.4 at
+    (6, 1), 144.7 at (6, 2), 233.5 at (7, 3) and 328.4 at (8, 3), each at a
+    target above 1e200. DomainError if the root exceeds the float range,
+    which only a (2, 1) target above about 9e307 does.
     """
     if not isinstance(polynomial, EValuePolynomial):
         made = "as evalue_polynomial returns"
         raise _type_error(polynomial, EValuePolynomial, "polynomial", made)
+    # BENCH_ablation.json: without this pre-test library_scalar's latency_p50 rises 6.0%
     if not (type(target) is float and 1.0 <= target < math.inf):
         target = _read_float(target, "target")
     if target == 1.0:
@@ -335,6 +341,7 @@ def multi_evalue(
     3.83 (target 1 / 0.7329 / 0.6194) and ``--measure OR --est 4 --true 2``
     gives 1 (target sqrt(4) / 2).
     """
+    # BENCH_ablation.json: without this pre-test library_scalar loses 5.8% throughput
     if not (type(true_value) is float and 0.0 < true_value < math.inf):
         true_value = _read_float(true_value, "true_value", positive=True)
     rr = to_risk_ratio(estimate)
@@ -395,10 +402,9 @@ def evalue_curve(
     from math's) and is exactly 1 at rr == 1. At (1, 0), whose root is the
     ratio, and at (2, 1) and (4, 2), which take only sqrt, it equals that
     E-value bit for bit. Every closed form is within 4 ulps of the exact
-    root, as in solve_polynomial, and a root past the float range is a
-    DomainError.
-    The ratios are solved as one array for each distinct (n, k) of the bias
-    sets, and sets that share it share its roots. bias_sets is a sequence
+    root, and every Newton root within the ulps solve_polynomial states,
+    but 145.7 at (6, 2); a root past the float range is a DomainError.
+    Each bias set's ratios are solved as one array. bias_sets is a sequence
     of BiasSet, and anything else a ParseError.
     """
     np = _numpy()
@@ -416,16 +422,13 @@ def evalue_curve(
     ratios = np.maximum(rr, 1.0 / rr)
     rr_list = rr.tolist()
     points: list[CurvePoint] = []
-    solved: dict[tuple[int, int], list[float]] = {}
     # only the (2, 1) root, about 2 * ratio, can overflow; it becomes inf,
     # which _root rejects
     with np.errstate(over="ignore"):
         for bias_set in bias_sets:
-            nk = bias_set.polynomial
-            evalues = solved.get(nk)
-            if evalues is None:
-                evalues = solved[nk] = _root(*nk, ratios, np, np.ndarray.any)[0].tolist()
-            # CurvePoint(r, label, e) for each r, e, as the generated __new__ builds it
+            evalues = _root(*bias_set.polynomial, ratios, np, np.ndarray.any)[0].tolist()
+            # CurvePoint(r, label, e) for each r, e, as the generated __new__ builds it;
+            # BENCH_ablation.json: map(CurvePoint, ...) loses sweep 28.5% throughput
             column = zip(rr_list, repeat(bias_set.label), evalues)
             points += map(tuple.__new__, repeat(CurvePoint), column)
     return points

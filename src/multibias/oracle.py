@@ -33,6 +33,7 @@ writes 1 - x into p_a and 1 - (1 - x) is not always x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import fsum, inf, log
 from operator import add, mul, truediv
 from random import Random
@@ -82,7 +83,8 @@ class WorldConfig:
             if count not in (2, 3):
                 raise InfeasibleConfig(f"factor supports must have 2 or 3 levels, got {levels!r}")
             object.__setattr__(self, name, count)
-        # like _extractors, no field: the cells of the level shape, derived once
+        # like _extractors, no field: the cells of the level shape, derived once;
+        # BENCH_ablation.json: cells derived per world raise oracle_verify's latency_p90 6.2%
         object.__setattr__(self, "_cells", _cells(self.confounder_levels, self.selection_levels))
         ceiling = self.rare_outcome_ceiling
         if ceiling is None:
@@ -286,10 +288,6 @@ class _Tables:
     config's slices of the cells by level (see _cells).
     """
 
-    __slots__ = (
-        "mis", "rows", "columns", "p_u", "p_y", "p_s", "factor", "mass", "sel", "total", "cases"
-    )
-
     def __init__(self, config: WorldConfig, p_u, p_a, p_y, p_s) -> None:
         level, self.rows, self.columns = config._cells
         self.mis = config.misclassification
@@ -343,12 +341,8 @@ def _selection(t: _Tables, a: int) -> dict[str, float]:
     return {spread_key: spread, shift_key: max(map(truediv, num, den))}
 
 
-def _EXPOSED(t: _Tables) -> dict[str, float]:
-    return _selection(t, 1)
-
-
-def _UNEXPOSED(t: _Tables) -> dict[str, float]:
-    return _selection(t, 0)
+_EXPOSED = partial(_selection, a=1)
+_UNEXPOSED = partial(_selection, a=0)
 
 
 def _selected_population(t: _Tables) -> dict[str, float]:
@@ -401,6 +395,7 @@ def _mechanisms(bias_set: BiasSet) -> tuple[bool, bool, str | None, dict]:
 
 def _extractors(config: WorldConfig, bias_set: BiasSet) -> dict:
     """The bias set's extractors, once the config's worlds are found to fit it."""
+    # BENCH_ablation.json: _mechanisms on every call read 8.5% slower on oracle_verify; a test pins this
     if bias_set is config.bias_set:  # the set the config was derived from
         return config._extractors
     _require_bias_set(bias_set)

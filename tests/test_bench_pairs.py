@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py's summary of paired runs, on hand-made runs."""
+"""tools/bench_pairs.py's summary of paired runs, on hand-made runs, and the index of
+the committed records."""
 
 import importlib.util
 import json
@@ -216,3 +217,11 @@ class TestMain:
             bench_pairs.main(argv + ["--out", str(tmp_path / "out.json")])
         assert stopped.value.code == 2
         assert not (tmp_path / "out.json").exists()
+
+
+def test_the_index_lists_each_bench_file_once():
+    # one BENCH_INDEX.md row per top-level BENCH_*.json, and no row without its file
+    root = _PATH.parent.parent
+    lines = (root / "BENCH_INDEX.md").read_text().splitlines()
+    rows = [line.split("|")[1].strip().strip("`") for line in lines if line.startswith("| `BENCH_")]
+    assert sorted(rows) == sorted(path.name for path in root.glob("BENCH_*.json"))

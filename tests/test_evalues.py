@@ -469,6 +469,39 @@ class TestSolve:
                 assert lo**n < t * (2 * lo - 1) ** k, (target, root)
                 assert t * (2 * hi - 1) ** k <= hi**n, (target, root)
 
+    @pytest.mark.parametrize(
+        "nk, ulps",
+        [
+            ((3, 1), 496),
+            ((4, 1), 387),
+            ((5, 1), 250),
+            ((5, 2), 241),
+            ((6, 1), 261),
+            ((6, 2), 146),
+            ((7, 3), 234),
+            ((8, 3), 329),
+        ],
+        ids=lambda v: "n{0[0]}k{0[1]}".format(v) if type(v) is tuple else f"{v}ulps",
+    )
+    def test_each_newton_root_is_within_its_ulp_bound(self, nk, ulps):
+        # the bracket of test_each_closed_form_root_is_within_its_ulp_bound,
+        # at the Newton polynomials. Measured against decimal_root on these
+        # targets, the worst roots are 495.8, 386.6, 249.0, 241.0, 260.4,
+        # 145.7 (144.7 by solve_polynomial), 233.5 and 328.4 ulps off, in
+        # this order, each at a target above 1e200; each bound is that
+        # figure rounded up to a whole ulp. The last iterate in u = log x is
+        # within half an ulp of u, which exp turns into about |u| / 2 ulps
+        n, k = nk
+        poly = EValuePolynomial(n, k)
+        curve = [p.evalue for p in evalue_curve([SET_BY_POLYNOMIAL[nk]], TARGETS_2_1)]
+        m = Fraction(ulps)
+        for target, from_curve in zip(TARGETS_2_1, curve):
+            t = Fraction(target)
+            for root in {solve_polynomial(poly, target), from_curve}:
+                lo, hi = (Fraction(root) + d * m * Fraction(math.ulp(root)) for d in (-1, 1))
+                assert lo**n < t * (2 * lo - 1) ** k, (target, root)
+                assert t * (2 * hi - 1) ** k <= hi**n, (target, root)
+
     @pytest.mark.parametrize("nk", [(13, 6), (41, 20), (201, 100)], ids="n{0[0]}k{0[1]}".format)
     def test_the_stop_bound_holds_beyond_the_grammar(self, nk):
         # the error bound C s**2 of a step s grows with C = k (n - k)**2 /

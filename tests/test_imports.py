@@ -1,4 +1,5 @@
-"""Each submodule, numpy, json and csv load only where they are used.
+"""Each submodule, numpy, json and csv load only where they are used, and a
+one-shot call loads no module beyond a fixed list.
 
 Each check that depends on what is loaded runs in a fresh interpreter, since
 this test process has long since imported all of them.
@@ -73,6 +74,47 @@ def test_each_command_loads_only_what_it_uses(argv, loaded):
         f"print(rc, *(m for m in {OPTIONAL!r} if m in sys.modules))"
     )
     assert _fresh(code) == ["0", *loaded]
+
+
+# every module a one-shot bound, evalue or summary call may add to a fresh
+# interpreter, in any of its formats, on CPython 3.10 to 3.13 (the union of
+# what each loads); a new import in the package fails
+# test_a_one_shot_call_loads_only_the_allowed_modules and lands here with a
+# CHANGES.md line
+ONE_SHOT_ALLOWED = frozenset(
+    """
+    __future__ _ast _bz2 _collections _compression _functools _json _locale _lzma _opcode
+    _opcode_metadata _operator _sre _tokenize _typing _weakrefset argparse ast bz2
+    collections collections.abc contextlib copy copyreg dataclasses dis enum errno fnmatch
+    functools gettext importlib importlib._bootstrap importlib._bootstrap_external
+    importlib.machinery inspect itertools json json.decoder json.encoder json.scanner
+    keyword linecache locale lzma math multibias multibias.biases multibias.bounds
+    multibias.cli multibias.errors multibias.evalues opcode operator re re._casefix
+    re._compiler re._constants re._parser reprlib shutil sre_compile sre_constants
+    sre_parse token tokenize types typing typing.io typing.re warnings weakref zlib
+    """.split()
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        argv + fmt
+        for argv in (BOUND, EVALUE, NEWTON_EVALUE)
+        for fmt in ([], ["--format", "json"])
+    ]
+    + [["summary", "--biases", NEWTON_BIASES], ["summary", "--biases", NEWTON_BIASES, "--latex"]],
+)
+def test_a_one_shot_call_loads_only_the_allowed_modules(argv):
+    # counted from just before the CLI's import, so what site loads at start
+    # (a .pth file may load certifi, say) is not the call's
+    code = (
+        "import sys; before = set(sys.modules); import multibias.cli; "
+        f"rc = multibias.cli.main({argv!r}); print(rc, *sorted(set(sys.modules) - before))"
+    )
+    rc, *added = _fresh(code)
+    assert rc == "0"
+    assert sorted(set(added) - ONE_SHOT_ALLOWED) == []
 
 
 def test_no_command_loads_numpy():
