@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import sys
@@ -790,6 +791,68 @@ class TestCurve:
         with pytest.raises(SizeLimitExceeded) as info:
             evalue_curve(sets, np.full(points, 2.0))
         assert str(info.value) == message
+
+    # one set each of k == 0, n == 2k and two Newton polynomials, 25,000
+    # ratios each, so MAX_CURVE_POINTS points in all
+    GC_POLYNOMIALS = ((1, 0), (2, 1), NEWTON_POLYNOMIALS[0], NEWTON_POLYNOMIALS[-1])
+    GC_SETS = [SET_BY_POLYNOMIAL[nk] for nk in GC_POLYNOMIALS]
+    GC_RATIOS = np.geomspace(0.01, 100.0, MAX_CURVE_POINTS // 4).tolist()
+
+    def test_a_full_curve_starts_no_collection(self):
+        # a point, a tuple subclass, stays tracked by the collector, so
+        # without the pause every 700 points would start a gen-0 pass
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            points = evalue_curve(self.GC_SETS, self.GC_RATIOS)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(points) == MAX_CURVE_POINTS
+        assert started == []
+
+    def _curves_leave_collector(self, enabled: bool) -> None:
+        (point,) = evalue_curve([SET_BY_POLYNOMIAL[(1, 0)]], [2.0])
+        assert point.evalue == 2.0
+        assert gc.isenabled() is enabled
+        # raised by the solve, inside the pause: the (2, 1) root of 1e308 overflows
+        with pytest.raises(DomainError, match="floating-point range"):
+            evalue_curve([SET_BY_POLYNOMIAL[(1, 0)], SET_BY_POLYNOMIAL[(2, 1)]], [1e308])
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_runs_again_after_a_curve(self):
+        assert gc.isenabled()
+        self._curves_leave_collector(enabled=True)
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            self._curves_leave_collector(enabled=False)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "sets, rr, error",
+        [
+            ([confounding()], [2.0], ParseError),  # declarations, not bias sets
+            ([SET_BY_POLYNOMIAL[(1, 0)]], [0.0], DomainError),
+            ([SET_BY_POLYNOMIAL[(1, 0)]], [[2.0]], ParseError),
+            ([SET_BY_POLYNOMIAL[(1, 0)]], [1e-320], DomainError),  # its inverse overflows
+            ([SET_BY_POLYNOMIAL[(1, 0)]] * 2, [2.0] * 50_001, SizeLimitExceeded),
+        ],
+    )
+    def test_a_rejected_input_never_pauses_the_collector(self, monkeypatch, sets, rr, error):
+        def refuse():
+            raise AssertionError("the collector was paused")
+
+        monkeypatch.setattr(gc, "disable", refuse)
+        with pytest.raises(error):
+            evalue_curve(sets, rr)
 
 
 def _shared(bias_set, x: float) -> dict[str, float]:
